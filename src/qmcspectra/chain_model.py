@@ -213,8 +213,6 @@ class QmcModel:
         outgoing = [self.block_object(site, r) for r in roles]
         present = [b for b in outgoing if b is not None]
         if present and all(b.effects is not None for b in present):
-            if not present:
-                return 1.0
             _, defect = check_tp_column([b.effects for b in present])
             return defect
         total = sum(
@@ -743,12 +741,15 @@ def resolvent_block_adaptive(
     return prev
 
 
-def corner_resolvent(model: QmcModel, z: complex, depth: int) -> Array:
+def corner_resolvent(model: QmcModel, z: complex | Array, depth: int) -> Array:
     """Corner block ((z I - Phi)^(-1))_{00} of the depth-site truncation.
 
     Evaluated by backward Schur elimination from the far end, which is
     exact for the truncated operator and costs O(depth) small solves.
-    Only defined for half-line or segment topologies.
+    ``z`` is one point or an array of points; the sweep runs once for all
+    of them, with one stacked solve per site, and the result has shape
+    ``np.shape(z) + (d, d)``.  Only defined for half-line or segment
+    topologies.
     """
     if model.topology.kind == LINE:
         raise ValueError("corner resolvent needs a bounded-from-below chain")
@@ -757,8 +758,10 @@ def corner_resolvent(model: QmcModel, z: complex, depth: int) -> Array:
         hi = min(hi, model.topology.hi)
     d = model.block_dim
     eye = np.eye(d, dtype=complex)
-    Y = np.linalg.solve(z * eye - model.block(hi, "B"), eye)
+    zeye = np.asarray(z)[..., None, None] * eye
+    rhs = np.broadcast_to(eye, zeye.shape)
+    Y = np.linalg.solve(zeye - model.block(hi, "B"), rhs)
     for k in range(hi - 1, -1, -1):
-        m = z * eye - model.block(k, "B") - model.block(k + 1, "C") @ Y @ model.block(k, "A")
-        Y = np.linalg.solve(m, eye)
+        m = zeye - model.block(k, "B") - model.block(k + 1, "C") @ Y @ model.block(k, "A")
+        Y = np.linalg.solve(m, rhs)
     return Y

@@ -148,8 +148,6 @@ def plus_model(model: QmcModel) -> QmcModel:
     """The upward half-chain (sites 0, 1, 2, ... of a line model)."""
     if model.topology.kind != LINE:
         raise ValueError("needs a line model")
-    from .chain_model import Block
-
     overrides = {
         s: dict(ov) for s, ov in model.overrides.items() if s >= 0
     }
@@ -174,8 +172,6 @@ def minus_model(model: QmcModel) -> QmcModel:
     """
     if model.topology.kind != LINE:
         raise ValueError("needs a line model")
-    from .chain_model import Block
-
     overrides: dict[int, dict] = {}
     neg_sites = [s for s in model.overrides if s < 0]
     for s in neg_sites:

@@ -54,30 +54,26 @@ class SemiOrthogonalSystem:
     def max_index(self) -> int:
         return self.model.topology.num_sites - 1
 
-    def poly_at_nodes(self, j: int) -> list[Array]:
-        pf = PolyFamily(self.model)
-        return [pf.main(p.node, max(j, 1))[j] for p in self.weight.points]
-
     def gram(self, i: int, j: int, n: int = 0) -> Array:
         """sum_k l_k^n Q_i*(l_k) W_k Q_j(l_k)."""
-        pf = PolyFamily(self.model)
-        d = self.model.block_dim
-        acc = np.zeros((d, d), dtype=complex)
-        for p in self.weight.points:
-            qi = pf.main(p.node, max(i, 1))[i]
-            qj = pf.main(p.node, max(j, 1))[j]
-            acc += (p.node**n) * (qi.conj().T @ p.weight @ qj)
-        return acc
+        nodes = self.weight.nodes()
+        q = PolyFamily(self.model).main(nodes, max(i, j, 1))
+        terms = q[i].conj().swapaxes(-1, -2) @ self.weight.weights() @ q[j]
+        return np.einsum("k,kij->ij", nodes**n, terms)
+
+
+def _moment_against(weight: DiscreteWeight, polys: PolyFamily, n: int, j: int) -> Array:
+    """sum_k l_k^n W_k Q_j(l_k), with the family evaluated once for all
+    nodes."""
+    nodes = weight.nodes()
+    q = polys.main(nodes, max(j, 1))[j]
+    return np.einsum("k,kij->ij", nodes**n, weight.weights() @ q)
 
 
 def semiorth_residual_of(
     weight: DiscreteWeight, polys: PolyFamily, i: int, j: int
 ) -> float:
-    d = weight.points[0].weight.shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for p in weight.points:
-        acc += (p.node**i) * (p.weight @ polys.main(p.node, max(j, 1))[j])
-    return float(np.linalg.norm(acc, 2))
+    return float(np.linalg.norm(_moment_against(weight, polys, i, j), 2))
 
 
 def nonsym_finite_weights(
@@ -115,13 +111,8 @@ def km_row0(system: SemiOrthogonalSystem, i: int, n: int) -> Array:
         raise ValueError("step count must be nonnegative")
     if not system.model.topology.contains(i):
         raise ValueError(f"site {i} outside topology")
-    d = system.model.block_dim
-    polys = PolyFamily(system.model)
-    acc = np.zeros((d, d), dtype=complex)
-    for p in system.weight.points:
-        acc += (p.node**n) * (p.weight @ polys.main(p.node, max(i, 1))[i])
-    total = system.weight.total()
-    return np.linalg.solve(total, acc)
+    acc = _moment_against(system.weight, PolyFamily(system.model), n, i)
+    return np.linalg.solve(system.weight.total(), acc)
 
 
 def km_row0_probability(system: SemiOrthogonalSystem, i: int, n: int, rho) -> float:

@@ -21,14 +21,15 @@ MAX_CONDITION = 1e12
 
 
 def _solve_right(num: Array, mat: Array, index: int, direction: str) -> Array:
-    """num @ mat^{-1} with a condition guard naming the offending block."""
+    """num @ mat^{-1} with a condition guard naming the offending block;
+    ``num`` may be a stack of blocks sharing the pivot ``mat``."""
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise np.linalg.LinAlgError(
             f"{direction} recurrence pivot at site {index} is singular "
             f"(cond {cond:.3e})"
         )
-    return np.linalg.solve(mat.T, num.T).T
+    return np.linalg.solve(mat.T, num.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,18 @@ class PolyFamily:
         m = self.model
         return m.block(n, "A"), m.block(n, "B"), m.block(n, "C")
 
-    def main(self, x: complex, n_max: int) -> list[Array]:
-        """Q_0(x) .. Q_{n_max}(x) by the forward recurrence."""
+    def main(self, x: complex | Array, n_max: int) -> list[Array]:
+        """Q_0(x) .. Q_{n_max}(x) by the forward recurrence.
+
+        ``x`` is one point or a 1-D array of points; for an array every
+        Q_n is the stack of shape (len(x), d, d), and each pivot A_n is
+        checked and used once for all points."""
         d = self.model.block_dim
-        eye = np.eye(d, dtype=complex)
-        out = [eye]
-        prev = np.zeros((d, d), dtype=complex)
+        x = np.asarray(x)
+        shape = x.shape + (d, d)
+        x = x[..., None, None]
+        out = [np.broadcast_to(np.eye(d, dtype=complex), shape).copy()]
+        prev = np.zeros(shape, dtype=complex)
         for n in range(n_max):
             a, b, c = self._abc(n)
             num = x * out[-1] - out[-1] @ b - prev @ c

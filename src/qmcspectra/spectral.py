@@ -160,6 +160,10 @@ class DiscreteWeight:
     def nodes(self) -> Array:
         return np.array([p.node for p in self.points])
 
+    def weights(self) -> Array:
+        """The weights stacked in node order, shape (nodes, d, d)."""
+        return np.array([p.weight for p in self.points])
+
     def total(self) -> Array:
         return sum(p.weight for p in self.points)
 
@@ -200,8 +204,10 @@ def finite_spectrum_weights(
     The weight of a node is the residue of z -> ((z I - Phi)^{-1})_{00}
     there, extracted by trapezoid contour quadrature on a small circle
     (radius min(1e-4, gap/10)); this handles simple and double poles
-    uniformly.  The weights always sum to the identity, the n = 0 moment
-    of the corner block.
+    uniformly.  Each cluster makes one ``corner_resolvent`` call with
+    its ``quad_points`` contour points stacked, a (quad_points, d, d)
+    array of corner blocks from one backward Schur sweep.  The weights
+    always sum to the identity, the n = 0 moment of the corner block.
     """
     if model.topology.kind != SEGMENT:
         raise ValueError("finite spectra need a segment model")
@@ -223,19 +229,14 @@ def finite_spectrum_weights(
     else:
         gaps = np.array([np.inf])
 
-    d = model.block_dim
-    S = mat.shape[0]
-    eye_block = np.zeros((S, d), dtype=complex)
-    eye_block[:d] = np.eye(d)
+    depth = trunc.num_sites
+    unit = np.exp(2j * np.pi * np.arange(quad_points) / quad_points)
     points = []
     for g, center, gap in zip(groups, centers, gaps):
         radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
-        acc = np.zeros((d, d), dtype=complex)
-        for k in range(quad_points):
-            z = center + radius * np.exp(2j * np.pi * k / quad_points)
-            sol = np.linalg.solve(z * np.eye(S) - mat, eye_block)
-            acc += (z - center) * sol[:d]
-        weight = acc / quad_points
+        zs = center + radius * unit
+        corner = corner_resolvent(model, zs, depth)
+        weight = np.einsum("k,kij->ij", zs - center, corner) / quad_points
         node = complex(center)
         if abs(node.imag) <= tol_group:
             node = complex(node.real, 0.0)

@@ -154,12 +154,10 @@ def km_block(
     The norm (Q_j, Q_j) equals the symmetrizer product pi[j]."""
     if not sym.success:
         raise ValueError("spectral sum needs a successful symmetrizer")
-    d = weights.points[0].weight.shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    top = max(i, j)
-    for p in weights.points:
-        q = polys.main(p.node, top)
-        acc += (p.node**n) * (q[j].conj().T @ p.weight @ q[i])
+    nodes = weights.nodes()
+    q = polys.main(nodes, max(i, j))
+    terms = q[j].conj().swapaxes(-1, -2) @ weights.weights() @ q[i]
+    acc = np.einsum("k,kij->ij", nodes**n, terms)
     return np.linalg.solve(sym.pi[j], acc)
 
 

@@ -221,6 +221,16 @@ def test_corner_resolvent_matches_dense_solve():
     dense = np.linalg.inv(z * np.eye(t.matrix.shape[0]) - t.matrix)[:3, :3]
     assert np.abs(got - dense).max() < 1e-12
 
+    # a stacked z runs one sweep for all points, one corner block each
+    zs = z + np.array([[0.0, 0.1, -0.3j, 0.5 + 0.5j, -2.0], [0.2j, 1.0, -0.1, 3.0j, 0.05]])
+    stacked = corner_resolvent(m, zs, L)
+    assert stacked.shape == (2, 5, 3, 3)
+    for idx in np.ndindex(zs.shape):
+        zk = zs[idx]
+        dense = np.linalg.inv(zk * np.eye(t.matrix.shape[0]) - t.matrix)[:3, :3]
+        assert np.abs(stacked[idx] - corner_resolvent(m, zk, L)).max() < 1e-12
+        assert np.abs(stacked[idx] - dense).max() < 1e-12
+
 
 def test_evolve_matches_truncated_power(real_density2):
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmcspectra
 from qmcspectra import models
 from qmcspectra.chain_model import build_model, model_to_dict
 from qmcspectra.cli import run
@@ -198,6 +203,19 @@ def test_simulate_csv(files, capsys):
     )
     again = capsys.readouterr()
     assert again.out == captured.out
+
+
+def test_module_entry_point_exits_with_file_code(tmp_path):
+    # `python -m qmcspectra.cli` must run the CLI, not just import it
+    src = str(Path(qmcspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmcspectra.cli", "validate", str(tmp_path / "missing.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "missing.json" in proc.stderr
 
 
 def test_exit_codes(files, capsys, tmp_path):

@@ -70,6 +70,20 @@ def test_main_recurrence_residual(points):
         assert recurrence_residual(m, table, x) < 1e-10 * scale
 
 
+def test_main_stacked_points_match_single_calls():
+    m = models.flip_channel_half_line(0.62, 0.57)
+    pf = PolyFamily(m)
+    xs = np.array([0.7, -0.3 + 0.2j, 0.0, 1.5j, -1.1])
+    stacked = pf.main(xs, 8)
+    assert len(stacked) == 9
+    for k, x in enumerate(xs):
+        single = pf.main(x, 8)
+        for n in range(9):
+            assert stacked[n].shape == (len(xs), 3, 3)
+            scale = max(1.0, np.linalg.norm(single[n]))
+            assert np.abs(stacked[n][k] - single[n]).max() < 1e-13 * scale
+
+
 def test_associated_family_start():
     m = models.flip_channel_half_line(0.7, 0.8)
     k = 2
@@ -147,6 +161,8 @@ def test_singular_pivot_names_site():
     )
     with pytest.raises(np.linalg.LinAlgError, match="site 0"):
         eval_main(m, 0.3, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="site 0"):
+        eval_main(m, np.array([0.3, -0.5j]), 2)
 
     ml = QmcModel(
         topology=line(),

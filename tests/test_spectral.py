@@ -122,6 +122,43 @@ def test_double_root_derivative_cross_check():
             assert np.abs(alt - p.weight).max() < 1e-8
 
 
+def dense_contour_weights(model, nodes, quad_points=64):
+    """Corner-block residues at the given nodes by one dense solve of the
+    assembled segment per contour point, on radii min(1e-4, gap/10)."""
+    mat = truncate(model, 0, model.topology.num_sites - 1).matrix
+    d = model.block_dim
+    eye = np.eye(mat.shape[0])
+    dist = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(dist, np.inf)
+    out = []
+    for node, gap in zip(nodes, dist.min(axis=1)):
+        radius = min(1e-4, gap / 10.0)
+        acc = np.zeros((d, d), dtype=complex)
+        for k in range(quad_points):
+            z = node + radius * np.exp(2j * np.pi * k / quad_points)
+            acc += (z - node) * np.linalg.solve(z * eye - mat, eye[:, :d])[:d]
+        out.append(acc / quad_points)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "model, tol",
+    [
+        (models.uniform_hopping_segment(24, 0.4, 0.6, 0.5, 0.25, 0.2), 1e-12),
+        (models.five_site_lazy_shear_chain(), 1e-9),
+    ],
+    ids=["hopping_S24", "five_site"],
+)
+def test_finite_weights_match_dense_contour_oracle(model, tol):
+    w = finite_spectrum_weights(model)
+    nodes = w.nodes()
+    dist = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(dist, np.inf)
+    assert dist.min() > 1e-3  # well-separated clusters
+    expect = dense_contour_weights(model, nodes)
+    assert np.abs(w.weights() - expect).max() < tol
+
+
 # -- transforms -------------------------------------------------------
 
 
