@@ -66,7 +66,6 @@ from .statistics import (
     km_probability,
     positive_recurrent,
     reach_analysis,
-    reach_probability,
 )
 from .folding import (
     FoldedModel,

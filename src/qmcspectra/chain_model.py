@@ -741,27 +741,57 @@ def resolvent_block_adaptive(
     return prev
 
 
-def corner_resolvent(model: QmcModel, z: complex | Array, depth: int) -> Array:
+def block_table(model: QmcModel, lo: int, hi: int) -> tuple[list, list, list]:
+    """The blocks A, B, C of the sites lo..hi as three lists, entry k
+    belonging to site lo + k.
+
+    Each distinct homogeneous and override block is fetched once and
+    shared by reference; every entry equals ``model.block(lo + k, role)``,
+    zero where the block is absent or clipped at an edge.  Sweeps index
+    these lists instead of looking blocks up per site.
+    """
+    topo = model.topology
+    if hi < lo or not (topo.contains(lo) and topo.contains(hi)):
+        raise ValueError(f"window [{lo}, {hi}] not inside the topology")
+    zero = np.zeros((model.block_dim, model.block_dim), dtype=complex)
+    table = {role: [_homogeneous_matrix(model, role)] * (hi - lo + 1) for role in ROLES}
+    for site, ov in model.overrides.items():
+        if lo <= site <= hi:
+            for role, blk in ov.items():
+                table[role][site - lo] = zero if blk is None else blk.matrix
+    if topo.hi is not None and lo <= topo.hi <= hi:
+        table["A"][topo.hi - lo] = zero
+    if topo.lo is not None and lo <= topo.lo <= hi:
+        table["C"][topo.lo - lo] = zero
+    return table["A"], table["B"], table["C"]
+
+
+def corner_resolvent(
+    model: QmcModel, z: complex | Array, depth: int, table: tuple | None = None
+) -> Array:
     """Corner block ((z I - Phi)^(-1))_{00} of the depth-site truncation.
 
     Evaluated by backward Schur elimination from the far end, which is
     exact for the truncated operator and costs O(depth) small solves.
     ``z`` is one point or an array of points; the sweep runs once for all
     of them, with one stacked solve per site, and the result has shape
-    ``np.shape(z) + (d, d)``.  Only defined for half-line or segment
-    topologies.
+    ``np.shape(z) + (d, d)``.  The blocks come from ``table``, the
+    :func:`block_table` of sites 0..depth-1 (clipped to the topology),
+    which a caller sweeping one model repeatedly builds once; by default
+    it is built here.  Only defined for half-line or segment topologies.
     """
     if model.topology.kind == LINE:
         raise ValueError("corner resolvent needs a bounded-from-below chain")
     hi = depth - 1
     if model.topology.hi is not None:
         hi = min(hi, model.topology.hi)
+    A, B, C = block_table(model, 0, hi) if table is None else table
     d = model.block_dim
     eye = np.eye(d, dtype=complex)
     zeye = np.asarray(z)[..., None, None] * eye
     rhs = np.broadcast_to(eye, zeye.shape)
-    Y = np.linalg.solve(zeye - model.block(hi, "B"), rhs)
+    Y = np.linalg.solve(zeye - B[hi], rhs)
     for k in range(hi - 1, -1, -1):
-        m = zeye - model.block(k, "B") - model.block(k + 1, "C") @ Y @ model.block(k, "A")
+        m = zeye - B[k] - C[k + 1] @ Y @ A[k]
         Y = np.linalg.solve(m, rhs)
     return Y

@@ -17,6 +17,7 @@ import numpy as np
 from .chain_model import (
     LINE,
     QmcModel,
+    _homogeneous_matrix,
     half_line,
     segment_window,
 )
@@ -92,22 +93,17 @@ def fold_model(model: QmcModel, depth: int = 0) -> FoldedModel:
     g0[d:, :d] = model.block(0, "C")
     g0[d:, d:] = model.block(-1, "B")
 
-    def homog(role: str) -> Array:
-        blk = model.blocks.get(role)
-        if blk is None:
-            return np.zeros((d, d), dtype=complex)
-        return blk.matrix
-
     affected = {0}
     for s in model.overrides:
         f = s if s >= 0 else -s - 1
         affected.update({max(0, f - 1), f, f + 1})
     affected.update(range(depth + 1))
 
+    a, b, c = (_homogeneous_matrix(model, role) for role in "ABC")
     blocks = {
-        "A": Block(_diag2(homog("A"), homog("C"))),
-        "B": Block(_diag2(homog("B"), homog("B"))),
-        "C": Block(_diag2(homog("C"), homog("A"))),
+        "A": Block(_diag2(a, c)),
+        "B": Block(_diag2(b, b)),
+        "C": Block(_diag2(c, a)),
     }
     overrides = {}
     for site in sorted(affected):
@@ -261,20 +257,16 @@ def km_on_line(
         )
     weights = folded_discrete_weight(model, window, sym=sym)
     pf = PolyFamily(model)
-    d = model.block_dim
-    acc = np.zeros((d, d), dtype=complex)
+    nodes = weights.nodes()
     lo = min(i, -i - 1, j, -j - 1) - 1
     hi = max(i, -i - 1, j, -j - 1) + 1
-    for p in weights.points:
-        q1 = pf.two_sided(1, p.node, lo, hi)
-        q2 = pf.two_sided(2, p.node, lo, hi)
-        qj = (q1[j], q2[j])
-        qi = (q1[i], q2[i])
-        w = p.weight
-        for a in (0, 1):
-            for b in (0, 1):
-                wab = w[a * d : (a + 1) * d, b * d : (b + 1) * d]
-                acc += (p.node**n) * (qj[a].conj().T @ wab @ qi[b])
+    q1 = pf.two_sided(1, nodes, lo, hi)
+    q2 = pf.two_sided(2, nodes, lo, hi)
+    # the four weight quadrants at once: [Q^1; Q^2]* W [Q^1; Q^2]
+    qj = np.concatenate([q1[j], q2[j]], axis=-2)
+    qi = np.concatenate([q1[i], q2[i]], axis=-2)
+    terms = qj.conj().swapaxes(-1, -2) @ weights.weights() @ qi
+    acc = np.einsum("k,kij->ij", nodes**n, terms)
     return np.linalg.solve(sym.pi[j], acc)
 
 

@@ -78,22 +78,29 @@ class PolyFamily:
             out.append(_solve_right(num, a, n, "forward"))
         return out
 
-    def two_sided(self, alpha: int, x: complex, n_lo: int, n_hi: int) -> dict[int, Array]:
+    def two_sided(
+        self, alpha: int, x: complex | Array, n_lo: int, n_hi: int
+    ) -> dict[int, Array]:
         """The pair of line families, indexed by alpha in {1, 2}.
 
         Family 1 starts from Q_0 = I, Q_{-1} = 0; family 2 from Q_0 = 0,
         Q_{-1} = I.  Forward steps invert A_n, backward steps invert C_n.
+        ``x`` is one point or a 1-D array of points, as in :meth:`main`;
+        for an array every Q_n is a (len(x), d, d) stack.
         """
         if self.model.topology.kind != LINE:
             raise ValueError("two-sided families need a line model")
         if alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
         d = self.model.block_dim
-        eye = np.eye(d, dtype=complex)
-        zero = np.zeros((d, d), dtype=complex)
+        x = np.asarray(x)
+        shape = x.shape + (d, d)
+        x = x[..., None, None]
+        eye = np.broadcast_to(np.eye(d, dtype=complex), shape).copy()
+        zero = np.zeros(shape, dtype=complex)
         table: dict[int, Array] = {}
-        table[0] = eye.copy() if alpha == 1 else zero.copy()
-        table[-1] = zero.copy() if alpha == 1 else eye.copy()
+        table[0] = eye if alpha == 1 else zero
+        table[-1] = zero if alpha == 1 else eye
         for n in range(0, n_hi):
             a, b, c = self._abc(n)
             num = x * table[n] - table[n] @ b - table[n - 1] @ c

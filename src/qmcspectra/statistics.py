@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel, resolvent_block_adaptive, truncate
+from .chain_model import QmcModel, _window_bounds, block_table, resolvent_block_adaptive
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import DiscreteWeight, StieltjesEvaluator, Symmetrizer
@@ -186,7 +186,7 @@ def first_passage_gf(
     model: QmcModel,
     j: int,
     i: int,
-    s: complex,
+    s: complex | Array,
     *,
     window: int = 64,
     method: str = "resolvent",
@@ -194,34 +194,72 @@ def first_passage_gf(
     """First-passage generating-function block F_ji(s).
 
     method="resolvent" evaluates s P_j Phi (I - s Q_j Phi)^{-1} on a
-    truncation (P_j projects onto site j, Q_j = I - P_j).  For i < j the
-    polynomial fast path Q_j(1/s)^{-1} Q_i(1/s) is available as
-    method="polynomial"; the two agree wherever both apply.
+    truncation (P_j projects onto site j, Q_j = I - P_j).  ``s`` is one
+    value or an array of them, and the result has shape
+    ``np.shape(s) + (d, d)``.  Masking row j pins x_j = delta_ij I, so
+    the system splits at j into two block-tridiagonal halves; each half
+    that carries the source is eliminated by one block-Schur sweep toward
+    j, with one stacked solve per site for all s, and
+    F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
+    pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
+    window.  For i < j the polynomial fast path Q_j(1/s)^{-1} Q_i(1/s) is
+    available as method="polynomial"; the two agree wherever both apply.
     """
     if method == "polynomial":
         return first_passage_poly(model, j, i, s)
-    if s == 0:
-        return np.zeros((model.block_dim, model.block_dim), dtype=complex)
-    lo = -window if model.topology.kind == LINE else 0
-    hi = window if model.topology.hi is None else model.topology.hi
-    trunc = truncate(model, lo, hi)
+    lo, hi = _window_bounds(model, window)
+    if not (lo <= i <= hi and lo <= j <= hi):
+        raise ValueError(f"sites {i}, {j} outside window [{lo}, {hi}]")
+    A, B, C = table = block_table(model, lo, hi)
     d = model.block_dim
-    S = trunc.num_sites
-    jj = trunc.site_index(j)
-    ii = trunc.site_index(i)
-    masked = trunc.matrix.copy()
-    masked[jj * d : (jj + 1) * d, :] = 0.0
-    M = np.eye(S * d, dtype=complex) - s * masked
-    rhs = np.zeros((S * d, d), dtype=complex)
-    rhs[ii * d : (ii + 1) * d] = np.eye(d)
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular first-passage solve at s={s} "
-            f"(cond {np.linalg.cond(M):.3e})"
-        ) from exc
-    return s * (trunc.matrix @ sol)[jj * d : (jj + 1) * d]
+    ss = np.reshape(s, (-1, 1, 1))
+    # the half below j ends at j - 1, the half above at j + 1; with i == j
+    # the source is the coupling to x_j = I at that end.  A half without
+    # the source carries x = 0 and is not swept.
+    acc = B[j - lo] if i == j else 0.0
+    if i <= j and j > lo:
+        source = np.eye(d) if i < j else ss * C[j - lo]
+        x = _passage_sweep(table, lo, ss, range(lo, j), min(i, j - 1), source)
+        acc = acc + A[j - 1 - lo] @ x
+    if i >= j and j < hi:
+        source = np.eye(d) if i > j else ss * A[j - lo]
+        x = _passage_sweep(table, lo, ss, range(hi, j, -1), max(i, j + 1), source)
+        acc = acc + C[j + 1 - lo] @ x
+    return (ss * acc).reshape(np.shape(s) + (d, d))
+
+
+def _passage_sweep(table, lo: int, s: Array, sites: range, source_site: int, source) -> Array:
+    """x at the last of ``sites`` for (I - s Phi) x = r on those sites.
+
+    ``sites`` is one half of a masked window in elimination order
+    (ascending or descending, ending next to the masked site), ``table``
+    the window's block table starting at site ``lo``, and r is zero but
+    for ``source`` at ``source_site``.  ``s`` has shape (n, 1, 1).
+    """
+    A, B, C = table
+    step = sites.step
+    # block from the previously eliminated site into this one, and back
+    into, back = (A, C) if step > 0 else (C, A)
+    eye = np.broadcast_to(np.eye(B[0].shape[0], dtype=complex), s.shape[:1] + B[0].shape)
+    Y = x = None
+    for k in sites:
+        m = eye - s * B[k - lo]
+        if Y is not None:
+            m = m - (s * s) * (into[k - step - lo] @ Y @ back[k - lo])
+        try:
+            Y = np.linalg.solve(m, eye)
+        except np.linalg.LinAlgError:
+            # an exactly zero LU pivot, the case solve rejects, gives det 0
+            bad = s.ravel()[np.linalg.det(m) == 0]
+            raise np.linalg.LinAlgError(
+                f"singular first-passage pivot at site {k} for s in {bad.tolist()} "
+                f"on window [{lo}, {lo + len(B) - 1}]"
+            ) from None
+        if k == source_site:
+            x = Y @ source
+        elif x is not None:
+            x = Y @ (s * (into[k - step - lo] @ x))
+    return x
 
 
 def first_passage_poly(model: QmcModel, j: int, i: int, s: complex) -> Array:
@@ -265,10 +303,11 @@ def reach_analysis(
 ) -> PassageResult:
     """Probability of ever reaching site j from a density at site i.
 
-    The first-passage trace is sampled at s = 1 - 2^{-m} and Richardson
+    The first-passage trace is sampled at s = 1 - 2^{-m}, the whole
+    ladder in one stacked :func:`first_passage_gf` call, and Richardson
     extrapolation of order 2 is applied on the geometric ladder; when the
     ladder is too rough to extrapolate the last sample is returned with a
-    warning.
+    warning.  ``gf`` of the result evaluates one s on the same window.
     """
     rho_vec = model.state_vec(rho)
 
@@ -277,11 +316,9 @@ def reach_analysis(
 
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, gf)
-    samples = []
-    for m in m_range:
-        s = 1.0 - 2.0**-m
-        f = gf(s)
-        samples.append((s, trace_action(model, f, rho_vec)))
+    ladder = [1.0 - 2.0**-m for m in m_range]
+    blocks = gf(np.array(ladder))
+    samples = [(s, trace_action(model, f, rho_vec)) for s, f in zip(ladder, blocks)]
     t = [v for _, v in samples]
     r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
     r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
@@ -299,10 +336,6 @@ def reach_analysis(
     return PassageResult(
         i, j, float(min(max(prob, 0.0), 1.0)), tuple(samples), extrapolated, gf
     )
-
-
-def reach_probability(model: QmcModel, i: int, j: int, rho, **kw) -> float:
-    return reach_analysis(model, i, j, rho, **kw).probability
 
 
 # ---------------------------------------------------------------------

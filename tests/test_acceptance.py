@@ -41,7 +41,7 @@ from qmcspectra.statistics import (
     classify_recurrence,
     first_passage_gf,
     km_block,
-    reach_probability,
+    reach_analysis,
 )
 from qmcspectra.trajectories import TrajectoryConfig, estimate_site_prob
 
@@ -82,7 +82,7 @@ def test_criterion_01_three_site_first_passage():
 
     worst = 0.0
     for rho in sample_densities(5):
-        p = reach_probability(m, 0, 1, rho)
+        p = reach_analysis(m, 0, 1, rho).probability
         expect = (1 + SQ2 * rho[0, 1].real) / 2
         worst = max(worst, abs(p - expect))
     ok &= check("1b reach probabilities", worst < 1e-8, f"worst {worst:.2e}")
@@ -94,7 +94,7 @@ def test_criterion_02_certain_capture():
     for gamma in (0.3, 1.0, 2.0):
         m = models.corner_coin_oqw(gamma)
         for rho in sample_densities(5, seed=int(100 * gamma)):
-            worst = max(worst, abs(reach_probability(m, 0, 1, rho) - 1.0))
+            worst = max(worst, abs(reach_analysis(m, 0, 1, rho).probability - 1.0))
     assert check("2 capture probability one", worst < 1e-6, f"worst dev {worst:.2e}")
 
 

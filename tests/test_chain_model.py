@@ -7,6 +7,7 @@ from qmcspectra import models
 from qmcspectra.chain_model import (
     LatticeState,
     Topology,
+    block_table,
     build_model,
     corner_resolvent,
     evolve,
@@ -230,6 +231,50 @@ def test_corner_resolvent_matches_dense_solve():
         dense = np.linalg.inv(zk * np.eye(t.matrix.shape[0]) - t.matrix)[:3, :3]
         assert np.abs(stacked[idx] - corner_resolvent(m, zk, L)).max() < 1e-12
         assert np.abs(stacked[idx] - dense).max() < 1e-12
+
+
+def _per_site_corner_sweep(m, z, depth):
+    # the backward Schur sweep with every block looked up per site
+    hi = depth - 1
+    eye = np.eye(m.block_dim, dtype=complex)
+    zeye = np.asarray(z)[..., None, None] * eye
+    rhs = np.broadcast_to(eye, zeye.shape)
+    Y = np.linalg.solve(zeye - m.block(hi, "B"), rhs)
+    for k in range(hi - 1, -1, -1):
+        Y = np.linalg.solve(zeye - m.block(k, "B") - m.block(k + 1, "C") @ Y @ m.block(k, "A"), rhs)
+    return Y
+
+
+def test_corner_resolvent_block_table_is_bit_identical():
+    up = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    seg = models.random_symmetrizable_segment(np.random.default_rng(5), num_sites=6)
+    zs = np.array([1.01, 0.3 + 0.4j, -1.2])
+    for m, depth in ((up, 800), (seg, 6)):
+        table = block_table(m, 0, depth - 1)
+        for z in (zs[0], zs):
+            want = _per_site_corner_sweep(m, z, depth)
+            assert np.array_equal(corner_resolvent(m, z, depth), want)
+            assert np.array_equal(corner_resolvent(m, z, depth, table), want)
+
+
+def test_block_table_matches_per_site_lookup():
+    cases = [
+        (models.random_symmetrizable_segment(np.random.default_rng(6), num_sites=5), 0, 4),
+        (models.uniform_hopping_segment(6, 0.4, 0.5, 0.5, 0.3, 0.3), 0, 5),
+        (models.corner_coin_oqw(0.7), 0, 6),
+        (models.flip_channel_half_line(0.7, 0.8, corner="up"), 2, 5),
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.3, 0.3), -4, 3),
+    ]
+    for m, lo, hi in cases:
+        table = dict(zip("ABC", block_table(m, lo, hi)))
+        for role, row in table.items():
+            assert len(row) == hi - lo + 1
+            for k, blk in enumerate(row):
+                assert np.array_equal(blk, m.block(lo + k, role))
+    with pytest.raises(ValueError, match="window"):
+        block_table(models.corner_coin_oqw(0.7), -1, 3)
+    with pytest.raises(ValueError, match="window"):
+        block_table(models.shear_coin_segment(), 0, 3)
 
 
 def test_evolve_matches_truncated_power(real_density2):

@@ -84,6 +84,21 @@ def test_main_stacked_points_match_single_calls():
             assert np.abs(stacked[n][k] - single[n]).max() < 1e-13 * scale
 
 
+@pytest.mark.parametrize("make", [models.diagonal_coin_line_walk, models.tilted_shear_line])
+def test_two_sided_stacked_points_match_single_calls(make):
+    pf = PolyFamily(make())
+    xs = np.array([0.7, -0.3 + 0.2j, 0.0, 1.5j, -1.1])
+    for alpha in (1, 2):
+        stacked = pf.two_sided(alpha, xs, -6, 5)
+        assert sorted(stacked) == list(range(-6, 6))
+        for k, x in enumerate(xs):
+            single = pf.two_sided(alpha, x, -6, 5)
+            for n, q in single.items():
+                assert stacked[n].shape == (len(xs),) + q.shape
+                scale = max(1.0, np.linalg.norm(q))
+                assert np.abs(stacked[n][k] - q).max() < 1e-12 * scale
+
+
 def test_associated_family_start():
     m = models.flip_channel_half_line(0.7, 0.8)
     k = 2
@@ -174,3 +189,5 @@ def test_singular_pivot_names_site():
     )
     with pytest.raises(np.linalg.LinAlgError, match="backward"):
         eval_two_sided(ml, 1, 0.3, -2, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="backward"):
+        eval_two_sided(ml, 1, np.array([0.3, -0.5j]), -2, 2)

@@ -21,7 +21,7 @@ from qmcspectra.statistics import (
     km_probability,
     positive_recurrent,
     reach_analysis,
-    reach_probability,
+    trace_action,
 )
 
 from conftest import random_density
@@ -138,6 +138,82 @@ def test_first_passage_resolvent_identity(s):
         assert np.abs(phi_jj @ f - (phi_ji - delta)).max() < 1e-8
 
 
+def _dense_masked_gf(m, j, i, s, lo, hi):
+    # s P_j Phi (I - s Q_j Phi)^{-1} on the dense window [lo, hi]
+    t = truncate(m, lo, hi)
+    d = m.block_dim
+    n = t.matrix.shape[0]
+    jj, ii = j - lo, i - lo
+    masked = t.matrix.copy()
+    masked[jj * d : (jj + 1) * d, :] = 0.0
+    rhs = np.zeros((n, d), dtype=complex)
+    rhs[ii * d : (ii + 1) * d] = np.eye(d)
+    sol = np.linalg.solve(np.eye(n) - s * masked, rhs)
+    return s * (t.matrix @ sol)[jj * d : (jj + 1) * d]
+
+
+@pytest.mark.parametrize(
+    "make, window, lo, hi, pairs",
+    [
+        (lambda: models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4), 32, 0, 32,
+         [(3, 1), (1, 4), (2, 2), (0, 0), (32, 32), (0, 32)]),
+        (lambda: models.uniform_hopping_line(0.3, 0.2, 0.6, 0.4, 0.3), 16, -16, 16,
+         [(0, -3), (-2, 2), (1, 1), (-16, -13), (16, 16)]),
+        (lambda: models.uniform_hopping_segment(12, 0.3, 0.2, 0.6, 0.4, 0.3), 64, 0, 11,
+         [(0, 11), (11, 0), (5, 5), (11, 11)]),
+        (lambda: models.corner_coin_oqw(0.7), 20, 0, 20, [(1, 0), (0, 3), (0, 0), (2, 1)]),
+    ],
+    ids=["half_line", "line", "segment", "corner_coin"],
+)
+def test_first_passage_stack_matches_dense_masked_oracle(make, window, lo, hi, pairs):
+    m = make()
+    d = m.block_dim
+    s = np.array([0.0, 0.3, 0.6 + 0.3j, 0.9, 0.99])
+    for j, i in pairs:
+        got = first_passage_gf(m, j, i, s, window=window)
+        assert got.shape == (len(s), d, d)
+        assert np.abs(got[0]).max() == 0.0
+        for k, sk in enumerate(s):
+            want = _dense_masked_gf(m, j, i, sk, lo, hi)
+            assert np.abs(got[k] - want).max() < 1e-12
+            single = first_passage_gf(m, j, i, sk, window=window)
+            assert single.shape == (d, d)
+            assert np.abs(single - want).max() < 1e-12
+
+
+def test_first_passage_singular_pivot_names_site_s_and_window():
+    # site 2 only holds, trace preserving, so I - s B_2 vanishes at s = 1
+    hop = Block(np.eye(2, dtype=complex) / 2)
+    hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
+    m = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+                 blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
+    with pytest.raises(np.linalg.LinAlgError, match=r"site 2 for s in \[1\.0\] on window \[0, 2\]"):
+        first_passage_gf(m, 0, 1, np.array([0.5, 1.0]))
+    assert np.isfinite(first_passage_gf(m, 0, 1, 0.5)).all()
+    # masking the hold site removes its pivot
+    assert np.isfinite(first_passage_gf(m, 2, 1, 1.0)).all()
+
+
+@pytest.mark.parametrize(
+    "params", [(0.4, 0.5, 0.5, 0.3, 0.3), (0.3, 0.2, 0.4, 0.5, 0.2), (0.3, 0.2, 0.4, 0.2, 0.5)],
+    ids=["balanced", "drift_in", "drift_out"],
+)
+def test_reach_analysis_matches_dense_route(params):
+    m = models.uniform_hopping_half_line(*params)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    ladder = [1.0 - 2.0**-k for k in range(4, 25)]
+    for i in (1, 3):
+        res = reach_analysis(m, i, 0, rho, window=64)
+        t = [trace_action(m, _dense_masked_gf(m, 0, i, s, 0, 64), m.state_vec(rho))
+             for s in ladder]
+        r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
+        r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
+        assert res.extrapolated
+        assert [s for s, _ in res.ladder] == ladder
+        assert max(abs(a - b) for (_, a), b in zip(res.ladder, t)) < 1e-12
+        assert abs(res.probability - min(max(r2[-1], 0.0), 1.0)) < 1e-12
+
+
 def test_polynomial_and_resolvent_paths_agree():
     m = models.flip_channel_half_line(0.6, 0.7)
     for (j, i, s) in [(2, 0, 0.5), (3, 1, 0.4), (1, 0, 0.8)]:
@@ -152,7 +228,7 @@ def test_reach_probability_values():
     m = models.three_site_absorbing_oqw()
     for a, b in [(0.5, 0.2), (1.0, 0.0), (0.3, -0.35), (0.25, 0.31), (0.5, -0.5)]:
         rho = np.array([[a, b], [b, 1 - a]])
-        assert reach_probability(m, 0, 1, rho) == pytest.approx(
+        assert reach_analysis(m, 0, 1, rho).probability == pytest.approx(
             (1 + SQ2 * b) / 2, abs=1e-8
         )
     res = reach_analysis(m, 1, 1, np.eye(2) / 2)
@@ -164,15 +240,15 @@ def test_reach_probability_certain_capture():
         m = models.corner_coin_oqw(g)
         for _ in range(2):
             rho = random_density(np.random.default_rng(int(10 * g)))
-            assert reach_probability(m, 0, 1, rho) == pytest.approx(1.0, abs=1e-6)
+            assert reach_analysis(m, 0, 1, rho).probability == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reach_probability_window_invariance(density2):
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
     rho = np.real(density2 + density2.T) / 2
     rho = rho / np.trace(rho)
-    p64 = reach_probability(m, 0, 2, rho, window=64)
-    p128 = reach_probability(m, 0, 2, rho, window=128)
+    p64 = reach_analysis(m, 0, 2, rho, window=64).probability
+    p128 = reach_analysis(m, 0, 2, rho, window=128).probability
     assert p64 == pytest.approx(p128, abs=1e-9)
 
 
