@@ -447,17 +447,13 @@ def truncate(model: QmcModel, lo: int, hi: int) -> TruncatedOperator:
         raise ValueError("empty truncation window")
     d = model.block_dim
     S = hi - lo + 1
+    A, B, C = block_table(model, lo, hi)
     out = np.zeros((S * d, S * d), dtype=complex)
     for k in range(S):
-        site = lo + k
-        out[k * d : (k + 1) * d, k * d : (k + 1) * d] = model.block(site, "B")
+        out[k * d : (k + 1) * d, k * d : (k + 1) * d] = B[k]
         if k + 1 < S:
-            out[(k + 1) * d : (k + 2) * d, k * d : (k + 1) * d] = model.block(
-                site, "A"
-            )
-            out[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = model.block(
-                site + 1, "C"
-            )
+            out[(k + 1) * d : (k + 2) * d, k * d : (k + 1) * d] = A[k]
+            out[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = C[k + 1]
     return TruncatedOperator(model, lo, hi, out)
 
 
@@ -745,53 +741,98 @@ def block_table(model: QmcModel, lo: int, hi: int) -> tuple[list, list, list]:
     """The blocks A, B, C of the sites lo..hi as three lists, entry k
     belonging to site lo + k.
 
-    Each distinct homogeneous and override block is fetched once and
-    shared by reference; every entry equals ``model.block(lo + k, role)``,
-    zero where the block is absent or clipped at an edge.  Sweeps index
-    these lists instead of looking blocks up per site.
+    Every entry equals ``model.block(lo + k, role)``.  Only the override
+    sites and the edges of the topology are looked up one by one; every
+    other entry is a reference to the one homogeneous block.  Sweeps
+    index these lists instead of calling ``model.block`` per site.
     """
     topo = model.topology
     if hi < lo or not (topo.contains(lo) and topo.contains(hi)):
         raise ValueError(f"window [{lo}, {hi}] not inside the topology")
-    zero = np.zeros((model.block_dim, model.block_dim), dtype=complex)
-    table = {role: [_homogeneous_matrix(model, role)] * (hi - lo + 1) for role in ROLES}
-    for site, ov in model.overrides.items():
-        if lo <= site <= hi:
-            for role, blk in ov.items():
-                table[role][site - lo] = zero if blk is None else blk.matrix
-    if topo.hi is not None and lo <= topo.hi <= hi:
-        table["A"][topo.hi - lo] = zero
-    if topo.lo is not None and lo <= topo.lo <= hi:
-        table["C"][topo.lo - lo] = zero
-    return table["A"], table["B"], table["C"]
+    special = [k for k in (*model.overrides, topo.lo, topo.hi) if k is not None and lo <= k <= hi]
+    table = []
+    for role in ROLES:
+        row = [_homogeneous_matrix(model, role)] * (hi - lo + 1)
+        for site in special:
+            row[site - lo] = model.block(site, role)
+        table.append(row)
+    return tuple(table)
 
 
-def corner_resolvent(
-    model: QmcModel, z: complex | Array, depth: int, table: tuple | None = None
+def schur_sweep(
+    table: tuple,
+    lo: int,
+    sites: range,
+    *,
+    z: complex | Array | None = None,
+    s: complex | Array | None = None,
+    source_site: int | None = None,
+    source: Array | None = None,
 ) -> Array:
+    """Block-Schur (block-Thomas) elimination over ``sites`` of a window.
+
+    ``table`` is the window's :func:`block_table`, entry 0 at site ``lo``.
+    The operator is z I - Phi when ``z`` is given and I - s Phi when
+    ``s`` is, restricted to ``sites``: rows outside them are dropped.
+    ``sites`` runs in elimination order, ascending or descending.  The
+    points ``z`` or ``s`` are one value or an array; the sweep runs once
+    for all of them, with one stacked solve per site, and the result has
+    shape ``np.shape(points) + (d, d)``.  Without a source the result is
+    the inverse of the last pivot, the diagonal block of the restricted
+    inverse at the last site.  With ``source``, the right-hand side at
+    ``source_site`` (zero elsewhere), it is the solution at the last site.
+    A singular pivot raises ``np.linalg.LinAlgError`` naming the site,
+    the points and the window.
+    """
+    A, B, C = table
+    step = sites.step
+    # block from the previously eliminated site into this one, and back
+    into, back = (A, C) if step > 0 else (C, A)
+    eye = np.eye(B[0].shape[0], dtype=complex)
+    if s is None:
+        name, points = "z", np.asarray(z)
+        hop, diag = None, points[..., None, None] * eye
+    else:
+        name, points = "s", np.asarray(s)
+        hop = points[..., None, None]
+        diag = np.broadcast_to(eye, hop.shape[:-2] + eye.shape)
+    rhs = np.broadcast_to(eye, diag.shape)
+    Y = x = None
+    for k in sites:
+        m = diag - (B[k - lo] if hop is None else hop * B[k - lo])
+        if Y is not None:
+            c = into[k - step - lo] @ Y @ back[k - lo]
+            m = m - (c if hop is None else (hop * hop) * c)
+        try:
+            Y = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            # an exactly zero LU pivot, the case solve rejects, gives det 0
+            bad = np.atleast_1d(points)[np.atleast_1d(np.linalg.det(m) == 0)]
+            raise np.linalg.LinAlgError(
+                f"singular block-Schur pivot at site {k} for {name} in {bad.tolist()} "
+                f"on window [{lo}, {lo + len(B) - 1}]"
+            ) from None
+        if k == source_site:
+            x = Y @ source
+        elif x is not None:
+            c = into[k - step - lo] @ x
+            x = Y @ (c if hop is None else hop * c)
+    return Y if source is None else x
+
+
+def corner_resolvent(model: QmcModel, z: complex | Array, depth: int) -> Array:
     """Corner block ((z I - Phi)^(-1))_{00} of the depth-site truncation.
 
-    Evaluated by backward Schur elimination from the far end, which is
-    exact for the truncated operator and costs O(depth) small solves.
-    ``z`` is one point or an array of points; the sweep runs once for all
-    of them, with one stacked solve per site, and the result has shape
-    ``np.shape(z) + (d, d)``.  The blocks come from ``table``, the
-    :func:`block_table` of sites 0..depth-1 (clipped to the topology),
-    which a caller sweeping one model repeatedly builds once; by default
-    it is built here.  Only defined for half-line or segment topologies.
+    Evaluated by backward Schur elimination from the far end
+    (:func:`schur_sweep`), which is exact for the truncated operator and
+    costs O(depth) small solves.  ``z`` is one point or an array of
+    points; the sweep runs once for all of them, with one stacked solve
+    per site, and the result has shape ``np.shape(z) + (d, d)``.  Only
+    defined for half-line or segment topologies.
     """
     if model.topology.kind == LINE:
         raise ValueError("corner resolvent needs a bounded-from-below chain")
     hi = depth - 1
     if model.topology.hi is not None:
         hi = min(hi, model.topology.hi)
-    A, B, C = block_table(model, 0, hi) if table is None else table
-    d = model.block_dim
-    eye = np.eye(d, dtype=complex)
-    zeye = np.asarray(z)[..., None, None] * eye
-    rhs = np.broadcast_to(eye, zeye.shape)
-    Y = np.linalg.solve(zeye - B[hi], rhs)
-    for k in range(hi - 1, -1, -1):
-        m = zeye - B[k] - C[k + 1] @ Y @ A[k]
-        Y = np.linalg.solve(m, rhs)
-    return Y
+    return schur_sweep(block_table(model, 0, hi), 0, range(hi, -1, -1), z=z)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, SEGMENT, QmcModel, block_table, corner_resolvent, truncate
+from .chain_model import LINE, SEGMENT, QmcModel, corner_resolvent, truncate
 from .quantum_core import TOL_HERM, Array, hermitian_part
 
 TOL_SYM = 1e-9
@@ -206,9 +206,8 @@ def finite_spectrum_weights(
     (radius min(1e-4, gap/10)); this handles simple and double poles
     uniformly.  Each cluster makes one ``corner_resolvent`` call with
     its ``quad_points`` contour points stacked, a (quad_points, d, d)
-    array of corner blocks from one backward Schur sweep; all clusters
-    share one block table.  The weights always sum to the identity, the
-    n = 0 moment of the corner block.
+    array of corner blocks from one backward Schur sweep.  The weights
+    always sum to the identity, the n = 0 moment of the corner block.
     """
     if model.topology.kind != SEGMENT:
         raise ValueError("finite spectra need a segment model")
@@ -231,13 +230,12 @@ def finite_spectrum_weights(
         gaps = np.array([np.inf])
 
     depth = trunc.num_sites
-    table = block_table(model, 0, depth - 1)
     unit = np.exp(2j * np.pi * np.arange(quad_points) / quad_points)
     points = []
     for g, center, gap in zip(groups, centers, gaps):
         radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
         zs = center + radius * unit
-        corner = corner_resolvent(model, zs, depth, table)
+        corner = corner_resolvent(model, zs, depth)
         weight = np.einsum("k,kij->ij", zs - center, corner) / quad_points
         node = complex(center)
         if abs(node.imag) <= tol_group:

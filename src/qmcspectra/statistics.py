@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import QmcModel, _window_bounds, block_table, resolvent_block_adaptive
+from .chain_model import LINE, QmcModel, block_table, resolvent_block_adaptive, schur_sweep
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import DiscreteWeight, StieltjesEvaluator, Symmetrizer
@@ -202,64 +202,35 @@ def first_passage_gf(
     j, with one stacked solve per site for all s, and
     F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
     pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
-    window.  For i < j the polynomial fast path Q_j(1/s)^{-1} Q_i(1/s) is
-    available as method="polynomial"; the two agree wherever both apply.
+    window.  The window is [-window, window] on a line, [0, window] on a
+    half-line and the whole of a segment.  For i < j the polynomial fast
+    path Q_j(1/s)^{-1} Q_i(1/s) is available as method="polynomial"; the
+    two agree wherever both apply.
     """
     if method == "polynomial":
         return first_passage_poly(model, j, i, s)
-    lo, hi = _window_bounds(model, window)
+    # the window covers a segment whole, whatever its length
+    lo = -window if model.topology.kind == LINE else 0
+    hi = window if model.topology.hi is None else model.topology.hi
     if not (lo <= i <= hi and lo <= j <= hi):
         raise ValueError(f"sites {i}, {j} outside window [{lo}, {hi}]")
     A, B, C = table = block_table(model, lo, hi)
     d = model.block_dim
-    ss = np.reshape(s, (-1, 1, 1))
+    ss = np.reshape(s, (-1,))
+    s3 = ss[:, None, None]
     # the half below j ends at j - 1, the half above at j + 1; with i == j
     # the source is the coupling to x_j = I at that end.  A half without
     # the source carries x = 0 and is not swept.
     acc = B[j - lo] if i == j else 0.0
     if i <= j and j > lo:
-        source = np.eye(d) if i < j else ss * C[j - lo]
-        x = _passage_sweep(table, lo, ss, range(lo, j), min(i, j - 1), source)
+        source = np.eye(d) if i < j else s3 * C[j - lo]
+        x = schur_sweep(table, lo, range(lo, j), s=ss, source_site=min(i, j - 1), source=source)
         acc = acc + A[j - 1 - lo] @ x
     if i >= j and j < hi:
-        source = np.eye(d) if i > j else ss * A[j - lo]
-        x = _passage_sweep(table, lo, ss, range(hi, j, -1), max(i, j + 1), source)
+        source = np.eye(d) if i > j else s3 * A[j - lo]
+        x = schur_sweep(table, lo, range(hi, j, -1), s=ss, source_site=max(i, j + 1), source=source)
         acc = acc + C[j + 1 - lo] @ x
-    return (ss * acc).reshape(np.shape(s) + (d, d))
-
-
-def _passage_sweep(table, lo: int, s: Array, sites: range, source_site: int, source) -> Array:
-    """x at the last of ``sites`` for (I - s Phi) x = r on those sites.
-
-    ``sites`` is one half of a masked window in elimination order
-    (ascending or descending, ending next to the masked site), ``table``
-    the window's block table starting at site ``lo``, and r is zero but
-    for ``source`` at ``source_site``.  ``s`` has shape (n, 1, 1).
-    """
-    A, B, C = table
-    step = sites.step
-    # block from the previously eliminated site into this one, and back
-    into, back = (A, C) if step > 0 else (C, A)
-    eye = np.broadcast_to(np.eye(B[0].shape[0], dtype=complex), s.shape[:1] + B[0].shape)
-    Y = x = None
-    for k in sites:
-        m = eye - s * B[k - lo]
-        if Y is not None:
-            m = m - (s * s) * (into[k - step - lo] @ Y @ back[k - lo])
-        try:
-            Y = np.linalg.solve(m, eye)
-        except np.linalg.LinAlgError:
-            # an exactly zero LU pivot, the case solve rejects, gives det 0
-            bad = s.ravel()[np.linalg.det(m) == 0]
-            raise np.linalg.LinAlgError(
-                f"singular first-passage pivot at site {k} for s in {bad.tolist()} "
-                f"on window [{lo}, {lo + len(B) - 1}]"
-            ) from None
-        if k == source_site:
-            x = Y @ source
-        elif x is not None:
-            x = Y @ (s * (into[k - step - lo] @ x))
-    return x
+    return (s3 * acc).reshape(np.shape(s) + (d, d))
 
 
 def first_passage_poly(model: QmcModel, j: int, i: int, s: complex) -> Array:

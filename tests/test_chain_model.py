@@ -5,7 +5,9 @@ import pytest
 
 from qmcspectra import models
 from qmcspectra.chain_model import (
+    Block,
     LatticeState,
+    QmcModel,
     Topology,
     block_table,
     build_model,
@@ -17,6 +19,7 @@ from qmcspectra.chain_model import (
     site_prob_series,
     step,
     total_trace,
+    segment,
     truncate,
 )
 from qmcspectra.quantum_core import min_eigenvalue
@@ -250,11 +253,36 @@ def test_corner_resolvent_block_table_is_bit_identical():
     seg = models.random_symmetrizable_segment(np.random.default_rng(5), num_sites=6)
     zs = np.array([1.01, 0.3 + 0.4j, -1.2])
     for m, depth in ((up, 800), (seg, 6)):
-        table = block_table(m, 0, depth - 1)
         for z in (zs[0], zs):
             want = _per_site_corner_sweep(m, z, depth)
             assert np.array_equal(corner_resolvent(m, z, depth), want)
-            assert np.array_equal(corner_resolvent(m, z, depth, table), want)
+
+
+def test_truncate_matches_per_site_assembly():
+    cases = [
+        (models.random_symmetrizable_segment(np.random.default_rng(7), num_sites=5), -2, 9),
+        (models.corner_coin_oqw(0.7), 0, 6),
+        (models.flip_channel_half_line(0.7, 0.8, corner="up"), 2, 5),
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.3, 0.3), -4, 3),
+    ]
+    for m, lo, hi in cases:
+        t = truncate(m, lo, hi)
+        for j in range(t.lo, t.hi + 1):
+            for i in range(t.lo, t.hi + 1):
+                role = {1: "A", 0: "B", -1: "C"}.get(j - i)
+                want = m.block(i, role) if role else np.zeros((m.block_dim,) * 2)
+                assert np.array_equal(t.block(j, i), want)
+
+
+def test_corner_resolvent_singular_pivot_names_site():
+    # site 2 only holds, so z I - B_2, the first pivot, vanishes at z = 1
+    hop = Block(np.eye(2, dtype=complex) / 2)
+    hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
+    m = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+                 blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
+    with pytest.raises(np.linalg.LinAlgError, match=r"site 2 for z in \[1\.0\] on window \[0, 2\]"):
+        corner_resolvent(m, np.array([2.0, 1.0]), 3)
+    assert np.isfinite(corner_resolvent(m, 2.0, 3)).all()
 
 
 def test_block_table_matches_per_site_lookup():

@@ -139,17 +139,23 @@ def test_first_passage_resolvent_identity(s):
 
 
 def _dense_masked_gf(m, j, i, s, lo, hi):
-    # s P_j Phi (I - s Q_j Phi)^{-1} on the dense window [lo, hi]
-    t = truncate(m, lo, hi)
+    # s P_j Phi (I - s Q_j Phi)^{-1} on the dense window [lo, hi], every
+    # block looked up per site
     d = m.block_dim
-    n = t.matrix.shape[0]
+    n = (hi - lo + 1) * d
+    phi = np.zeros((n, n), dtype=complex)
+    for site in range(lo, hi + 1):
+        k = (site - lo) * d
+        for dst, role in ((site - 1, "C"), (site, "B"), (site + 1, "A")):
+            if lo <= dst <= hi:
+                phi[(dst - lo) * d : (dst - lo + 1) * d, k : k + d] = m.block(site, role)
     jj, ii = j - lo, i - lo
-    masked = t.matrix.copy()
+    masked = phi.copy()
     masked[jj * d : (jj + 1) * d, :] = 0.0
     rhs = np.zeros((n, d), dtype=complex)
     rhs[ii * d : (ii + 1) * d] = np.eye(d)
     sol = np.linalg.solve(np.eye(n) - s * masked, rhs)
-    return s * (t.matrix @ sol)[jj * d : (jj + 1) * d]
+    return s * (phi @ sol)[jj * d : (jj + 1) * d]
 
 
 @pytest.mark.parametrize(
@@ -212,6 +218,21 @@ def test_reach_analysis_matches_dense_route(params):
         assert [s for s, _ in res.ladder] == ladder
         assert max(abs(a - b) for (_, a), b in zip(res.ladder, t)) < 1e-12
         assert abs(res.probability - min(max(r2[-1], 0.0), 1.0)) < 1e-12
+
+
+def test_first_passage_covers_whole_long_segment():
+    # a segment longer than window + 1 sites is solved whole, so sites
+    # above the window are reachable and no mass leaks out at the window
+    m = models.uniform_hopping_segment(100, 0.4, 0.5, 0.5, 0.3, 0.3)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    ladder = [1.0 - 2.0**-k for k in range(4, 25)]
+    for i, j in ((80, 70), (70, 90), (60, 75), (99, 0)):
+        got = first_passage_gf(m, j, i, np.array([0.0, 0.5, 0.99]), window=64)
+        for g, sk in zip(got, (0.0, 0.5, 0.99)):
+            assert np.abs(g - _dense_masked_gf(m, j, i, sk, 0, 99)).max() < 1e-12
+    res = reach_analysis(m, 80, 70, rho, window=64)
+    t = [trace_action(m, _dense_masked_gf(m, 70, 80, s, 0, 99), m.state_vec(rho)) for s in ladder]
+    assert max(abs(a - b) for (_, a), b in zip(res.ladder, t)) < 1e-12
 
 
 def test_polynomial_and_resolvent_paths_agree():
