@@ -32,13 +32,7 @@ from .chain_model import (
     site_prob_series,
     truncate,
 )
-from .polynomials import (
-    PolyFamily,
-    eval_associated,
-    eval_folded,
-    eval_main,
-    eval_two_sided,
-)
+from .polynomials import PolyFamily
 from .spectral import (
     ConvergenceError,
     CornerStieltjes,

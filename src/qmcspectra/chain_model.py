@@ -615,10 +615,6 @@ def site_prob_series(model: QmcModel, i: int, j: int, rho, n_max: int) -> Array:
 # ---------------------------------------------------------------------
 
 
-def default_window(n_steps: int = 0) -> int:
-    return max(n_steps + 2, DEFAULT_WINDOW)
-
-
 def _window_bounds(model: QmcModel, window: int) -> tuple[int, int]:
     topo = model.topology
     lo = -window if topo.kind == LINE else 0
@@ -727,14 +723,31 @@ def resolvent_block_adaptive(
     max_window: int = 1 << 20,
 ) -> Array:
     """Window-doubled resolvent block, grown until the value stabilizes."""
+    return _doubled_resolvent(model, j, i, s, window=window, tol=tol, max_window=max_window)[0]
+
+
+def _doubled_resolvent(
+    model: QmcModel,
+    j: int,
+    i: int,
+    s: complex,
+    *,
+    window: int = DEFAULT_WINDOW,
+    tol: float = 1e-9,
+    max_window: int = 1 << 20,
+) -> tuple[Array, float]:
+    """The block of :func:`resolvent_block_adaptive` and the norm of its
+    change between the last two windows tried."""
     prev = resolvent_block(model, j, i, s, window)
+    change = np.inf
     while window < max_window:
         window *= 2
         cur = resolvent_block(model, j, i, s, window)
-        if np.linalg.norm(cur - prev, 2) <= tol * max(1.0, np.linalg.norm(cur, 2)):
-            return cur
+        change = float(np.linalg.norm(cur - prev, 2))
+        if change <= tol * max(1.0, np.linalg.norm(cur, 2)):
+            return cur, change
         prev = cur
-    return prev
+    return prev, change
 
 
 def block_table(model: QmcModel, lo: int, hi: int) -> tuple[list, list, list]:

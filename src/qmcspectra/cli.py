@@ -100,38 +100,10 @@ def _parse_z(text: str) -> complex:
 
 
 def _evaluator(model: QmcModel, method: str, window: int):
-    if model.topology.kind == LINE:
-        raise CliError(
-            "transforms of line models go through `fold`", EXIT_SCHEMA
-        )
-    if method == "auto":
-        if model.homogeneous:
-            method = "homogeneous"
-        elif set(model.overrides) == {0}:
-            method = "corner"
-        else:
-            method = "truncated"
-    if method == "homogeneous":
-        if not model.homogeneous:
-            raise CliError(
-                "homogeneous method needs a model without overrides", EXIT_SCHEMA
-            )
-        return spectral.HomogeneousStieltjes.from_model(model)
-    if method == "corner":
-        if model.overrides and set(model.overrides) != {0}:
-            raise CliError("corner method supports overrides at site 0 only", EXIT_SCHEMA)
-        inner = spectral.HomogeneousStieltjes(
-            model.block(1, "A"), model.block(1, "B"), model.block(2, "C")
-        )
-        return spectral.CornerStieltjes(
-            inner,
-            model.block(0, "B"),
-            a0=model.block(0, "A"),
-            c=model.block(1, "C"),
-        )
-    if method == "truncated":
-        return spectral.TruncatedStieltjes(model, window=window)
-    raise CliError(f"unknown method {method!r}", EXIT_SCHEMA)
+    try:
+        return spectral.transform_evaluator(model, method, window)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_SCHEMA) from exc
 
 
 def cmd_validate(args) -> None:
@@ -242,6 +214,8 @@ def cmd_recurrence(args) -> None:
             )
     except (spectral.ConvergenceError, np.linalg.LinAlgError) as exc:
         raise CliError(f"classification failed: {exc}", EXIT_NUMERIC) from exc
+    except ValueError as exc:
+        raise CliError(f"bad recurrence query: {exc}", EXIT_SCHEMA) from exc
     out = {
         "site": args.site,
         "verdict": cls.verdict,
@@ -261,6 +235,8 @@ def cmd_first_passage(args) -> None:
         )
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise CliError(f"first-passage evaluation failed: {exc}", EXIT_NUMERIC) from exc
+    except ValueError as exc:
+        raise CliError(f"bad first-passage query: {exc}", EXIT_SCHEMA) from exc
     emit(
         {
             "from": args.from_site,

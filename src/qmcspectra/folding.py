@@ -25,21 +25,16 @@ from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
     DiscreteWeight,
-    HomogeneousStieltjes,
+    EvalResult,
     StieltjesEvaluator,
     Symmetrizer,
-    TruncatedStieltjes,
     WeightPoint,
     find_symmetrizer,
     finite_spectrum_weights,
     stieltjes_folded,
+    transform_evaluator,
 )
-from .statistics import (
-    Classification,
-    DEFAULT_LADDER,
-    classify_from_samples,
-    trace_action,
-)
+from .statistics import Classification, DEFAULT_LADDER, classify
 
 QUADRANTS = {(1, 1): (0, 0), (1, 2): (0, 1), (2, 1): (1, 0), (2, 2): (1, 1)}
 
@@ -205,22 +200,16 @@ def half_line_evaluators(
 ) -> tuple[StieltjesEvaluator, StieltjesEvaluator]:
     """Transform evaluators for the two half-chains of a line model.
 
-    Homogeneous chains get the fixed-point evaluator, anything else the
-    window-doubled truncation.
+    Each half takes the automatic route of
+    :func:`~qmcspectra.spectral.transform_evaluator`: the fixed point for
+    a homogeneous half, the corner identity for a half whose only
+    override is at its site 0 (original site 0 or -1), window-doubled
+    truncation otherwise.
     """
-
-    def make(half: QmcModel) -> StieltjesEvaluator:
-        if half.homogeneous:
-            return HomogeneousStieltjes(
-                half.block(1, "A"), half.block(1, "B"), half.block(2, "C")
-            )
-        return TruncatedStieltjes(half, window=window)
-
-    return make(plus_model(model)), make(minus_model(model))
-
-
-def line_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
-    return find_symmetrizer(model, n_max)
+    return (
+        transform_evaluator(plus_model(model), "auto", window),
+        transform_evaluator(minus_model(model), "auto", window),
+    )
 
 
 def folded_symmetrizer_blocks(sym: Symmetrizer, j: int) -> Array:
@@ -315,19 +304,13 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         self.minus = minus
         self.tolerance = tolerance
 
-    def evaluate(self, z: complex, x0=None) -> "EvalResult":
-        from .spectral import EvalResult
-
+    def evaluate(self, z: complex, x0=None) -> EvalResult:
         ft = stieltjes_folded(
             self.model.block(-1, "A"), self.model.block(0, "C"),
             self.plus, self.minus, z,
         )
         value = ft.p11 if self.site == 0 else ft.p22
         return EvalResult(value, ft.residual, self.method)
-
-
-def folded_transform_evaluator(model: QmcModel, site: int, **kw) -> FoldedTransformEvaluator:
-    return FoldedTransformEvaluator(model, site, **kw)
 
 
 def classify_recurrence_on_line(
@@ -345,18 +328,5 @@ def classify_recurrence_on_line(
     through the split identities (site 0 uses the upper product, site -1
     the lower one) and classified on the standard ladder.
     """
-    if site not in (0, -1):
-        raise ValueError("line classification is anchored at sites 0 and -1")
-    if plus is None or minus is None:
-        auto_plus, auto_minus = half_line_evaluators(model)
-        plus = plus or auto_plus
-        minus = minus or auto_minus
-    a_m1 = model.block(-1, "A")
-    c0 = model.block(0, "C")
-    rho_vec = model.state_vec(rho)
-    samples = []
-    for z in ladder:
-        ft = stieltjes_folded(a_m1, c0, plus, minus, z)
-        block = ft.p11 if site == 0 else ft.p22
-        samples.append((z, trace_action(model, block, rho_vec)))
-    return classify_from_samples(samples)
+    evaluator = FoldedTransformEvaluator(model, site, plus=plus, minus=minus)
+    return classify(evaluator, model.trace_vec, model.state_vec(rho), ladder)

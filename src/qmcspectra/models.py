@@ -88,48 +88,34 @@ def exchange_hold_block(s: float, a: float, b: float):
     return [v1, v2]
 
 
+def _uniform_hopping(topology, s, a, b, r, t, substochastic: bool) -> QmcModel:
+    return _model(
+        topology,
+        "full",
+        {
+            "A": block_from_kraus([np.sqrt(t) * np.eye(2)]),
+            "B": block_from_kraus(exchange_hold_block(s, a, b)),
+            "C": block_from_kraus([np.sqrt(r) * np.eye(2)]),
+        },
+        substochastic=substochastic,
+    )
+
+
 def uniform_hopping_segment(
     num_sites: int, s: float, a: float, b: float, r: float, t: float
 ) -> QmcModel:
     """Segment chain with scalar hops t (up), r (down) and an exchange
     hold block of weight s.  Trace preserving in the interior only when
     r + s + t = 1."""
-    return _model(
-        segment(num_sites),
-        "full",
-        {
-            "A": block_from_kraus([np.sqrt(t) * np.eye(2)]),
-            "B": block_from_kraus(exchange_hold_block(s, a, b)),
-            "C": block_from_kraus([np.sqrt(r) * np.eye(2)]),
-        },
-        substochastic=True,
-    )
+    return _uniform_hopping(segment(num_sites), s, a, b, r, t, True)
 
 
 def uniform_hopping_half_line(s, a, b, r, t) -> QmcModel:
-    return _model(
-        half_line(),
-        "full",
-        {
-            "A": block_from_kraus([np.sqrt(t) * np.eye(2)]),
-            "B": block_from_kraus(exchange_hold_block(s, a, b)),
-            "C": block_from_kraus([np.sqrt(r) * np.eye(2)]),
-        },
-        substochastic=True,
-    )
+    return _uniform_hopping(half_line(), s, a, b, r, t, True)
 
 
 def uniform_hopping_line(s, a, b, r, t) -> QmcModel:
-    return _model(
-        line(),
-        "full",
-        {
-            "A": block_from_kraus([np.sqrt(t) * np.eye(2)]),
-            "B": block_from_kraus(exchange_hold_block(s, a, b)),
-            "C": block_from_kraus([np.sqrt(r) * np.eye(2)]),
-        },
-        substochastic=abs(r + s + t - 1.0) > 1e-12,
-    )
+    return _uniform_hopping(line(), s, a, b, r, t, abs(r + s + t - 1.0) > 1e-12)
 
 
 def flip_channel_blocks(p: float, q: float, mode: str = "compact"):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import QmcModel
+from .chain_model import Block, QmcModel, line
+from .folding import FoldedTransformEvaluator
 from .polynomials import PolyFamily
-from .quantum_core import Array
+from .quantum_core import Array, trace_functional
 from .spectral import (
     CornerStieltjes,
     DiscreteWeight,
@@ -24,12 +25,7 @@ from .spectral import (
     StieltjesEvaluator,
     finite_spectrum_weights,
 )
-from .statistics import (
-    Classification,
-    DEFAULT_LADDER,
-    classify_from_samples,
-    trace_action,
-)
+from .statistics import Classification, DEFAULT_LADDER, classify, trace_action
 
 TOL_SEMI = 1e-8
 
@@ -152,32 +148,25 @@ def classify_recurrence_homogeneous(
     c = np.asarray(c, dtype=complex)
     d = a.shape[0]
     if trace_vec is None:
-        from .quantum_core import trace_functional
-
         trace_vec = trace_functional(d, "compact" if d == 3 else "full")
     rho_vec = np.asarray(rho, dtype=complex).reshape(-1)
     base = HomogeneousStieltjes(a, b, c, **(evaluator_kw or {}))
     evaluator: StieltjesEvaluator = base
-    if corner_b is not None or corner_a is not None:
+    if on_line:
+        # the p11 split identity with the upward transform in both halves
+        # is the documented criterion X (I - A X C X)^{-1}; it reads only
+        # A_{-1} and C_0 of the line model.  Block freezes its matrix, so
+        # it gets copies of the caller's arrays.
+        homogeneous_line = QmcModel(
+            topology=line(), dim=None, block_dim=d, mode="abstract",
+            blocks={"A": Block(a.copy()), "C": Block(c.copy())},
+        )
+        evaluator = FoldedTransformEvaluator(homogeneous_line, 0, plus=base, minus=base)
+    elif corner_b is not None or corner_a is not None:
         evaluator = CornerStieltjes(
             base,
             corner_b if corner_b is not None else b,
             a0=corner_a if corner_a is not None else a,
             c=c,
         )
-    samples = []
-    prev = None
-    eye = np.eye(d, dtype=complex)
-    for z in ladder:
-        res = base.evaluate(z, x0=prev)
-        prev = res.value
-        if on_line:
-            x = res.value
-            mid = eye - a @ x @ c @ x
-            value = np.linalg.solve(mid.T, x.T).T
-        elif evaluator is not base:
-            value = evaluator.evaluate(z, x0=prev).value
-        else:
-            value = res.value
-        samples.append((z, complex(trace_vec @ (value @ rho_vec)).real))
-    return classify_from_samples(samples)
+    return classify(evaluator, trace_vec, rho_vec, ladder)

@@ -123,22 +123,6 @@ class PolyFamily:
         return out
 
 
-def eval_main(model: QmcModel, x: complex, n_max: int) -> list[Array]:
-    return PolyFamily(model).main(x, n_max)
-
-
-def eval_associated(model: QmcModel, k: int, x: complex, n_max: int) -> list[Array]:
-    return PolyFamily(model).associated(k, x, n_max)
-
-
-def eval_two_sided(model: QmcModel, alpha: int, x: complex, n_lo: int, n_hi: int):
-    return PolyFamily(model).two_sided(alpha, x, n_lo, n_hi)
-
-
-def eval_folded(model: QmcModel, x: complex, n_max: int) -> list[Array]:
-    return PolyFamily(model).folded(x, n_max)
-
-
 def recurrence_residual(model: QmcModel, values: dict[int, Array], x: complex) -> float:
     """Max norm of x Q_n - (Q_{n+1} A_n + Q_n B_n + Q_{n-1} C_n) over the
     interior indices of a computed table."""

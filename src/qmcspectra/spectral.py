@@ -5,7 +5,9 @@ evaluated through four interchangeable routes: truncated corner
 resolvents, the homogeneous fixed point, corner perturbations of a
 homogeneous interior, and the split identities of folded line chains.
 Every evaluator reports the residual of its defining equation alongside
-the value.
+the value.  :func:`transform_evaluator` holds the one route policy for
+chains bounded from below; the CLI and the half-chains of a folded line
+chain both take their evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -500,6 +502,43 @@ class CornerStieltjes(StieltjesEvaluator):
             ) from exc
         residual = float(np.linalg.norm(core @ value - eye, 2)) + inner.residual
         return EvalResult(value, residual, self.method, state=inner.warm())
+
+
+def transform_evaluator(model: QmcModel, method: str, window: int) -> StieltjesEvaluator:
+    """The transform evaluator of a chain bounded from below.
+
+    ``method="auto"`` picks the route: the homogeneous fixed point for a
+    chain without overrides, the corner identity when the only override
+    is at site 0, and window-doubled truncation starting at ``window``
+    otherwise.  An explicit method is checked against the model.  Raises
+    ``ValueError`` for line models, which go through folding, and for a
+    method the model does not admit.
+    """
+    if model.topology.kind == LINE:
+        raise ValueError("transforms of line models go through `fold`")
+    if method == "auto":
+        if model.homogeneous:
+            method = "homogeneous"
+        elif set(model.overrides) == {0}:
+            method = "corner"
+        else:
+            method = "truncated"
+    if method == "homogeneous":
+        if not model.homogeneous:
+            raise ValueError("homogeneous method needs a model without overrides")
+        return HomogeneousStieltjes.from_model(model)
+    if method == "corner":
+        if model.overrides and set(model.overrides) != {0}:
+            raise ValueError("corner method supports overrides at site 0 only")
+        return CornerStieltjes(
+            HomogeneousStieltjes.from_model(model),
+            model.block(0, "B"),
+            a0=model.block(0, "A"),
+            c=model.block(1, "C"),
+        )
+    if method == "truncated":
+        return TruncatedStieltjes(model, window=window)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

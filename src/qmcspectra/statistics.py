@@ -4,9 +4,12 @@ recurrence classification and point-mass detection.
 Recurrence of a site is decided from the boundary behavior of the
 attached transform as z decreases to 1: the return series diverges
 exactly when the trace of the transform applied to the initial density
-does.  Divergence is decided numerically on a fixed sampling ladder;
-the returned classification carries the raw samples so callers can
-re-judge.
+does.  Divergence is decided numerically on a fixed sampling ladder by
+:func:`classify`, the one loop over that ladder: every recurrence
+classifier (half-line sites here, line sites in ``folding``, bare
+homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
+and hands it to :func:`classify`.  The returned classification carries
+the raw samples so callers can re-judge.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel, block_table, resolvent_block_adaptive, schur_sweep
+from .chain_model import LINE, QmcModel, _doubled_resolvent, block_table, schur_sweep
 from .polynomials import PolyFamily
 from .quantum_core import Array
-from .spectral import DiscreteWeight, StieltjesEvaluator, Symmetrizer
+from .spectral import DiscreteWeight, EvalResult, StieltjesEvaluator, Symmetrizer
 
 RECURRENT = "recurrent"
 TRANSIENT = "transient"
@@ -103,6 +106,39 @@ def trace_action(model_or_trace, value: Array, rho_vec: Array) -> float:
     return complex(t @ (value @ rho_vec)).real
 
 
+def classify(
+    evaluator: StieltjesEvaluator, trace_vec: Array, rho_vec: Array, ladder=DEFAULT_LADDER
+) -> Classification:
+    """Verdict from Re tr(value rho) sampled down the ladder, each rung
+    warm-started from the previous one's :meth:`EvalResult.warm`."""
+    samples = []
+    warm = None
+    for z in ladder:
+        res = evaluator.evaluate(z, x0=warm)
+        warm = res.warm()
+        samples.append((z, trace_action(trace_vec, res.value, rho_vec)))
+    return classify_from_samples(samples)
+
+
+class _SiteReturnEvaluator(StieltjesEvaluator):
+    """Diagonal generating-function block G_jj(1/z) of any site, from the
+    truncated resolvent with the window doubled until the block
+    stabilizes; the residual is its change between the last two windows."""
+
+    method = "resolvent"
+
+    def __init__(self, model: QmcModel, site: int, window: int):
+        self.model = model
+        self.site = site
+        self.window = window
+
+    def evaluate(self, z: complex, x0=None) -> EvalResult:
+        value, change = _doubled_resolvent(
+            self.model, self.site, self.site, 1.0 / z, window=self.window
+        )
+        return EvalResult(value, change, self.method)
+
+
 def classify_recurrence(
     model: QmcModel,
     site: int,
@@ -120,19 +156,9 @@ def classify_recurrence(
     block stabilizes (fixed windows plateau near z = 1 and mimic
     convergence).
     """
-    rho_vec = model.state_vec(rho)
-    samples = []
-    prev = None
-    for z in ladder:
-        if stieltjes is not None and site == 0:
-            res = stieltjes.evaluate(z, x0=prev)
-            prev = res.warm()
-            block = res.value
-        else:
-            s = 1.0 / z
-            block = resolvent_block_adaptive(model, site, site, s, window=window)
-        samples.append((z, trace_action(model, block, rho_vec)))
-    return classify_from_samples(samples)
+    if stieltjes is None or site != 0:
+        stieltjes = _SiteReturnEvaluator(model, site, window)
+    return classify(stieltjes, model.trace_vec, model.state_vec(rho), ladder)
 
 
 # ---------------------------------------------------------------------
@@ -278,8 +304,14 @@ def reach_analysis(
     ladder in one stacked :func:`first_passage_gf` call, and Richardson
     extrapolation of order 2 is applied on the geometric ladder; when the
     ladder is too rough to extrapolate the last sample is returned with a
-    warning.  ``gf`` of the result evaluates one s on the same window.
+    warning, and fewer than three rungs raise ``ValueError``.  ``gf`` of
+    the result evaluates one s on the same window.
     """
+    ladder = [1.0 - 2.0**-m for m in m_range]
+    if len(ladder) < 3:
+        raise ValueError(
+            f"order-2 Richardson extrapolation needs at least three rungs, got {len(ladder)}"
+        )
     rho_vec = model.state_vec(rho)
 
     def gf(s):
@@ -287,7 +319,6 @@ def reach_analysis(
 
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, gf)
-    ladder = [1.0 - 2.0**-m for m in m_range]
     blocks = gf(np.array(ladder))
     samples = [(s, trace_action(model, f, rho_vec)) for s, f in zip(ladder, blocks)]
     t = [v for _, v in samples]

@@ -33,6 +33,10 @@ def files(tmp_path_factory):
             "flip_tp.json", model_to_dict(models.flip_channel_half_line(0.7, 0.6, corner="up"))
         ),
         "diagline": write("diagline.json", model_to_dict(models.diagonal_coin_line_walk())),
+        "hop": write(
+            "hop.json",
+            model_to_dict(models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25)),
+        ),
         "rho": write(
             "rho.json",
             {"matrix": [[[0.3, 0.0], [0.1, 0.05]], [[0.1, -0.05], [0.7, 0.0]]]},
@@ -249,6 +253,40 @@ def test_exit_codes(files, capsys, tmp_path):
     assert run(["recurrence", files["flip"], "--site", "0",
                 "--density", files["rho"], "--method", "homogeneous"]) == 3
     capsys.readouterr()
+
+
+def run_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+def test_first_passage_site_outside_window_is_schema_error(files, capsys):
+    code, err = run_error(
+        capsys,
+        ["first-passage", files["hop"], "--from", "100", "--to", "0",
+         "--density", files["rho"]],
+    )
+    assert code == 3
+    assert err.startswith("error: bad first-passage query:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model, extra",
+    [
+        ("hop", ["--site", "-3"]),
+        ("hop", ["--site", "100000", "--window", "8"]),
+        ("diagline", ["--site", "3"]),
+    ],
+)
+def test_recurrence_site_outside_window_is_schema_error(files, capsys, model, extra):
+    code, err = run_error(
+        capsys, ["recurrence", files[model], "--density", files["rho"], *extra]
+    )
+    assert code == 3
+    assert err.startswith("error: bad recurrence query:")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_rejected(files):

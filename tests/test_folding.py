@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qmcspectra import models
-from qmcspectra.chain_model import Block, QmcModel, line, truncate
+from qmcspectra import cli, models
+from qmcspectra.chain_model import (
+    Block,
+    QmcModel,
+    block_from_kraus,
+    line,
+    site_prob_series,
+    truncate,
+)
 from qmcspectra.folding import (
     FoldedTransformEvaluator,
     classify_recurrence_on_line,
@@ -14,7 +23,12 @@ from qmcspectra.folding import (
     plus_model,
     unfold_block,
 )
-from qmcspectra.spectral import TruncatedStieltjes, find_symmetrizer, stieltjes_folded
+from qmcspectra.spectral import (
+    TruncatedStieltjes,
+    find_symmetrizer,
+    stieltjes_folded,
+    transform_evaluator,
+)
 
 from conftest import random_complex
 
@@ -223,6 +237,43 @@ def test_folded_transform_evaluator_matches_split_identity():
     res = ev.evaluate(z)
     assert np.abs(res.value - ft.p11).max() == 0.0
     assert res.residual < 1e-8
+
+
+HOLD0 = block_from_kraus(models.exchange_hold_block(0.5, 0.6, -0.3))
+
+
+def with_hold_at(model, site):
+    return dataclasses.replace(model, overrides={site: {"B": HOLD0}})
+
+
+@pytest.mark.parametrize(
+    "site, route", [(None, "homogeneous_fp"), (0, "corner"), (1, "truncated")]
+)
+def test_cli_and_half_chains_share_one_route_policy(site, route):
+    half = models.uniform_hopping_half_line(0.5, 0.5, 0.5, 0.2, 0.3)
+    full = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
+    if site is not None:
+        half, full = with_hold_at(half, site), with_hold_at(full, site)
+    assert transform_evaluator(half, "auto", 800).method == route
+    assert cli._evaluator(half, "auto", 800).method == route
+    plus, minus = half_line_evaluators(full)
+    assert plus.method == transform_evaluator(plus_model(full), "auto", 800).method == route
+    assert minus.method == "homogeneous_fp"
+    if site is not None:
+        # the mirrored override lands on the minus half
+        plus, minus = half_line_evaluators(with_hold_at(full, -site - 1))
+        assert (plus.method, minus.method) == ("homogeneous_fp", route)
+
+
+def test_line_with_site0_hold_runs_corner_route_to_series_limit():
+    m = with_hold_at(models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3), 0)
+    m.validate()
+    assert half_line_evaluators(m)[0].method == "corner"
+    rho = np.array([[0.6, 0.1 - 0.05j], [0.1 + 0.05j, 0.4]])
+    cls = classify_recurrence_on_line(m, 0, rho)
+    assert cls.verdict == "transient"
+    series = site_prob_series(m, 0, 0, rho, 3000).sum()
+    assert cls.limit == pytest.approx(series, abs=1e-6)
 
 
 def test_fold_handles_line_overrides(rng):

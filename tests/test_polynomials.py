@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from qmcspectra import models
 from qmcspectra.chain_model import Block, QmcModel, line, segment
-from qmcspectra.polynomials import (
-    PolyFamily,
-    eval_associated,
-    eval_folded,
-    eval_main,
-    eval_two_sided,
-    recurrence_residual,
-)
+from qmcspectra.polynomials import PolyFamily, recurrence_residual
 from qmcspectra.folding import fold_model
 
 SQ2 = np.sqrt(2.0)
@@ -22,7 +15,7 @@ unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinit
 
 def test_q0_is_identity():
     for m in (models.shear_coin_segment(), models.flip_channel_half_line(0.7, 0.8)):
-        q = eval_main(m, 0.37, 0)
+        q = PolyFamily(m).main(0.37, 0)
         assert np.array_equal(q[0], np.eye(m.block_dim))
 
 
@@ -32,7 +25,7 @@ def test_three_site_first_polynomial():
         [[2, 0, 0, 0], [-SQ2, -SQ2, 0, 0], [-SQ2, 0, -SQ2, 0], [1, 1, 1, 1]]
     )
     for x in (0.7, -0.3 + 0.2j):
-        q1 = eval_main(m, x, 1)[1]
+        q1 = PolyFamily(m).main(x, 1)[1]
         assert np.abs(q1 - 2 * x * target).max() < 1e-12
 
 
@@ -52,7 +45,7 @@ def test_uniform_hopping_is_chebyshev_in_disguise():
     for _ in range(4):
         u_prev, u = u, 2 * y * u - u_prev
         cheb.append(u)
-    q = eval_main(m, x, 5)
+    q = PolyFamily(m).main(x, 5)
     for n in range(6):
         expect = vecs @ np.diag(cheb[n]) @ vecs.T
         assert np.abs(q[n] - expect).max() < 1e-10
@@ -102,7 +95,7 @@ def test_two_sided_stacked_points_match_single_calls(make):
 def test_associated_family_start():
     m = models.flip_channel_half_line(0.7, 0.8)
     k = 2
-    q = eval_associated(m, k, 0.45, 6)
+    q = PolyFamily(m).associated(k, 0.45, 6)
     for n in range(k + 1):
         assert np.abs(q[n]).max() == 0.0
     a_k = m.block(k, "A")
@@ -115,13 +108,13 @@ def test_associated_degree_by_divided_differences():
     deg = n - k - 1
     # a polynomial of degree deg has vanishing (deg+1)-th finite difference
     h = 0.23
-    pts = [eval_associated(m, k, j * h, n)[n] for j in range(deg + 3)]
+    pts = [PolyFamily(m).associated(k, j * h, n)[n] for j in range(deg + 3)]
     for _ in range(deg + 1):
         pts = [b - a for a, b in zip(pts, pts[1:])]
     assert np.abs(pts[0]).max() < 1e-9
     assert np.abs(pts[1]).max() < 1e-9
     # one fewer difference does not vanish: the degree is exactly deg
-    pts = [eval_associated(m, k, j * h, n)[n] for j in range(deg + 3)]
+    pts = [PolyFamily(m).associated(k, j * h, n)[n] for j in range(deg + 3)]
     for _ in range(deg):
         pts = [b - a for a, b in zip(pts, pts[1:])]
     assert np.abs(pts[0]).max() > 1e-6
@@ -130,8 +123,8 @@ def test_associated_degree_by_divided_differences():
 def test_two_sided_initial_data_and_residual():
     m = models.diagonal_coin_line_walk()
     x = 0.37 + 0.11j
-    q1 = eval_two_sided(m, 1, x, -5, 5)
-    q2 = eval_two_sided(m, 2, x, -5, 5)
+    q1 = PolyFamily(m).two_sided(1, x, -5, 5)
+    q2 = PolyFamily(m).two_sided(2, x, -5, 5)
     assert np.array_equal(q1[0], np.eye(4)) and np.abs(q1[-1]).max() == 0.0
     assert np.abs(q2[0]).max() == 0.0 and np.array_equal(q2[-1], np.eye(4))
     assert recurrence_residual(m, q1, x) < 1e-10
@@ -140,7 +133,7 @@ def test_two_sided_initial_data_and_residual():
 
 def test_two_sided_diagonal_structure():
     m = models.diagonal_coin_line_walk()
-    q1 = eval_two_sided(m, 1, 0.53, -4, 4)
+    q1 = PolyFamily(m).two_sided(1, 0.53, -4, 4)
     for n, mat in q1.items():
         off = mat - np.diag(np.diag(mat))
         assert np.abs(off).max() < 1e-14
@@ -149,9 +142,9 @@ def test_two_sided_diagonal_structure():
 def test_folded_family_blocks():
     m = models.diagonal_coin_line_walk()
     x = 0.41
-    folded = eval_folded(m, x, 8)
+    folded = PolyFamily(m).folded(x, 8)
     assert np.array_equal(folded[0], np.eye(8))
-    q1 = eval_two_sided(m, 1, x, -9, 8)
+    q1 = PolyFamily(m).two_sided(1, x, -9, 8)
     for n in (1, 4, 8):
         assert np.abs(folded[n][:4, :4] - q1[n]).max() < 1e-14
 
@@ -175,9 +168,9 @@ def test_singular_pivot_names_site():
         substochastic=True,
     )
     with pytest.raises(np.linalg.LinAlgError, match="site 0"):
-        eval_main(m, 0.3, 2)
+        PolyFamily(m).main(0.3, 2)
     with pytest.raises(np.linalg.LinAlgError, match="site 0"):
-        eval_main(m, np.array([0.3, -0.5j]), 2)
+        PolyFamily(m).main(np.array([0.3, -0.5j]), 2)
 
     ml = QmcModel(
         topology=line(),
@@ -188,6 +181,6 @@ def test_singular_pivot_names_site():
         substochastic=True,
     )
     with pytest.raises(np.linalg.LinAlgError, match="backward"):
-        eval_two_sided(ml, 1, 0.3, -2, 2)
+        PolyFamily(ml).two_sided(1, 0.3, -2, 2)
     with pytest.raises(np.linalg.LinAlgError, match="backward"):
-        eval_two_sided(ml, 1, np.array([0.3, -0.5j]), -2, 2)
+        PolyFamily(ml).two_sided(1, np.array([0.3, -0.5j]), -2, 2)

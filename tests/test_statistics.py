@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from qmcspectra import models
-from qmcspectra.chain_model import Block, QmcModel, segment, site_prob_series, truncate
+from qmcspectra import models, statistics
+from qmcspectra.chain_model import (
+    Block,
+    QmcModel,
+    resolvent_block,
+    resolvent_block_adaptive,
+    segment,
+    site_prob_series,
+    truncate,
+)
 from qmcspectra.polynomials import PolyFamily
 from qmcspectra.spectral import (
     HomogeneousStieltjes,
@@ -273,7 +281,37 @@ def test_reach_probability_window_invariance(density2):
     assert p64 == pytest.approx(p128, abs=1e-9)
 
 
+def test_reach_analysis_needs_three_rungs(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the ladder")
+
+    monkeypatch.setattr(statistics, "first_passage_gf", no_solve)
+    m = models.three_site_absorbing_oqw()
+    with pytest.raises(ValueError, match="at least three rungs"):
+        reach_analysis(m, 0, 1, np.eye(2) / 2, m_range=range(4, 6))
+
+
 # -- classification ---------------------------------------------------
+
+
+def test_site_return_residual_is_change_between_last_two_windows():
+    m = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25)
+    z = 1.0 + 1e-4
+    res = statistics._SiteReturnEvaluator(m, 1, 16).evaluate(z)
+    # the doubling of resolvent_block_adaptive, spelled out
+    window = 16
+    prev = resolvent_block(m, 1, 1, 1 / z, window)
+    while True:
+        window *= 2
+        cur = resolvent_block(m, 1, 1, 1 / z, window)
+        change = np.linalg.norm(cur - prev, 2)
+        if change <= 1e-9 * max(1.0, np.linalg.norm(cur, 2)):
+            break
+        prev = cur
+    assert window >= 64
+    assert res.residual == change
+    assert np.array_equal(res.value, cur)
+    assert np.array_equal(res.value, resolvent_block_adaptive(m, 1, 1, 1 / z, window=16))
 
 
 def test_classifier_on_synthetic_ladders():
@@ -396,9 +434,9 @@ def test_divergent_transform_without_point_mass():
     # balanced line chain: the return transform diverges at 1 but carries
     # no atom there, so the walk is recurrent without positive recurrence
     m = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.25, 0.25)
-    from qmcspectra.folding import folded_transform_evaluator
+    from qmcspectra.folding import FoldedTransformEvaluator
 
-    ev = folded_transform_evaluator(m, 0)
+    ev = FoldedTransformEvaluator(m, 0)
     jump = jump_at_one(ev)
     assert np.linalg.norm(jump) < 1e-6
     t = np.array([1.0, 0, 0, 1.0])
