@@ -26,7 +26,6 @@ from .chain_model import (
     load_model,
     model_to_dict,
     resolvent_block,
-    resolvent_block_adaptive,
     segment,
     site_prob,
     site_prob_series,
@@ -38,6 +37,7 @@ from .spectral import (
     CornerStieltjes,
     DiscreteWeight,
     HomogeneousStieltjes,
+    SiteStieltjes,
     SpectralError,
     StieltjesEvaluator,
     Symmetrizer,

@@ -5,7 +5,9 @@ A model stores one superoperator triple per site: ``A_n`` moves mass from
 site ``n`` to ``n+1``, ``B_n`` holds at ``n`` and ``C_n`` moves from ``n``
 to ``n-1``.  Direct (truncated) linear algebra on the assembled block
 matrix is the brute-force oracle against which every spectral formula in
-the package is checked.
+the package is checked; :func:`schur_sweep` is the one block-tridiagonal
+kernel of the exact and windowed routes, closed either by an absorbing
+edge or by the inverse pivot of a homogeneous tail.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .quantum_core import (
     TOL_TP,
@@ -624,60 +625,6 @@ def _window_bounds(model: QmcModel, window: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _banded_one_minus_s_phi(model: QmcModel, lo: int, hi: int, s: complex) -> Array:
-    """Banded storage (scipy solve_banded layout) of I - s Phi on a window."""
-    d = model.block_dim
-    S = hi - lo + 1
-    n = S * d
-    bw = 2 * d - 1
-    ab = np.zeros((2 * bw + 1, n), dtype=complex)
-
-    def fill(role: str, t: int, first_block: int, last_block: int):
-        # block at rows (k + t), cols k for k in [first_block, last_block]
-        if last_block < first_block:
-            return
-        base = _homogeneous_matrix(model, role)
-        for il in range(d):
-            for jl in range(d):
-                row = bw + t * d + il - jl
-                cols = slice(first_block * d + jl, last_block * d + jl + 1, d)
-                val = -s * base[il, jl]
-                if t == 0 and il == jl:
-                    val = val + 1.0
-                ab[row, cols] = val
-        for site, ov in model.overrides.items():
-            k = site - lo
-            if first_block <= k <= last_block and role in ov:
-                blk = ov[role].matrix
-                for il in range(d):
-                    for jl in range(d):
-                        row = bw + t * d + il - jl
-                        val = -s * blk[il, jl]
-                        if t == 0 and il == jl:
-                            val = val + 1.0
-                        ab[row, k * d + jl] = val
-
-    fill("B", 0, 0, S - 1)
-    fill("A", 1, 0, S - 2)
-    # the C block sits at rows (k-1), cols k; in source-site indexing the
-    # block of column k is C_{lo+k}
-    if S >= 2:
-        base = _homogeneous_matrix(model, "C")
-        for il in range(d):
-            for jl in range(d):
-                row = bw - d + il - jl
-                cols = slice(d + jl, (S - 1) * d + jl + 1, d)
-                ab[row, cols] = -s * base[il, jl]
-        for site, ov in model.overrides.items():
-            k = site - lo
-            if 1 <= k <= S - 1 and "C" in ov:
-                blk = ov["C"].matrix
-                for il in range(d):
-                    for jl in range(d):
-                        ab[bw - d + il - jl, k * d + jl] = -s * blk[il, jl]
-    return ab
-
-
 def resolvent_block(
     model: QmcModel,
     j: int,
@@ -687,67 +634,30 @@ def resolvent_block(
 ) -> Array:
     """Block (j, i) of (I - s Phi)^(-1) on the truncated window.
 
-    This is the generating function of the n-step blocks from i to j.
-    The window must exceed the mixing depth at the evaluation point for
-    the value to represent the untruncated chain; see
-    resolvent_block_adaptive for an automated choice.
+    This is the generating function of the n-step blocks from i to j,
+    solved densely on the :func:`truncate` assembly of the window
+    [-window, window] on a line, [0, window] on a half-line, clipped to
+    a segment.  The window must exceed the mixing depth at the evaluation
+    point for the value to represent the untruncated chain; it is the
+    reference that the exact routes are tested against.
     """
     lo, hi = _window_bounds(model, window)
     if not (lo <= i <= hi and lo <= j <= hi):
         raise ValueError("requested sites outside truncation window")
+    trunc = truncate(model, lo, hi)
     d = model.block_dim
-    S = hi - lo + 1
-    bw = 2 * d - 1
-    ab = _banded_one_minus_s_phi(model, lo, hi, s)
-    rhs = np.zeros((S * d, d), dtype=complex)
+    n = trunc.matrix.shape[0]
+    rhs = np.zeros((n, d), dtype=complex)
     ii = i - lo
     rhs[ii * d : (ii + 1) * d] = np.eye(d)
     try:
-        sol = scipy.linalg.solve_banded((bw, bw), ab, rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        sol = np.linalg.solve(np.eye(n) - s * trunc.matrix, rhs)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular resolvent solve at s={s} on window [{lo}, {hi}]"
         ) from exc
     jj = j - lo
     return sol[jj * d : (jj + 1) * d]
-
-
-def resolvent_block_adaptive(
-    model: QmcModel,
-    j: int,
-    i: int,
-    s: complex,
-    *,
-    window: int = DEFAULT_WINDOW,
-    tol: float = 1e-9,
-    max_window: int = 1 << 20,
-) -> Array:
-    """Window-doubled resolvent block, grown until the value stabilizes."""
-    return _doubled_resolvent(model, j, i, s, window=window, tol=tol, max_window=max_window)[0]
-
-
-def _doubled_resolvent(
-    model: QmcModel,
-    j: int,
-    i: int,
-    s: complex,
-    *,
-    window: int = DEFAULT_WINDOW,
-    tol: float = 1e-9,
-    max_window: int = 1 << 20,
-) -> tuple[Array, float]:
-    """The block of :func:`resolvent_block_adaptive` and the norm of its
-    change between the last two windows tried."""
-    prev = resolvent_block(model, j, i, s, window)
-    change = np.inf
-    while window < max_window:
-        window *= 2
-        cur = resolvent_block(model, j, i, s, window)
-        change = float(np.linalg.norm(cur - prev, 2))
-        if change <= tol * max(1.0, np.linalg.norm(cur, 2)):
-            return cur, change
-        prev = cur
-    return prev, change
 
 
 def block_table(model: QmcModel, lo: int, hi: int) -> tuple[list, list, list]:
@@ -781,6 +691,7 @@ def schur_sweep(
     s: complex | Array | None = None,
     source_site: int | None = None,
     source: Array | None = None,
+    closing: Array | None = None,
 ) -> Array:
     """Block-Schur (block-Thomas) elimination over ``sites`` of a window.
 
@@ -794,11 +705,16 @@ def schur_sweep(
     the inverse of the last pivot, the diagonal block of the restricted
     inverse at the last site.  With ``source``, the right-hand side at
     ``source_site`` (zero elsewhere), it is the solution at the last site.
-    A singular pivot raises ``np.linalg.LinAlgError`` naming the site,
-    the points and the window.
+    The sweep starts from an absorbing edge unless ``closing`` is given:
+    the inverse pivot of the already-eliminated neighbour before the
+    first site, which must lie in the table.  An empty ``sites`` returns
+    ``closing``.  A singular pivot raises ``np.linalg.LinAlgError``
+    naming the site, the points and the window.
     """
     A, B, C = table
     step = sites.step
+    if closing is not None and sites and not 0 <= sites[0] - step - lo < len(B):
+        raise ValueError(f"closing neighbour of site {sites[0]} outside the table")
     # block from the previously eliminated site into this one, and back
     into, back = (A, C) if step > 0 else (C, A)
     eye = np.eye(B[0].shape[0], dtype=complex)
@@ -810,7 +726,7 @@ def schur_sweep(
         hop = points[..., None, None]
         diag = np.broadcast_to(eye, hop.shape[:-2] + eye.shape)
     rhs = np.broadcast_to(eye, diag.shape)
-    Y = x = None
+    Y, x = closing, None
     for k in sites:
         m = diag - (B[k - lo] if hop is None else hop * B[k - lo])
         if Y is not None:

@@ -27,6 +27,8 @@ from .polynomials import PolyFamily
 EXIT_FILE = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
+# the default auto route is exact and reads no window
+WINDOW_HELP = "starting window of --method truncated (site 0 only)"
 
 
 class CliError(Exception):
@@ -205,13 +207,9 @@ def cmd_recurrence(args) -> None:
     try:
         if model.topology.kind == LINE:
             cls = folding.classify_recurrence_on_line(model, args.site, rho)
-        elif args.site == 0:
-            ev = _evaluator(model, args.method, args.window)
-            cls = statistics.classify_recurrence(model, 0, rho, ev)
         else:
-            cls = statistics.classify_recurrence(
-                model, args.site, rho, window=args.window
-            )
+            ev = _evaluator(model, args.method, args.window) if args.site == 0 else None
+            cls = statistics.classify_recurrence(model, args.site, rho, ev)
     except (spectral.ConvergenceError, np.linalg.LinAlgError) as exc:
         raise CliError(f"classification failed: {exc}", EXIT_NUMERIC) from exc
     except ValueError as exc:
@@ -351,7 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "truncated", "homogeneous", "corner"],
     )
-    p.add_argument("--window", type=int, default=800)
+    p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("recurrence", cmd_recurrence, help="site recurrence verdict")
     p.add_argument("--site", type=int, default=0)
@@ -361,13 +359,14 @@ def make_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "truncated", "homogeneous", "corner"],
     )
-    p.add_argument("--window", type=int, default=800)
+    p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("first-passage", cmd_first_passage, help="reach probability")
     p.add_argument("--from", dest="from_site", type=int, required=True)
     p.add_argument("--to", dest="to_site", type=int, required=True)
     p.add_argument("--density", required=True)
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--window", type=int, default=64,
+                   help="truncation radius of the first-passage sweep")
 
     p = add("fold", cmd_fold, help="rewrite a line model on the half-line")
     p.add_argument("--output", required=True)

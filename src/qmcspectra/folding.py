@@ -196,19 +196,18 @@ def minus_model(model: QmcModel) -> QmcModel:
 
 
 def half_line_evaluators(
-    model: QmcModel, *, window: int = 800
+    model: QmcModel,
 ) -> tuple[StieltjesEvaluator, StieltjesEvaluator]:
     """Transform evaluators for the two half-chains of a line model.
 
     Each half takes the automatic route of
-    :func:`~qmcspectra.spectral.transform_evaluator`: the fixed point for
-    a homogeneous half, the corner identity for a half whose only
-    override is at its site 0 (original site 0 or -1), window-doubled
-    truncation otherwise.
+    :func:`~qmcspectra.spectral.transform_evaluator`, the exact
+    :class:`~qmcspectra.spectral.SiteStieltjes` at its site 0 (original
+    site 0 or -1).
     """
     return (
-        transform_evaluator(plus_model(model), "auto", window),
-        transform_evaluator(minus_model(model), "auto", window),
+        transform_evaluator(plus_model(model), "auto"),
+        transform_evaluator(minus_model(model), "auto"),
     )
 
 
@@ -305,12 +304,14 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         self.tolerance = tolerance
 
     def evaluate(self, z: complex, x0=None) -> EvalResult:
+        """Split-identity value at z; ``x0`` and the returned ``state``
+        are the (plus, minus) warm states of the two halves."""
         ft = stieltjes_folded(
             self.model.block(-1, "A"), self.model.block(0, "C"),
-            self.plus, self.minus, z,
+            self.plus, self.minus, z, x0=x0,
         )
         value = ft.p11 if self.site == 0 else ft.p22
-        return EvalResult(value, ft.residual, self.method)
+        return EvalResult(value, ft.residual, self.method, state=ft.state)
 
 
 def classify_recurrence_on_line(

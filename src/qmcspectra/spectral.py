@@ -1,13 +1,16 @@
 """Symmetrizers, finite spectral weights, and Stieltjes transforms.
 
 The Stieltjes transform of the weight family attached to a chain is
-evaluated through four interchangeable routes: truncated corner
-resolvents, the homogeneous fixed point, corner perturbations of a
-homogeneous interior, and the split identities of folded line chains.
+evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
+half-line or line chain that is homogeneous outside finitely many sites:
+the homogeneous fixed point closes each unbounded side and one
+block-Schur sweep covers the rest.  Truncated corner resolvents, the bare
+fixed point, corner perturbations of a homogeneous interior and the split
+identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
-the value.  :func:`transform_evaluator` holds the one route policy for
-chains bounded from below; the CLI and the half-chains of a folded line
-chain both take their evaluators from it.
+the value.  :func:`transform_evaluator` holds the one route policy; the
+CLI and the half-chains of a folded line chain both take their
+evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -21,7 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, SEGMENT, QmcModel, corner_resolvent, truncate
+from .chain_model import (
+    HALF_LINE,
+    LINE,
+    ROLES,
+    SEGMENT,
+    QmcModel,
+    _homogeneous_matrix,
+    block_table,
+    corner_resolvent,
+    schur_sweep,
+    truncate,
+)
 from .quantum_core import TOL_HERM, Array, hermitian_part
 
 TOL_SYM = 1e-9
@@ -277,8 +291,9 @@ class EvalResult:
     method: str
     # warm-start payload for a subsequent evaluation at a nearby z (the
     # interior fixed point for corner evaluators, the value itself for
-    # plain fixed-point evaluators)
-    state: Array | None = None
+    # plain fixed-point evaluators, a pair of them for the two closures of
+    # a site evaluator or the two halves of a folded line chain)
+    state: Array | tuple | None = None
 
     def warm(self):
         return self.state if self.state is not None else self.value
@@ -334,6 +349,19 @@ class StieltjesEvaluator:
                 )
             schedule.insert(k, float(np.sqrt(d_prev * dk)))
         return val
+
+
+def _warm_ladder(evaluator: StieltjesEvaluator, points):
+    """Yield (z, EvalResult) at each point in turn, every evaluation
+    warm-started from the previous one's :meth:`EvalResult.warm`.
+
+    The one rung loop of the recurrence ladder, the jump at one and the
+    residue probe."""
+    warm = None
+    for z in points:
+        res = evaluator.evaluate(z, x0=warm)
+        warm = res.warm()
+        yield z, res
 
 
 class TruncatedStieltjes(StieltjesEvaluator):
@@ -504,25 +532,80 @@ class CornerStieltjes(StieltjesEvaluator):
         return EvalResult(value, residual, self.method, state=inner.warm())
 
 
-def transform_evaluator(model: QmcModel, method: str, window: int) -> StieltjesEvaluator:
-    """The transform evaluator of a chain bounded from below.
+class SiteStieltjes(StieltjesEvaluator):
+    """Diagonal block ((z I - Phi)^{-1})_{jj} at ``site`` of a segment,
+    half-line or line model, exact for every eventually-homogeneous chain.
 
-    ``method="auto"`` picks the route: the homogeneous fixed point for a
-    chain without overrides, the corner identity when the only override
-    is at site 0, and window-doubled truncation starting at ``window``
-    otherwise.  An explicit method is checked against the model.  Raises
-    ``ValueError`` for line models, which go through folding, and for a
-    method the model does not admit.
+    Each unbounded side is homogeneous beyond the override sites and is
+    closed there by its interior fixed point: ``HomogeneousStieltjes(A,
+    B, C)`` above and the mirrored ``HomogeneousStieltjes(C, B, A)``
+    below.  :func:`schur_sweep` eliminates the sites between each closure
+    (or bounded edge) and ``site``, and the last pivot is solved at
+    ``site``.  The residual sums the defining-equation residual of each
+    fixed point and that of the last pivot solve; ``state`` carries both
+    fixed points, (above, below), for warm starts.
     """
-    if model.topology.kind == LINE:
-        raise ValueError("transforms of line models go through `fold`")
+
+    method = "closed"
+
+    def __init__(self, model: QmcModel, site: int = 0):
+        topo = model.topology
+        if not topo.contains(site):
+            raise ValueError(f"site {site} outside the {topo.kind} topology")
+        a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
+        marks = [*model.overrides, site]
+        # the first homogeneous site past every override, or the edge
+        hi = max(marks) + 1 if topo.hi is None else topo.hi
+        lo = min(marks) - 1 if topo.lo is None else topo.lo
+        self.closures = (
+            None if topo.hi is not None else HomogeneousStieltjes(a, b, c),
+            None if topo.lo is not None else HomogeneousStieltjes(c, b, a),
+        )
+        self.sweeps = (
+            range(hi - (topo.hi is None), site, -1),
+            range(lo + (topo.lo is None), site),
+        )
+        self.table = block_table(model, lo, hi)
+        self.lo = lo
+        self.site = site
+
+    def evaluate(self, z: complex, x0=None) -> EvalResult:
+        ends = [
+            None if fp is None else fp.evaluate(z, x0=warm)
+            for fp, warm in zip(self.closures, x0 or (None, None))
+        ]
+        A, B, C = self.table
+        k = self.site - self.lo
+        eye = np.eye(B[k].shape[0], dtype=complex)
+        core = z * eye - B[k]
+        # the eliminated sides couple in through the blocks next to site
+        for sites, end, into, back in zip(self.sweeps, ends, (C, A), (A, C)):
+            y = schur_sweep(self.table, self.lo, sites, z=z,
+                            closing=None if end is None else end.value)
+            if y is not None:
+                core = core - into[k - sites.step] @ y @ back[k]
+        value = np.linalg.solve(core, eye)
+        residual = float(np.linalg.norm(core @ value - eye, 2))
+        residual += sum(end.residual for end in ends if end is not None)
+        state = tuple(None if end is None else end.value for end in ends)
+        return EvalResult(value, residual, self.method, state=state)
+
+
+def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> StieltjesEvaluator:
+    """The transform evaluator of a chain, the one route policy.
+
+    ``method="auto"`` gives :class:`SiteStieltjes` at site 0 for every
+    model.  The explicit methods are cross-checks on chains bounded from
+    below: ``homogeneous`` (the fixed point, half-lines without
+    overrides), ``corner`` (the corner identity, half-lines whose only
+    override is at site 0) and ``truncated`` (window-doubled truncation
+    starting at ``window``).  Raises ``ValueError`` for a method the model
+    does not admit.
+    """
     if method == "auto":
-        if model.homogeneous:
-            method = "homogeneous"
-        elif set(model.overrides) == {0}:
-            method = "corner"
-        else:
-            method = "truncated"
+        return SiteStieltjes(model)
+    if method in ("homogeneous", "corner") and model.topology.kind != HALF_LINE:
+        raise ValueError(f"{method} method needs a half-line model")
     if method == "homogeneous":
         if not model.homogeneous:
             raise ValueError("homogeneous method needs a model without overrides")
@@ -551,6 +634,8 @@ class FoldedTransform:
     p12: Array
     p21: Array
     residual: float
+    # the (plus, minus) warm states of the two half-chain evaluators
+    state: tuple
 
 
 def stieltjes_folded(
@@ -562,6 +647,7 @@ def stieltjes_folded(
     *,
     pi0_plus: Array | None = None,
     pim1_minus: Array | None = None,
+    x0: tuple | None = None,
 ) -> FoldedTransform:
     """Split identities expressing the line-chain transforms through the
     two half-line ones.  Operator order is load-bearing and preserved
@@ -573,10 +659,12 @@ def stieltjes_folded(
 
     where Xp/Xm are the plus/minus corner transforms with their weight
     normalizations included (pass pi0_plus / pim1_minus if your evaluators
-    return bare transforms instead).
+    return bare transforms instead).  ``x0`` is the (plus, minus) pair of
+    warm starts, as in the ``state`` of a previous result.
     """
-    rp = plus.evaluate(z)
-    rm = minus.evaluate(z)
+    xp0, xm0 = x0 or (None, None)
+    rp = plus.evaluate(z, x0=xp0)
+    rm = minus.evaluate(z, x0=xm0)
     xp = rp.value if pi0_plus is None else np.asarray(pi0_plus) @ rp.value
     xm = rm.value if pim1_minus is None else np.asarray(pim1_minus) @ rm.value
     d = xp.shape[0]
@@ -590,7 +678,9 @@ def stieltjes_folded(
         raise ConvergenceError(f"singular middle factor at z={z}") from exc
     p12 = p11 @ a_minus1 @ xm
     p21 = p22 @ c0 @ xp
-    return FoldedTransform(p11, p22, p12, p21, rp.residual + rm.residual)
+    return FoldedTransform(
+        p11, p22, p12, p21, rp.residual + rm.residual, (rp.warm(), rm.warm())
+    )
 
 
 def residue_probe(
@@ -607,12 +697,8 @@ def residue_probe(
     surrounding continuous spectrum on the real axis; real-direction
     probes may hit singular evaluations (themselves a point-mass
     indicator)."""
-    samples = []
-    warm = None
-    for eps in eps_ladder:
-        res = evaluator.evaluate(x0 + eps * direction, x0=warm)
-        warm = res.warm()
-        samples.append(eps * direction * res.value)
+    rungs = _warm_ladder(evaluator, [x0 + eps * direction for eps in eps_ladder])
+    samples = [eps * direction * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     # remove the leading analytic background, linear in eps
     return samples[-1] + (samples[-1] - samples[-2]) / (
         eps_ladder[-2] / eps_ladder[-1] - 1.0

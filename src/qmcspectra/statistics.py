@@ -6,7 +6,8 @@ attached transform as z decreases to 1: the return series diverges
 exactly when the trace of the transform applied to the initial density
 does.  Divergence is decided numerically on a fixed sampling ladder by
 :func:`classify`, the one loop over that ladder: every recurrence
-classifier (half-line sites here, line sites in ``folding``, bare
+classifier (any site here, through the exact ``SiteStieltjes`` route,
+line sites 0 and -1 by the split identities in ``folding``, bare
 homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
 and hands it to :func:`classify`.  The returned classification carries
 the raw samples so callers can re-judge.
@@ -19,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel, _doubled_resolvent, block_table, schur_sweep
+from .chain_model import LINE, QmcModel, block_table, schur_sweep
 from .polynomials import PolyFamily
 from .quantum_core import Array
-from .spectral import DiscreteWeight, EvalResult, StieltjesEvaluator, Symmetrizer
+from .spectral import (
+    DiscreteWeight,
+    SiteStieltjes,
+    StieltjesEvaluator,
+    Symmetrizer,
+    _warm_ladder,
+)
 
 RECURRENT = "recurrent"
 TRANSIENT = "transient"
@@ -111,32 +118,11 @@ def classify(
 ) -> Classification:
     """Verdict from Re tr(value rho) sampled down the ladder, each rung
     warm-started from the previous one's :meth:`EvalResult.warm`."""
-    samples = []
-    warm = None
-    for z in ladder:
-        res = evaluator.evaluate(z, x0=warm)
-        warm = res.warm()
-        samples.append((z, trace_action(trace_vec, res.value, rho_vec)))
+    samples = [
+        (z, trace_action(trace_vec, res.value, rho_vec))
+        for z, res in _warm_ladder(evaluator, ladder)
+    ]
     return classify_from_samples(samples)
-
-
-class _SiteReturnEvaluator(StieltjesEvaluator):
-    """Diagonal generating-function block G_jj(1/z) of any site, from the
-    truncated resolvent with the window doubled until the block
-    stabilizes; the residual is its change between the last two windows."""
-
-    method = "resolvent"
-
-    def __init__(self, model: QmcModel, site: int, window: int):
-        self.model = model
-        self.site = site
-        self.window = window
-
-    def evaluate(self, z: complex, x0=None) -> EvalResult:
-        value, change = _doubled_resolvent(
-            self.model, self.site, self.site, 1.0 / z, window=self.window
-        )
-        return EvalResult(value, change, self.method)
 
 
 def classify_recurrence(
@@ -146,18 +132,15 @@ def classify_recurrence(
     stieltjes: StieltjesEvaluator | None = None,
     *,
     ladder=DEFAULT_LADDER,
-    window: int = 512,
 ) -> Classification:
     """Classify a site from the boundary behavior of its return transform.
 
-    At site 0 the supplied evaluator's values are used directly.  At other
-    sites the diagonal generating-function block is computed from the
-    truncated resolvent at s = 1/z, with the window doubled until the
-    block stabilizes (fixed windows plateau near z = 1 and mimic
-    convergence).
+    At site 0 the supplied evaluator's values are used directly.  Every
+    other site, and site 0 without an evaluator, uses the exact diagonal
+    block of :class:`~qmcspectra.spectral.SiteStieltjes`.
     """
     if stieltjes is None or site != 0:
-        stieltjes = _SiteReturnEvaluator(model, site, window)
+        stieltjes = SiteStieltjes(model, site)
     return classify(stieltjes, model.trace_vec, model.state_vec(rho), ladder)
 
 
@@ -360,13 +343,9 @@ def jump_at_one(
     flag supplied by the caller, a nonzero jump is the positive-recurrence
     criterion.
     """
-    samples = []
-    prev = None
-    for m in m_range:
-        eps = 10.0**-m
-        res = evaluator.evaluate(1.0 + eps, x0=prev)
-        prev = res.warm()
-        samples.append(eps * res.value)
+    eps_ladder = [10.0**-m for m in m_range]
+    rungs = _warm_ladder(evaluator, [1.0 + eps for eps in eps_ladder])
+    samples = [eps * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     p2, p1, p0 = samples[-3], samples[-2], samples[-1]
     d1 = p0 - p1
     d0 = p1 - p2

@@ -15,6 +15,7 @@ from qmcspectra.chain_model import (
     evolve,
     model_to_dict,
     resolvent_block,
+    schur_sweep,
     site_prob,
     site_prob_series,
     step,
@@ -283,6 +284,18 @@ def test_corner_resolvent_singular_pivot_names_site():
     with pytest.raises(np.linalg.LinAlgError, match=r"site 2 for z in \[1\.0\] on window \[0, 2\]"):
         corner_resolvent(m, np.array([2.0, 1.0]), 3)
     assert np.isfinite(corner_resolvent(m, 2.0, 3)).all()
+
+
+def test_schur_sweep_closing_continues_a_split_sweep():
+    m = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    table, z = block_table(m, 0, 9), 1.3 + 0.4j
+    whole = schur_sweep(table, 0, range(9, -1, -1), z=z)
+    upper = schur_sweep(table, 0, range(9, 4, -1), z=z)
+    assert np.array_equal(schur_sweep(table, 0, range(4, -1, -1), z=z, closing=upper), whole)
+    assert schur_sweep(table, 0, range(4, 4, -1), z=z, closing=upper) is upper
+    # the neighbour of site 9 would be site 10, past the table's end
+    with pytest.raises(ValueError, match="outside the table"):
+        schur_sweep(table, 0, range(9, -1, -1), z=z, closing=upper)
 
 
 def test_block_table_matches_per_site_lookup():

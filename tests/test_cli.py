@@ -10,7 +10,7 @@ import pytest
 
 import qmcspectra
 from qmcspectra import models
-from qmcspectra.chain_model import build_model, model_to_dict
+from qmcspectra.chain_model import build_model, model_to_dict, site_prob_series
 from qmcspectra.cli import run
 
 
@@ -114,6 +114,20 @@ def test_stieltjes_value_schema(files, capsys):
 
     tr = TruncatedStieltjes(models.flip_channel_half_line(0.7, 0.8), window=800)
     assert np.abs(got - tr.evaluate(1.5).value).max() < 1e-7
+
+
+def test_stieltjes_on_a_line_takes_the_closed_route(files, capsys):
+    out = run_json(capsys, ["stieltjes", files["diagline"], "--z", "1.5"])
+    assert out["method"] == "closed"
+    got = np.array([[complex(e[0], e[1]) for e in row] for row in out["value"]])
+    from qmcspectra.folding import FoldedTransformEvaluator
+
+    want = FoldedTransformEvaluator(models.diagonal_coin_line_walk(), 0).evaluate(1.5).value
+    assert np.abs(got - want).max() < 1e-10
+    # truncation needs a chain bounded from below
+    code, err = run_error(capsys, ["stieltjes", files["diagline"], "--z", "1.5",
+                                   "--method", "truncated"])
+    assert code == 3 and "bounded from below" in err
 
 
 def test_recurrence_verdicts(files, capsys):
@@ -222,6 +236,35 @@ def test_module_entry_point_exits_with_file_code(tmp_path):
     assert "missing.json" in proc.stderr
 
 
+def test_cli_import_loads_only_numpy_beyond_stdlib():
+    # numpy is the one declared dependency; a fresh interpreter shows what
+    # importing the CLI pulls in, whatever else the environment has
+    src = str(Path(qmcspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys; before = set(sys.modules); import qmcspectra.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout)) - set(sys.stdlib_module_names)
+    assert loaded == {"numpy", "qmcspectra"}
+
+
+def test_segment_recurrence_reports_segment_limit(files, capsys, tmp_path):
+    seg = models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25)
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps(model_to_dict(seg)))
+    argv = ["recurrence", str(path), "--site", "0", "--density", files["rho_sym"]]
+    out = run_json(capsys, argv)
+    rho = np.array([[0.3, 0.1], [0.1, 0.7]])
+    assert out["limit"] == pytest.approx(site_prob_series(seg, 0, 0, rho, 4000).sum(), abs=1e-9)
+    # the half-line fixed point does not describe a segment
+    for method in ("homogeneous", "corner"):
+        code, err = run_error(capsys, [*argv, "--method", method])
+        assert code == 3 and "half-line" in err
+
+
 def test_exit_codes(files, capsys, tmp_path):
     assert run(["validate", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
@@ -276,7 +319,7 @@ def test_first_passage_site_outside_window_is_schema_error(files, capsys):
     "model, extra",
     [
         ("hop", ["--site", "-3"]),
-        ("hop", ["--site", "100000", "--window", "8"]),
+        ("shear", ["--site", "99"]),
         ("diagline", ["--site", "3"]),
     ],
 )

@@ -246,29 +246,27 @@ def with_hold_at(model, site):
     return dataclasses.replace(model, overrides={site: {"B": HOLD0}})
 
 
-@pytest.mark.parametrize(
-    "site, route", [(None, "homogeneous_fp"), (0, "corner"), (1, "truncated")]
-)
-def test_cli_and_half_chains_share_one_route_policy(site, route):
+@pytest.mark.parametrize("site", [None, 0, 1])
+def test_cli_and_half_chains_share_one_route_policy(site):
     half = models.uniform_hopping_half_line(0.5, 0.5, 0.5, 0.2, 0.3)
     full = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
     if site is not None:
         half, full = with_hold_at(half, site), with_hold_at(full, site)
-    assert transform_evaluator(half, "auto", 800).method == route
-    assert cli._evaluator(half, "auto", 800).method == route
+    assert transform_evaluator(half, "auto", 800).method == "closed"
+    assert cli._evaluator(half, "auto", 800).method == "closed"
     plus, minus = half_line_evaluators(full)
-    assert plus.method == transform_evaluator(plus_model(full), "auto", 800).method == route
-    assert minus.method == "homogeneous_fp"
+    assert plus.method == transform_evaluator(plus_model(full), "auto", 800).method == "closed"
+    assert minus.method == "closed"
     if site is not None:
         # the mirrored override lands on the minus half
         plus, minus = half_line_evaluators(with_hold_at(full, -site - 1))
-        assert (plus.method, minus.method) == ("homogeneous_fp", route)
+        assert (plus.method, minus.method) == ("closed", "closed")
 
 
 def test_line_with_site0_hold_runs_corner_route_to_series_limit():
     m = with_hold_at(models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3), 0)
     m.validate()
-    assert half_line_evaluators(m)[0].method == "corner"
+    assert half_line_evaluators(m)[0].method == "closed"
     rho = np.array([[0.6, 0.1 - 0.05j], [0.1 + 0.05j, 0.4]])
     cls = classify_recurrence_on_line(m, 0, rho)
     assert cls.verdict == "transient"

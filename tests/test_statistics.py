@@ -6,7 +6,6 @@ from qmcspectra.chain_model import (
     Block,
     QmcModel,
     resolvent_block,
-    resolvent_block_adaptive,
     segment,
     site_prob_series,
     truncate,
@@ -14,6 +13,7 @@ from qmcspectra.chain_model import (
 from qmcspectra.polynomials import PolyFamily
 from qmcspectra.spectral import (
     HomogeneousStieltjes,
+    SiteStieltjes,
     TruncatedStieltjes,
     find_symmetrizer,
     finite_spectrum_weights,
@@ -294,24 +294,23 @@ def test_reach_analysis_needs_three_rungs(monkeypatch):
 # -- classification ---------------------------------------------------
 
 
-def test_site_return_residual_is_change_between_last_two_windows():
+def test_site_return_residual_is_defining_equation_residual():
     m = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25)
     z = 1.0 + 1e-4
-    res = statistics._SiteReturnEvaluator(m, 1, 16).evaluate(z)
-    # the doubling of resolvent_block_adaptive, spelled out
-    window = 16
-    prev = resolvent_block(m, 1, 1, 1 / z, window)
-    while True:
-        window *= 2
-        cur = resolvent_block(m, 1, 1, 1 / z, window)
-        change = np.linalg.norm(cur - prev, 2)
-        if change <= 1e-9 * max(1.0, np.linalg.norm(cur, 2)):
-            break
-        prev = cur
-    assert window >= 64
-    assert res.residual == change
-    assert np.array_equal(res.value, cur)
-    assert np.array_equal(res.value, resolvent_block_adaptive(m, 1, 1, 1 / z, window=16))
+    res = SiteStieltjes(m, 1).evaluate(z)
+    fp = HomogeneousStieltjes.from_model(m).evaluate(z)
+    # site 1 is closed above by the fixed point at site 2 and sees the
+    # absorbing edge site 0 below; nothing closes the bounded side
+    assert res.state[1] is None
+    assert np.array_equal(res.state[0], fp.value)
+    eye = np.eye(4)
+    edge = np.linalg.inv(z * eye - m.block(0, "B"))
+    core = (z * eye - m.block(1, "B") - m.block(2, "C") @ fp.value @ m.block(1, "A")
+            - m.block(0, "A") @ edge @ m.block(1, "C"))
+    pivot = np.linalg.norm(core @ res.value - eye, 2)
+    assert res.residual == pytest.approx(fp.residual + pivot, rel=1e-6, abs=1e-15)
+    assert res.residual < 1e-10
+    assert np.abs(res.value - np.linalg.inv(core)).max() < 1e-8 * np.abs(res.value).max()
 
 
 def test_classifier_on_synthetic_ladders():
@@ -387,7 +386,7 @@ def test_classifier_agrees_with_partial_sums():
 def test_general_site_classification_truncated():
     m = models.flip_channel_half_line(0.7, 0.8)
     rho = np.diag([0.5, 0.5])
-    cls = classify_recurrence(m, 2, rho, window=256)
+    cls = classify_recurrence(m, 2, rho)
     assert cls.verdict == "transient"
     # the series tail decays like 1/sqrt(N); quadrupling the horizon
     # halves it, so 2 S(4N) - S(N) removes the leading tail
