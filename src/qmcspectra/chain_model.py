@@ -167,9 +167,6 @@ class QmcModel:
             return ov[role]
         return self.blocks.get(role)
 
-    def has_block(self, site: int, role: str) -> bool:
-        return self.block_object(site, role) is not None
-
     def block_object(self, site: int, role: str) -> Block | None:
         """The block at a site, or None when absent or clipped at an edge.
 
@@ -431,11 +428,6 @@ class TruncatedOperator:
         jj, ii = j - self.lo, i - self.lo
         return self.matrix[jj * d : (jj + 1) * d, ii * d : (ii + 1) * d]
 
-    def site_index(self, site: int) -> int:
-        if not (self.lo <= site <= self.hi):
-            raise ValueError(f"site {site} outside window [{self.lo}, {self.hi}]")
-        return site - self.lo
-
 
 def truncate(model: QmcModel, lo: int, hi: int) -> TruncatedOperator:
     """Assemble the dense window [lo, hi] of the block matrix."""
@@ -500,15 +492,6 @@ class LatticeState:
         if not model.topology.contains(site):
             raise ValueError(f"site {site} outside topology")
         return cls(site, model.state_vec(rho)[None, :])
-
-    @classmethod
-    def from_site_vectors(cls, table: dict[int, Array]) -> "LatticeState":
-        lo, hi = min(table), max(table)
-        first = np.asarray(next(iter(table.values())))
-        data = np.zeros((hi - lo + 1, first.shape[-1]), dtype=complex)
-        for s, v in table.items():
-            data[s - lo] = np.asarray(v).reshape(-1)
-        return cls(lo, data)
 
     @property
     def sites(self) -> range:

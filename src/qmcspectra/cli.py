@@ -205,11 +205,10 @@ def cmd_recurrence(args) -> None:
     except ValueError as exc:
         raise CliError(f"density incompatible with model: {exc}", EXIT_SCHEMA) from exc
     try:
-        if model.topology.kind == LINE:
-            cls = folding.classify_recurrence_on_line(model, args.site, rho)
-        else:
-            ev = _evaluator(model, args.method, args.window) if args.site == 0 else None
-            cls = statistics.classify_recurrence(model, args.site, rho, ev)
+        # an explicit method names a site-0 evaluator; classify_recurrence
+        # rejects it at any other site
+        ev = None if args.method == "auto" else _evaluator(model, args.method, args.window)
+        cls = statistics.classify_recurrence(model, args.site, rho, ev)
     except (spectral.ConvergenceError, np.linalg.LinAlgError) as exc:
         raise CliError(f"classification failed: {exc}", EXIT_NUMERIC) from exc
     except ValueError as exc:

@@ -6,6 +6,13 @@ weights, transforms) applies to line chains.  The module also derives the
 upward and downward half-chains and the two coupling blocks directly from
 the line model, and evaluates the spectral sum for n-step blocks on the
 line through the two-sided polynomial families.
+
+Recurrence of a line site, any site, is classified on the exact
+``SiteStieltjes`` route shared with every other topology.  The split
+identities of :class:`FoldedTransformEvaluator`, which assemble the
+transforms at sites 0 and -1 from the two half-chains, are kept as its
+independent cross-check and as the documented homogeneous-line
+criterion of ``nonsymmetric``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from .chain_model import (
     LINE,
+    Block,
     QmcModel,
     _homogeneous_matrix,
     half_line,
@@ -34,7 +42,7 @@ from .spectral import (
     stieltjes_folded,
     transform_evaluator,
 )
-from .statistics import Classification, DEFAULT_LADDER, classify
+from .statistics import Classification, DEFAULT_LADDER, classify_recurrence
 
 QUADRANTS = {(1, 1): (0, 0), (1, 2): (0, 1), (2, 1): (1, 0), (2, 2): (1, 1)}
 
@@ -69,8 +77,6 @@ def fold_model(model: QmcModel, depth: int = 0) -> FoldedModel:
     """
     if model.topology.kind != LINE:
         raise ValueError("folding needs a line model")
-    from .chain_model import Block
-
     d = model.block_dim
 
     def m_block(n):  # up-move of the pair (n, -n-1): A_n and C_{-n-1}
@@ -135,54 +141,9 @@ def unfold_block(block: Array, quadrant: tuple[int, int]) -> Array:
     return block[r * d : (r + 1) * d, c * d : (c + 1) * d]
 
 
-def plus_model(model: QmcModel) -> QmcModel:
-    """The upward half-chain (sites 0, 1, 2, ... of a line model)."""
+def _half_chain(model: QmcModel, blocks: dict, overrides: dict) -> QmcModel:
     if model.topology.kind != LINE:
         raise ValueError("needs a line model")
-    overrides = {
-        s: dict(ov) for s, ov in model.overrides.items() if s >= 0
-    }
-    return QmcModel(
-        topology=half_line(),
-        dim=model.dim,
-        block_dim=model.block_dim,
-        mode=model.mode,
-        blocks=dict(model.blocks),
-        overrides=overrides,
-        substochastic=True,
-        trace_vec=model.trace_vec,
-    )
-
-
-def minus_model(model: QmcModel) -> QmcModel:
-    """The downward half-chain, reindexed so original site -n-1 sits at n.
-
-    Moving outward on this chain is the original down-move, so the roles
-    of the up and down blocks swap: A'_n = C_{-n-1}, B'_n = B_{-n-1},
-    C'_n = A_{-n-1}.
-    """
-    if model.topology.kind != LINE:
-        raise ValueError("needs a line model")
-    overrides: dict[int, dict] = {}
-    neg_sites = [s for s in model.overrides if s < 0]
-    for s in neg_sites:
-        n = -s - 1
-        ov = {}
-        src = model.overrides[s]
-        if "B" in src:
-            ov["B"] = src["B"]
-        if "C" in src:
-            ov["A"] = src["C"]
-        if "A" in src:
-            ov["C"] = src["A"]
-        overrides[n] = ov
-    blocks = {}
-    if "B" in model.blocks:
-        blocks["B"] = model.blocks["B"]
-    if "C" in model.blocks:
-        blocks["A"] = model.blocks["C"]
-    if "A" in model.blocks:
-        blocks["C"] = model.blocks["A"]
     return QmcModel(
         topology=half_line(),
         dim=model.dim,
@@ -193,6 +154,29 @@ def minus_model(model: QmcModel) -> QmcModel:
         substochastic=True,
         trace_vec=model.trace_vec,
     )
+
+
+def plus_model(model: QmcModel) -> QmcModel:
+    """The upward half-chain (sites 0, 1, 2, ... of a line model)."""
+    overrides = {s: dict(ov) for s, ov in model.overrides.items() if s >= 0}
+    return _half_chain(model, dict(model.blocks), overrides)
+
+
+def minus_model(model: QmcModel) -> QmcModel:
+    """The downward half-chain, reindexed so original site -n-1 sits at n.
+
+    Moving outward on this chain is the original down-move, so the roles
+    of the up and down blocks swap: A'_n = C_{-n-1}, B'_n = B_{-n-1},
+    C'_n = A_{-n-1}.
+    """
+    swap = {"A": "C", "B": "B", "C": "A"}
+    overrides = {
+        -s - 1: {swap[role]: blk for role, blk in ov.items()}
+        for s, ov in model.overrides.items()
+        if s < 0
+    }
+    blocks = {swap[role]: blk for role, blk in model.blocks.items()}
+    return _half_chain(model, blocks, overrides)
 
 
 def half_line_evaluators(
@@ -209,11 +193,6 @@ def half_line_evaluators(
         transform_evaluator(plus_model(model), "auto"),
         transform_evaluator(minus_model(model), "auto"),
     )
-
-
-def folded_symmetrizer_blocks(sym: Symmetrizer, j: int) -> Array:
-    """diag(pi_j, pi_{-j-1}) in the folded representation."""
-    return _diag2(sym.pi[j], sym.pi[-j - 1])
 
 
 def km_on_line(
@@ -253,9 +232,7 @@ def km_on_line(
     # the four weight quadrants at once: [Q^1; Q^2]* W [Q^1; Q^2]
     qj = np.concatenate([q1[j], q2[j]], axis=-2)
     qi = np.concatenate([q1[i], q2[i]], axis=-2)
-    terms = qj.conj().swapaxes(-1, -2) @ weights.weights() @ qi
-    acc = np.einsum("k,kij->ij", nodes**n, terms)
-    return np.linalg.solve(sym.pi[j], acc)
+    return np.linalg.solve(sym.pi[j], weights.moment(n, qj, qi))
 
 
 def folded_discrete_weight(
@@ -315,19 +292,16 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
 
 
 def classify_recurrence_on_line(
-    model: QmcModel,
-    site: int,
-    rho,
-    *,
-    plus: StieltjesEvaluator | None = None,
-    minus: StieltjesEvaluator | None = None,
-    ladder=DEFAULT_LADDER,
+    model: QmcModel, site: int, rho, *, ladder=DEFAULT_LADDER
 ) -> Classification:
-    """Recurrence/transience of site 0 or -1 of a line chain.
+    """Recurrence/transience of any site of a line chain.
 
-    The return transform is assembled from the two half-chain transforms
-    through the split identities (site 0 uses the upper product, site -1
-    the lower one) and classified on the standard ladder.
+    The return transform is the exact diagonal block of
+    :class:`~qmcspectra.spectral.SiteStieltjes`, as in
+    :func:`~qmcspectra.statistics.classify_recurrence`.  At sites 0 and
+    -1 the split identities of :class:`FoldedTransformEvaluator` give the
+    same values and serve as its cross-check.
     """
-    evaluator = FoldedTransformEvaluator(model, site, plus=plus, minus=minus)
-    return classify(evaluator, model.trace_vec, model.state_vec(rho), ladder)
+    if model.topology.kind != LINE:
+        raise ValueError("needs a line model")
+    return classify_recurrence(model, site, rho, ladder=ladder)

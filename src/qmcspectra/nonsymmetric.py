@@ -52,24 +52,15 @@ class SemiOrthogonalSystem:
 
     def gram(self, i: int, j: int, n: int = 0) -> Array:
         """sum_k l_k^n Q_i*(l_k) W_k Q_j(l_k)."""
-        nodes = self.weight.nodes()
-        q = PolyFamily(self.model).main(nodes, max(i, j, 1))
-        terms = q[i].conj().swapaxes(-1, -2) @ self.weight.weights() @ q[j]
-        return np.einsum("k,kij->ij", nodes**n, terms)
-
-
-def _moment_against(weight: DiscreteWeight, polys: PolyFamily, n: int, j: int) -> Array:
-    """sum_k l_k^n W_k Q_j(l_k), with the family evaluated once for all
-    nodes."""
-    nodes = weight.nodes()
-    q = polys.main(nodes, max(j, 1))[j]
-    return np.einsum("k,kij->ij", nodes**n, weight.weights() @ q)
+        q = PolyFamily(self.model).main(self.weight.nodes(), max(i, j, 1))
+        return self.weight.moment(n, q[i], q[j])
 
 
 def semiorth_residual_of(
     weight: DiscreteWeight, polys: PolyFamily, i: int, j: int
 ) -> float:
-    return float(np.linalg.norm(_moment_against(weight, polys, i, j), 2))
+    q = polys.main(weight.nodes(), max(j, 1))[j]
+    return float(np.linalg.norm(weight.moment(i, right=q), 2))
 
 
 def nonsym_finite_weights(
@@ -107,8 +98,9 @@ def km_row0(system: SemiOrthogonalSystem, i: int, n: int) -> Array:
         raise ValueError("step count must be nonnegative")
     if not system.model.topology.contains(i):
         raise ValueError(f"site {i} outside topology")
-    acc = _moment_against(system.weight, PolyFamily(system.model), n, i)
-    return np.linalg.solve(system.weight.total(), acc)
+    weight = system.weight
+    q = PolyFamily(system.model).main(weight.nodes(), max(i, 1))[i]
+    return np.linalg.solve(weight.total(), weight.moment(n, right=q))
 
 
 def km_row0_probability(system: SemiOrthogonalSystem, i: int, n: int, rho) -> float:
@@ -128,7 +120,6 @@ def classify_recurrence_homogeneous(
     on_line: bool = False,
     trace_vec: Array | None = None,
     ladder=DEFAULT_LADDER,
-    evaluator_kw: dict | None = None,
 ) -> Classification:
     """Recurrence of the origin of a homogeneous chain from its transform.
 
@@ -150,7 +141,7 @@ def classify_recurrence_homogeneous(
     if trace_vec is None:
         trace_vec = trace_functional(d, "compact" if d == 3 else "full")
     rho_vec = np.asarray(rho, dtype=complex).reshape(-1)
-    base = HomogeneousStieltjes(a, b, c, **(evaluator_kw or {}))
+    base = HomogeneousStieltjes(a, b, c)
     evaluator: StieltjesEvaluator = base
     if on_line:
         # the p11 split identity with the upward transform in both halves

@@ -183,8 +183,19 @@ class DiscreteWeight:
     def total(self) -> Array:
         return sum(p.weight for p in self.points)
 
-    def moment(self, n: int) -> Array:
-        return sum((p.node**n) * p.weight for p in self.points)
+    def moment(self, n: int, left: Array | None = None, right: Array | None = None) -> Array:
+        """The spectral sum sum_k l_k^n L_k* W_k R_k over the nodes l_k.
+
+        ``left`` and ``right`` are stacks in node order, shape (nodes, d,
+        m), such as a polynomial family evaluated at the nodes; each is
+        the identity when omitted.
+        """
+        terms = self.weights()
+        if left is not None:
+            terms = left.conj().swapaxes(-1, -2) @ terms
+        if right is not None:
+            terms = terms @ right
+        return np.einsum("k,kij->ij", self.nodes() ** n, terms)
 
 
 def _cluster_eigenvalues(ev: Array, tol: float) -> list[list[int]]:

@@ -6,8 +6,8 @@ attached transform as z decreases to 1: the return series diverges
 exactly when the trace of the transform applied to the initial density
 does.  Divergence is decided numerically on a fixed sampling ladder by
 :func:`classify`, the one loop over that ladder: every recurrence
-classifier (any site here, through the exact ``SiteStieltjes`` route,
-line sites 0 and -1 by the split identities in ``folding``, bare
+classifier (any site of any chain here, through the exact
+``SiteStieltjes`` route, which ``folding`` also uses on lines; bare
 homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
 and hands it to :func:`classify`.  The returned classification carries
 the raw samples so callers can re-judge.
@@ -45,10 +45,6 @@ class Classification:
     verdict: str
     evidence: tuple  # ((z, trace), ...)
     limit: float | None = None
-
-    @property
-    def is_recurrent(self) -> bool:
-        return self.verdict == RECURRENT
 
 
 def _aitken(seq):
@@ -135,12 +131,15 @@ def classify_recurrence(
 ) -> Classification:
     """Classify a site from the boundary behavior of its return transform.
 
-    At site 0 the supplied evaluator's values are used directly.  Every
-    other site, and site 0 without an evaluator, uses the exact diagonal
-    block of :class:`~qmcspectra.spectral.SiteStieltjes`.
+    Without an evaluator the transform is the exact diagonal block of
+    :class:`~qmcspectra.spectral.SiteStieltjes` at ``site``, on a
+    segment, half-line or line.  A supplied evaluator answers site 0
+    only; with any other site it raises ``ValueError``.
     """
-    if stieltjes is None or site != 0:
+    if stieltjes is None:
         stieltjes = SiteStieltjes(model, site)
+    elif site != 0:
+        raise ValueError(f"an explicit transform evaluator answers site 0, not site {site}")
     return classify(stieltjes, model.trace_vec, model.state_vec(rho), ladder)
 
 
@@ -163,11 +162,8 @@ def km_block(
     The norm (Q_j, Q_j) equals the symmetrizer product pi[j]."""
     if not sym.success:
         raise ValueError("spectral sum needs a successful symmetrizer")
-    nodes = weights.nodes()
-    q = polys.main(nodes, max(i, j))
-    terms = q[j].conj().swapaxes(-1, -2) @ weights.weights() @ q[i]
-    acc = np.einsum("k,kij->ij", nodes**n, terms)
-    return np.linalg.solve(sym.pi[j], acc)
+    q = polys.main(weights.nodes(), max(i, j))
+    return np.linalg.solve(sym.pi[j], weights.moment(n, q[j], q[i]))
 
 
 def km_probability(
@@ -198,12 +194,11 @@ def first_passage_gf(
     s: complex | Array,
     *,
     window: int = 64,
-    method: str = "resolvent",
 ) -> Array:
     """First-passage generating-function block F_ji(s).
 
-    method="resolvent" evaluates s P_j Phi (I - s Q_j Phi)^{-1} on a
-    truncation (P_j projects onto site j, Q_j = I - P_j).  ``s`` is one
+    Evaluates s P_j Phi (I - s Q_j Phi)^{-1} on a truncation (P_j
+    projects onto site j, Q_j = I - P_j).  ``s`` is one
     value or an array of them, and the result has shape
     ``np.shape(s) + (d, d)``.  Masking row j pins x_j = delta_ij I, so
     the system splits at j into two block-tridiagonal halves; each half
@@ -212,12 +207,10 @@ def first_passage_gf(
     F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
     pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
     window.  The window is [-window, window] on a line, [0, window] on a
-    half-line and the whole of a segment.  For i < j the polynomial fast
-    path Q_j(1/s)^{-1} Q_i(1/s) is available as method="polynomial"; the
-    two agree wherever both apply.
+    half-line and the whole of a segment.  For i < j,
+    :func:`first_passage_poly` is the polynomial route
+    Q_j(1/s)^{-1} Q_i(1/s); the two agree wherever both apply.
     """
-    if method == "polynomial":
-        return first_passage_poly(model, j, i, s)
     # the window covers a segment whole, whatever its length
     lo = -window if model.topology.kind == LINE else 0
     hi = window if model.topology.hi is None else model.topology.hi

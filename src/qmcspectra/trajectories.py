@@ -3,9 +3,11 @@
 A trajectory carries a pure lattice position plus a conditioned internal
 density; at each step one Kraus branch (direction, effect) is drawn with
 probability Tr(K rho K*), the state is renormalized, and substochastic
-columns kill the trajectory with the missing mass.  The ensemble is a
-statistically independent oracle for the site-occupation numbers computed
-by direct evolution.
+columns kill the trajectory with the missing mass.  Branch mass above one
+has no such reading and raises ``ArithmeticError``.  One step, shared by
+the single-path sampler and the ensemble, does the drawing for a batch of
+trajectories.  The ensemble is a statistically independent oracle for the
+site-occupation numbers computed by direct evolution.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, trajectory index), so trajectory t consumes its own stream and the
@@ -25,6 +27,7 @@ from .quantum_core import Array
 
 DEAD = np.iinfo(np.int64).min
 NEG_TOL = 1e-12
+MASS_TOL = 1e-9
 
 THREADS_ENV = "QMC_SPECTRA_THREADS"
 
@@ -61,17 +64,15 @@ class OccupationEstimate:
     n_traj: int
     seed: int
 
-    def mean(self, step: int, site: int) -> float:
+    def _at(self, table: Array, step: int, site: int) -> float:
         k = site - self.site_lo
-        if 0 <= k < self.means.shape[1]:
-            return float(self.means[step, k])
-        return 0.0
+        return float(table[step, k]) if 0 <= k < table.shape[1] else 0.0
+
+    def mean(self, step: int, site: int) -> float:
+        return self._at(self.means, step, site)
 
     def stderr(self, step: int, site: int) -> float:
-        k = site - self.site_lo
-        if 0 <= k < self.means.shape[1]:
-            return float(self.stderrs[step, k])
-        return 0.0
+        return self._at(self.stderrs, step, site)
 
     def sites(self) -> range:
         return range(self.site_lo, self.site_lo + self.means.shape[1])
@@ -100,58 +101,91 @@ def _stream_uniforms(seed: int, index: int, steps: int) -> Array:
     return gen.random(steps)
 
 
+def _window(config: TrajectoryConfig) -> tuple[int, int]:
+    """Lowest and highest site a trajectory can reach in config.steps."""
+    topo = config.model.topology
+    lo = config.site - config.steps
+    hi = config.site + config.steps
+    if topo.lo is not None:
+        lo = max(lo, topo.lo)
+    if topo.hi is not None:
+        hi = min(hi, topo.hi)
+    return lo, hi
+
+
+def _step(model: QmcModel, sites: Array, states: Array, r: Array) -> None:
+    """Advance trajectories one step in place, the one branch-selection
+    step of both samplers.
+
+    ``sites`` (n,) and ``states`` (n, dim, dim) hold the trajectories and
+    ``r`` (n,) their uniforms for this step.  Live trajectories are grouped
+    by their pre-step site; each draws the first branch whose cumulative
+    probability Tr(K rho K*) exceeds its uniform, is renormalized and
+    moved, and is killed (site ``DEAD``) when the uniform lies beyond the
+    branch mass.  Raises ``ArithmeticError`` naming the site when a branch
+    probability is negative or a group's branch mass exceeds 1.
+    """
+    # group by the pre-step site table; writes go into `sites` so a
+    # trajectory cannot be stepped twice
+    orig_sites = sites.copy()
+    alive = orig_sites != DEAD
+    for s in np.unique(orig_sites[alive]):
+        idx = np.where(orig_sites == s)[0]
+        branches = _branches(model, int(s))
+        kmats = np.stack([k for _, k in branches])
+        shifts = np.array([sh for sh, _ in branches])
+        probs = np.einsum(
+            "bij,tjk,bik->tb", kmats, states[idx], kmats.conj()
+        ).real
+        if probs.min() < -NEG_TOL:
+            raise ArithmeticError(
+                f"negative branch probability {probs.min()} at site {s}"
+            )
+        np.clip(probs, 0.0, None, out=probs)
+        cum = np.cumsum(probs, axis=1)
+        if cum[:, -1].max() > 1.0 + MASS_TOL:
+            raise ArithmeticError(
+                f"branch probabilities sum to {cum[:, -1].max()} > 1 at site {s}"
+            )
+        choice = (r[idx, None] >= cum).sum(axis=1)  # == len(branches): kill
+        for b in range(len(branches)):
+            loc = np.where(choice == b)[0]
+            if len(loc) == 0:
+                continue
+            sel = idx[loc]
+            k = kmats[b]
+            new = np.einsum("ij,tjk,lk->til", k, states[sel], k.conj())
+            states[sel] = new / probs[loc, b][:, None, None]
+            sites[sel] = s + shifts[b]
+        killed = idx[choice == len(branches)]
+        if len(killed):
+            sites[killed] = DEAD
+
+
 def sample_trajectory(config: TrajectoryConfig, index: int = 0):
     """One sampled path: a list of (site, conditioned density) per step,
-    with (None, None) entries after a kill event."""
+    with (None, None) entries after a kill event.  Trajectory ``index``
+    draws the same stream, and takes the same steps, as it does in
+    :func:`estimate_site_prob`."""
     u = _stream_uniforms(config.seed, index, config.steps)
-    site = config.site
-    rho = config.rho.copy()
-    path = [(site, rho.copy())]
+    sites = np.array([config.site], dtype=np.int64)
+    states = config.rho[None].copy()
+    path = [(config.site, config.rho.copy())]
     for step in range(config.steps):
-        if site is None:
+        _step(config.model, sites, states, u[step : step + 1])
+        if sites[0] == DEAD:
             path.append((None, None))
-            continue
-        branches = _branches(config.model, site)
-        probs = []
-        for _, k in branches:
-            p = float(np.trace(k @ rho @ k.conj().T).real)
-            if p < -NEG_TOL:
-                raise ArithmeticError(f"negative branch probability {p}")
-            probs.append(max(p, 0.0))
-        total = sum(probs)
-        r = u[step]
-        acc = 0.0
-        chosen = None
-        for b, p in enumerate(probs):
-            acc += p
-            if r < acc:
-                chosen = b
-                break
-        if chosen is None:
-            if total > 1.0 + 1e-9:
-                raise ArithmeticError(f"branch probabilities sum to {total} > 1")
-            site, rho = None, None
-            path.append((None, None))
-            continue
-        shift, k = branches[chosen]
-        rho = (k @ rho @ k.conj().T) / probs[chosen]
-        site += shift
-        path.append((site, rho.copy()))
+        else:
+            path.append((int(sites[0]), states[0].copy()))
     return path
 
 
 def _run_block(config: TrajectoryConfig, t0: int, t1: int) -> Array:
     """Occupation counts (steps + 1, window) for trajectories [t0, t1)."""
-    model = config.model
     steps = config.steps
     n = t1 - t0
-    dim = model.dim
-    lo = config.site - steps
-    if model.topology.lo is not None:
-        lo = max(lo, model.topology.lo)
-    hi = config.site + steps
-    if model.topology.hi is not None:
-        hi = min(hi, model.topology.hi)
+    dim = config.model.dim
+    lo, hi = _window(config)
     width = hi - lo + 1
 
     uniforms = np.empty((n, steps), dtype=float)
@@ -164,38 +198,7 @@ def _run_block(config: TrajectoryConfig, t0: int, t1: int) -> Array:
     counts[0, config.site - lo] = n
 
     for step in range(steps):
-        # group by the pre-step site table; writes go into `sites` so a
-        # trajectory cannot be stepped twice
-        orig_sites = sites.copy()
-        alive = orig_sites != DEAD
-        for s in np.unique(orig_sites[alive]):
-            idx = np.where(orig_sites == s)[0]
-            branches = _branches(model, int(s))
-            kmats = np.stack([k for _, k in branches])
-            shifts = np.array([sh for sh, _ in branches])
-            probs = np.einsum(
-                "bij,tjk,bik->tb", kmats, states[idx], kmats.conj()
-            ).real
-            if probs.min() < -NEG_TOL:
-                raise ArithmeticError(
-                    f"negative branch probability {probs.min()} at site {s}"
-                )
-            np.clip(probs, 0.0, None, out=probs)
-            cum = np.cumsum(probs, axis=1)
-            r = uniforms[idx, step]
-            choice = (r[:, None] >= cum).sum(axis=1)  # == len(branches): kill
-            for b in range(len(branches)):
-                loc = np.where(choice == b)[0]
-                if len(loc) == 0:
-                    continue
-                sel = idx[loc]
-                k = kmats[b]
-                new = np.einsum("ij,tjk,lk->til", k, states[sel], k.conj())
-                states[sel] = new / probs[loc, b][:, None, None]
-                sites[sel] = s + shifts[b]
-            killed = idx[choice == len(branches)]
-            if len(killed):
-                sites[killed] = DEAD
+        _step(config.model, sites, states, uniforms[:, step])
         landed = sites[sites != DEAD]
         if len(landed):
             counts[step + 1] += np.bincount(landed - lo, minlength=width)
@@ -215,13 +218,6 @@ def estimate_site_prob(config: TrajectoryConfig) -> OccupationEstimate:
             )
     else:
         parts = [_run_block(config, t0, t1) for t0, t1 in blocks]
-    counts = parts[0]
-    for p in parts[1:]:
-        counts = counts + p
-    means = counts / config.n_traj
+    means = sum(parts[1:], parts[0]) / config.n_traj
     stderrs = np.sqrt(np.clip(means * (1.0 - means), 0.0, None) / config.n_traj)
-    steps = config.steps
-    lo = config.site - steps
-    if config.model.topology.lo is not None:
-        lo = max(lo, config.model.topology.lo)
-    return OccupationEstimate(lo, means, stderrs, config.n_traj, config.seed)
+    return OccupationEstimate(_window(config)[0], means, stderrs, config.n_traj, config.seed)

@@ -320,7 +320,6 @@ def test_first_passage_site_outside_window_is_schema_error(files, capsys):
     [
         ("hop", ["--site", "-3"]),
         ("shear", ["--site", "99"]),
-        ("diagline", ["--site", "3"]),
     ],
 )
 def test_recurrence_site_outside_window_is_schema_error(files, capsys, model, extra):
@@ -330,6 +329,54 @@ def test_recurrence_site_outside_window_is_schema_error(files, capsys, model, ex
     assert code == 3
     assert err.startswith("error: bad recurrence query:")
     assert "Traceback" not in err
+
+
+def test_recurrence_on_a_line_at_any_site(files, capsys):
+    out = run_json(
+        capsys,
+        ["recurrence", files["diagline"], "--site", "3", "--density", files["rho10"]],
+    )
+    assert out["verdict"] == "transient"
+    assert out["limit"] == pytest.approx(3.0, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "model, site, method",
+    [
+        ("seg", "1", "homogeneous"),
+        ("hop", "1", "truncated"),
+        ("diagline", "0", "truncated"),
+        ("diagline", "2", "corner"),
+    ],
+)
+def test_recurrence_explicit_method_is_never_ignored(files, capsys, tmp_path, model, site, method):
+    # an explicit method names a site-0 evaluator of a chain bounded below
+    if model == "seg":
+        seg = models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25)
+        path = str(tmp_path / "seg.json")
+        Path(path).write_text(json.dumps(model_to_dict(seg)))
+    else:
+        path = files[model]
+    code, err = run_error(
+        capsys,
+        ["recurrence", path, "--site", site, "--density", files["rho_sym"], "--method", method],
+    )
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_simulate_branch_mass_above_one_is_numerical_failure(files, capsys, tmp_path):
+    # r + s + t = 1.3: every column carries branch mass 1.3
+    path = tmp_path / "hop_over.json"
+    path.write_text(json.dumps(model_to_dict(models.uniform_hopping_line(0.5, 0.5, 0.5, 0.4, 0.4))))
+    code, err = run_error(
+        capsys,
+        ["simulate", str(path), "--trajectories", "2000", "--steps", "3",
+         "--density", files["rho_sym"]],
+    )
+    assert code == 4
+    assert "> 1 at site 0" in err
 
 
 def test_unknown_flag_rejected(files):

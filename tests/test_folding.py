@@ -24,11 +24,13 @@ from qmcspectra.folding import (
     unfold_block,
 )
 from qmcspectra.spectral import (
+    SiteStieltjes,
     TruncatedStieltjes,
     find_symmetrizer,
     stieltjes_folded,
     transform_evaluator,
 )
+from qmcspectra.statistics import classify
 
 from conftest import random_complex
 
@@ -212,8 +214,12 @@ def test_diagonal_walk_line_classification():
     cls_m1 = classify_recurrence_on_line(m, -1, np.diag([1.0, 0.0]))
     assert cls_m1.verdict == "transient"
     assert cls_m1.limit == pytest.approx(3.0, abs=1e-4)
-    with pytest.raises(ValueError):
-        classify_recurrence_on_line(m, 2, np.eye(2) / 2)
+    # every line site is classified, and site 2 behaves like site 0 too
+    cls_2 = classify_recurrence_on_line(m, 2, np.diag([1.0, 0.0]))
+    assert cls_2.verdict == "transient"
+    assert cls_2.limit == pytest.approx(cls.limit, abs=1e-9)
+    with pytest.raises(ValueError, match="line model"):
+        classify_recurrence_on_line(models.flip_channel_half_line(0.7, 0.8), 0, np.eye(2) / 2)
 
 
 def test_hopping_line_recurrent_iff_balanced():
@@ -301,3 +307,47 @@ def test_fold_handles_line_overrides(rng):
         }.items():
             direct = line_power_block(m, j, i, n)
             assert np.abs(unfold_block(blk, quad) - direct).max() < 1e-12
+
+
+LEAKY_HOLD1 = {1: {"B": block_from_kraus(models.exchange_hold_block(0.3, 0.6, -0.3))}}
+
+
+@pytest.mark.parametrize("leaky", [False, True])
+@pytest.mark.parametrize("site", [2, -3])
+def test_line_sites_away_from_the_fold_match_series_limit(site, leaky):
+    # sites the split identities cannot reach, on a line with an override;
+    # the site-0 hold keeps every return limit at 10, while a leaky hold
+    # at site 1 makes the limit differ from site to site
+    m = with_hold_at(models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3), 0)
+    if leaky:
+        m = dataclasses.replace(m, overrides=LEAKY_HOLD1, substochastic=True)
+    rho = np.array([[0.6, 0.1 - 0.05j], [0.1 + 0.05j, 0.4]])
+    cls = classify_recurrence_on_line(m, site, rho)
+    assert cls.verdict == "transient"
+    series = site_prob_series(m, site, site, rho, 3000).sum()
+    assert cls.limit == pytest.approx(series, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "make, rho",
+    [
+        (models.diagonal_coin_line_walk, np.diag([1.0, 0.0])),
+        (models.diagonal_coin_line_walk, np.eye(2) / 2),
+        (models.tilted_shear_line, np.diag([0.3, 0.7])),
+    ],
+)
+@pytest.mark.parametrize("site", [0, -1])
+def test_line_classification_matches_split_identities(make, rho, site):
+    m = make()
+    cls = classify_recurrence_on_line(m, site, rho)
+    folded = classify(FoldedTransformEvaluator(m, site), m.trace_vec, m.state_vec(rho))
+    assert cls.verdict == folded.verdict
+    if folded.limit is None:
+        assert cls.limit is None
+    else:
+        assert cls.limit == pytest.approx(folded.limit, abs=1e-9)
+    # the site route is the exact transform itself
+    z = 1.25
+    direct = SiteStieltjes(m, site).evaluate(z).value
+    split = FoldedTransformEvaluator(m, site).evaluate(z).value
+    assert np.abs(direct - split).max() < 1e-9

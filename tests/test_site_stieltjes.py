@@ -17,7 +17,7 @@ from qmcspectra.chain_model import (
     resolvent_block,
     segment,
 )
-from qmcspectra.folding import FoldedTransformEvaluator, classify_recurrence_on_line, half_line_evaluators
+from qmcspectra.folding import FoldedTransformEvaluator, half_line_evaluators
 from qmcspectra.spectral import (
     SiteStieltjes,
     StieltjesEvaluator,
@@ -167,7 +167,8 @@ def _warm_chain(spy):
 def test_folded_halves_are_warm_started():
     m = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
     plus, minus = (Spy(ev) for ev in half_line_evaluators(m))
-    classify_recurrence_on_line(m, 0, np.eye(2) / 2, plus=plus, minus=minus)
+    ev = FoldedTransformEvaluator(m, 0, plus=plus, minus=minus)
+    classify(ev, m.trace_vec, m.state_vec(np.eye(2) / 2))
     assert len(plus.x0s) == len(minus.x0s) == len(DEFAULT_LADDER)
     assert _warm_chain(plus) and _warm_chain(minus)
 

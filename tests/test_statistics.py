@@ -383,6 +383,13 @@ def test_classifier_agrees_with_partial_sums():
     assert partial == pytest.approx(cls.limit, abs=1e-4)
 
 
+def test_explicit_evaluator_answers_site_zero_only():
+    m = models.flip_channel_half_line(0.7, 0.8)
+    ev = HomogeneousStieltjes.from_model(m)
+    with pytest.raises(ValueError, match="site 1"):
+        classify_recurrence(m, 1, np.eye(2) / 2, ev)
+
+
 def test_general_site_classification_truncated():
     m = models.flip_channel_half_line(0.7, 0.8)
     rho = np.diag([0.5, 0.5])

@@ -171,3 +171,29 @@ def test_flip_channel_full_mode_occupation():
         assert exact == pytest.approx(site_prob(mc, 0, site, rho, 10), abs=1e-12)
         se = max(est.stderr(10, site), 1e-4)
         assert abs(est.mean(10, site) - exact) < 3 * se
+
+
+def test_single_paths_replay_the_ensemble():
+    # trajectory t draws the same Philox stream in both samplers, so the
+    # site histogram of the single paths is the ensemble's count table
+    m = models.three_site_absorbing_oqw()
+    rho = np.array([[0.3, 0.1], [0.1, 0.7]])
+    cfg = TrajectoryConfig(m, 1, rho, steps=6, n_traj=300, seed=17)
+    est = estimate_site_prob(cfg)
+    counts = np.zeros_like(est.means)
+    for t in range(cfg.n_traj):
+        for step, (site, _) in enumerate(sample_trajectory(cfg, t)):
+            if site is not None:
+                counts[step, site - est.site_lo] += 1
+    assert counts[-1].sum() < cfg.n_traj  # some paths were killed
+    assert np.array_equal(counts / cfg.n_traj, est.means)
+
+
+@pytest.mark.parametrize("sampler", [estimate_site_prob, sample_trajectory])
+def test_branch_mass_above_one_raises(sampler):
+    # r + s + t = 1.3: the columns carry more mass than a trajectory can
+    # split, which direct evolution shows as total trace 1.3^n
+    m = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.4, 0.4)
+    cfg = TrajectoryConfig(m, 0, np.eye(2) / 2, steps=3, n_traj=2000, seed=1)
+    with pytest.raises(ArithmeticError, match="at site 0"):
+        sampler(cfg)
