@@ -56,27 +56,34 @@ class SemiOrthogonalSystem:
         return self.weight.moment(n, q[i], q[j])
 
 
+def _semiorth_norm(weight: DiscreteWeight, i: int, q_j: Array) -> float:
+    return float(np.linalg.norm(weight.moment(i, right=q_j), 2))
+
+
 def semiorth_residual_of(
     weight: DiscreteWeight, polys: PolyFamily, i: int, j: int
 ) -> float:
-    q = polys.main(weight.nodes(), max(j, 1))[j]
-    return float(np.linalg.norm(weight.moment(i, right=q), 2))
+    return _semiorth_norm(weight, i, polys.main(weight.nodes(), max(j, 1))[j])
 
 
 def nonsym_finite_weights(
     model: QmcModel, *, max_order: int | None = None
 ) -> SemiOrthogonalSystem:
     """Weight family of a finite chain by corner residues, complex nodes
-    allowed, with the one-sided orthogonality residual table attached."""
+    allowed, with the one-sided orthogonality residual table attached.
+
+    One evaluation of the polynomial family at the nodes serves the
+    whole table."""
     weight = finite_spectrum_weights(model)
-    polys = PolyFamily(model)
     top = model.topology.num_sites - 1
     if max_order is not None:
         top = min(top, max_order)
     residuals = {}
-    for j in range(1, top + 1):
-        for i in range(0, j):
-            residuals[(i, j)] = semiorth_residual_of(weight, polys, i, j)
+    if top >= 1:
+        q = PolyFamily(model).main(weight.nodes(), top)
+        for j in range(1, top + 1):
+            for i in range(0, j):
+                residuals[(i, j)] = _semiorth_norm(weight, i, q[j])
     return SemiOrthogonalSystem(model, weight, residuals)
 
 

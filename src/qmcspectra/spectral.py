@@ -8,9 +8,13 @@ block-Schur sweep covers the rest.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
-the value.  :func:`transform_evaluator` holds the one route policy; the
-CLI and the half-chains of a folded line chain both take their
-evaluators from it.
+the value, except :class:`TruncatedStieltjes`, whose residual is the step
+between its last two windows; it runs a whole ladder of points as one
+stacked sweep and continues that sweep, instead of restarting it, at each
+window doubling.  :meth:`StieltjesEvaluator.ladder` is the one rung
+walker of every ladder.  :func:`transform_evaluator` holds the one route
+policy; the CLI and the half-chains of a folded line chain both take
+their evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -319,6 +323,18 @@ class StieltjesEvaluator:
     def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
         raise NotImplementedError
 
+    def ladder(self, points):
+        """Yield (z, EvalResult) at each point in turn, every evaluation
+        warm-started from the previous one's :meth:`EvalResult.warm`.
+
+        The one rung walker of the recurrence ladder, the jump at one and
+        the residue probe; each z is the caller's own point object."""
+        warm = None
+        for z in points:
+            res = self.evaluate(z, x0=warm)
+            warm = res.warm()
+            yield z, res
+
     def __call__(self, z: complex) -> Array:
         res = self.evaluate(z)
         if res.residual > self.tolerance:
@@ -362,22 +378,45 @@ class StieltjesEvaluator:
         return val
 
 
-def _warm_ladder(evaluator: StieltjesEvaluator, points):
-    """Yield (z, EvalResult) at each point in turn, every evaluation
-    warm-started from the previous one's :meth:`EvalResult.warm`.
+def _continued_corners(model: QmcModel, zs: Array, windows):
+    """Corner stacks of the absorbing truncations of a chain bounded from
+    below, one per window in ``windows`` (ascending), for the points
+    ``zs``, each ``np.array_equal`` to ``corner_resolvent(model, zs, w)``.
 
-    The one rung loop of the recurrence ladder, the jump at one and the
-    residue probe."""
-    warm = None
-    for z in points:
-        res = evaluator.evaluate(z, x0=warm)
-        warm = res.warm()
-        yield z, res
+    Sites at and above h = max(overrides) + 1 hold the homogeneous B and
+    A, and the C of the site above, so the inverse pivot at h after
+    eliminating the tail above it depends only on the tail's length: a
+    longer window continues the kept tail pivot by its new tail sites
+    instead of sweeping again from the far end.  Only the head sites
+    below h are swept again for each window, and a window that does not
+    reach past h is swept whole.  Sending a boolean mask keeps only those
+    points for the later windows.
+    """
+    table = block_table(model, 0, windows[-1] - 1)
+    h = max(model.overrides, default=0) + 1
+    tail, done = None, 0
+    for w in windows:
+        new = max(w - h, 0) - done
+        tail = schur_sweep(table, 0, range(h + new - 1, h - 1, -1), z=zs, closing=tail)
+        done += new
+        keep = yield schur_sweep(table, 0, range(min(h, w) - 1, -1, -1), z=zs, closing=tail)
+        if keep is not None:
+            zs, tail = zs[keep], None if tail is None else tail[keep]
 
 
 class TruncatedStieltjes(StieltjesEvaluator):
     """Corner resolvent of an absorbing truncation, window-doubled until
-    the value stabilizes."""
+    the value stabilizes.
+
+    A point stops at its first window whose step from the previous window
+    is at most ``tolerance``, or else at the last of ``max_doublings``
+    doublings.  Its residual is that step between its last two windows,
+    not a defining-equation residual.  A ladder of points runs as one
+    stacked sweep, and each doubling continues the previous window's
+    sweep by the new homogeneous tail sites (:func:`_continued_corners`);
+    the values are those of a fresh sweep of every window.  A segment is
+    swept once over all its sites, with residual 0.
+    """
 
     method = "truncated"
 
@@ -388,28 +427,45 @@ class TruncatedStieltjes(StieltjesEvaluator):
                 "truncated transforms need a chain bounded from below; fold "
                 "line models first"
             )
+        if window < 1:
+            raise ValueError(f"truncation window must be at least 1, not {window}")
+        if max_doublings < 1:
+            raise ValueError(f"max_doublings must be at least 1, not {max_doublings}")
         self.model = model
         self.window = window
         self.tolerance = tolerance
         self.max_doublings = max_doublings
 
     def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
+        ((_, res),) = self.ladder([z])
+        return res
+
+    def ladder(self, points):
+        points = list(points)
+        zs = np.array(points, dtype=complex)
         topo = self.model.topology
         if topo.kind == SEGMENT:
-            depth = topo.num_sites
-            value = corner_resolvent(self.model, z, depth)
-            return EvalResult(value, 0.0, self.method)
-        window = self.window
-        prev = corner_resolvent(self.model, z, window)
-        residual = np.inf
-        for _ in range(max(self.max_doublings, 1)):
-            window *= 2
-            cur = corner_resolvent(self.model, z, window)
-            residual = float(np.linalg.norm(cur - prev, 2))
-            prev = cur
-            if residual <= self.tolerance:
-                return EvalResult(cur, residual, self.method)
-        return EvalResult(prev, residual, self.method)
+            values = corner_resolvent(self.model, zs, topo.num_sites)
+            for z, value in zip(points, values):
+                yield z, EvalResult(value, 0.0, self.method)
+            return
+        windows = [self.window * 2**k for k in range(self.max_doublings + 1)]
+        results = [None] * len(points)
+        active = np.arange(len(points))
+        sweep = _continued_corners(self.model, zs, windows)
+        prev, keep = next(sweep), None
+        for k in range(1, len(windows)):
+            cur = sweep.send(keep)
+            steps = np.linalg.norm(cur - prev, 2, axis=(-2, -1))
+            stop = (steps <= self.tolerance) | (k == len(windows) - 1)
+            for i, value, step in zip(active[stop], cur[stop], steps[stop]):
+                results[i] = EvalResult(value, float(step), self.method)
+            keep = ~stop
+            if not keep.any():
+                break
+            active, prev = active[keep], cur[keep]
+        for z, res in zip(points, results):
+            yield z, res
 
 
 def _quadratic_residual(a, b, c, z, x) -> float:
@@ -708,7 +764,7 @@ def residue_probe(
     surrounding continuous spectrum on the real axis; real-direction
     probes may hit singular evaluations (themselves a point-mass
     indicator)."""
-    rungs = _warm_ladder(evaluator, [x0 + eps * direction for eps in eps_ladder])
+    rungs = evaluator.ladder([x0 + eps * direction for eps in eps_ladder])
     samples = [eps * direction * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     # remove the leading analytic background, linear in eps
     return samples[-1] + (samples[-1] - samples[-2]) / (

@@ -28,7 +28,6 @@ from .spectral import (
     SiteStieltjes,
     StieltjesEvaluator,
     Symmetrizer,
-    _warm_ladder,
 )
 
 RECURRENT = "recurrent"
@@ -112,11 +111,11 @@ def trace_action(model_or_trace, value: Array, rho_vec: Array) -> float:
 def classify(
     evaluator: StieltjesEvaluator, trace_vec: Array, rho_vec: Array, ladder=DEFAULT_LADDER
 ) -> Classification:
-    """Verdict from Re tr(value rho) sampled down the ladder, each rung
-    warm-started from the previous one's :meth:`EvalResult.warm`."""
+    """Verdict from Re tr(value rho) sampled down the ladder, whose rungs
+    the evaluator walks with its :meth:`~StieltjesEvaluator.ladder`."""
     samples = [
         (z, trace_action(trace_vec, res.value, rho_vec))
-        for z, res in _warm_ladder(evaluator, ladder)
+        for z, res in evaluator.ladder(ladder)
     ]
     return classify_from_samples(samples)
 
@@ -337,7 +336,7 @@ def jump_at_one(
     criterion.
     """
     eps_ladder = [10.0**-m for m in m_range]
-    rungs = _warm_ladder(evaluator, [1.0 + eps for eps in eps_ladder])
+    rungs = evaluator.ladder([1.0 + eps for eps in eps_ladder])
     samples = [eps * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     p2, p1, p0 = samples[-3], samples[-2], samples[-1]
     d1 = p0 - p1

@@ -304,6 +304,13 @@ def run_error(capsys, argv):
     return code, captured.err
 
 
+@pytest.mark.parametrize("window", ["0", "-4"])
+def test_truncated_empty_window_is_schema_error(files, capsys, window):
+    code, err = run_error(capsys, ["stieltjes", files["flip"], "--z", "1.5",
+                                   "--method", "truncated", "--window", window])
+    assert code == 3 and "window must be at least 1" in err
+
+
 def test_first_passage_site_outside_window_is_schema_error(files, capsys):
     code, err = run_error(
         capsys,

@@ -3,8 +3,10 @@ import pytest
 
 from qmcspectra import models
 from qmcspectra.chain_model import site_prob_series, truncate
+from qmcspectra.polynomials import PolyFamily
 from qmcspectra.nonsymmetric import (
     classify_recurrence_homogeneous,
+    semiorth_residual_of,
     km_row0,
     km_row0_probability,
     nonsym_finite_weights,
@@ -240,3 +242,25 @@ def test_balanced_shift_classifications():
     )
     assert cls0.verdict == "transient"
     assert cls0.limit == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("sites", [2, 8, 16])
+def test_residual_table_from_one_polynomial_evaluation(sites, monkeypatch):
+    m = models.shear_coin_segment(sites)
+    calls = []
+    main = PolyFamily.main
+
+    def counting(self, x, n_max):
+        calls.append(n_max)
+        return main(self, x, n_max)
+
+    monkeypatch.setattr(PolyFamily, "main", counting)
+    system = nonsym_finite_weights(m)
+    assert calls == [sites - 1]
+    monkeypatch.setattr(PolyFamily, "main", main)
+    polys = PolyFamily(m)
+    want = {
+        (i, j): semiorth_residual_of(system.weight, polys, i, j)
+        for j in range(1, sites) for i in range(j)
+    }
+    assert system.residuals == want

@@ -21,7 +21,6 @@ from qmcspectra.folding import FoldedTransformEvaluator, half_line_evaluators
 from qmcspectra.spectral import (
     SiteStieltjes,
     StieltjesEvaluator,
-    _warm_ladder,
     residue_probe,
     transform_evaluator,
 )
@@ -124,7 +123,7 @@ def test_hopping_site1_limit_matches_birth_death(r, t):
 def test_up_corner_flip_auto_rungs_are_certified():
     # acceptance 4d's chain: the auto route is exact down the whole ladder
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
-    rungs = list(_warm_ladder(transform_evaluator(m, "auto"), DEFAULT_LADDER))
+    rungs = list(transform_evaluator(m, "auto").ladder(DEFAULT_LADDER))
     assert len(rungs) == len(DEFAULT_LADDER)
     assert max(res.residual for _, res in rungs) <= 1e-12
 

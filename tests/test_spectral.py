@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 
-from qmcspectra import models
-from qmcspectra.chain_model import Block, QmcModel, segment, truncate
+from qmcspectra import models, spectral
+from qmcspectra.chain_model import (
+    Block,
+    QmcModel,
+    corner_resolvent,
+    half_line,
+    schur_sweep,
+    segment,
+    truncate,
+)
 from qmcspectra.spectral import (
     ConvergenceError,
     CornerStieltjes,
     HomogeneousStieltjes,
     SpectralError,
     TruncatedStieltjes,
+    _continued_corners,
     double_root_weight,
     find_symmetrizer,
     finite_spectrum_weights,
     residue_probe,
     stieltjes_folded,
 )
+from qmcspectra.statistics import DEFAULT_LADDER
 
 
 def scalar_chain(a, c, b=0.0, topology=None):
@@ -340,3 +350,127 @@ def test_evaluator_call_enforces_tolerance():
     strict = HomogeneousStieltjes.from_model(m, tolerance=0.0)
     with pytest.raises(ConvergenceError):
         strict(1.4)
+
+
+# -- stacked, continued truncation ladder -----------------------------
+
+def _override_above_first_window():
+    # window 8 with an override at site 12: the first window lies below
+    # the homogeneous tail, the second reaches past it
+    rng = np.random.default_rng(12)
+
+    def blk():
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return Block(0.25 * m / np.linalg.norm(m, 2))
+
+    return QmcModel(
+        topology=half_line(), dim=None, block_dim=2, mode="abstract",
+        blocks={role: blk() for role in "ABC"},
+        overrides={12: {"B": blk(), "C": blk()}}, substochastic=True,
+    )
+
+
+CONTINUED_CHAINS = {
+    "up_corner_flip": (lambda: models.flip_channel_half_line(0.7, 0.8, corner="up"), 50),
+    "hopping": (lambda: models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.3), 50),
+    "override_at_12": (_override_above_first_window, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUED_CHAINS))
+def test_continued_corner_stacks_equal_fresh_sweeps(name):
+    make, w0 = CONTINUED_CHAINS[name]
+    m = make()
+    # ladder points and an off-axis point in one stack
+    zs = np.array(list(DEFAULT_LADDER) + [1.5 + 0.3j])
+    windows = [w0 * 2**k for k in range(4)]
+    stacks = list(_continued_corners(m, zs, windows))
+    assert len(stacks) == len(windows)
+    for w, got in zip(windows, stacks):
+        assert np.array_equal(got, corner_resolvent(m, zs, w))
+
+
+def test_continued_corners_keep_only_sent_points():
+    m = _override_above_first_window()
+    zs = np.array([1.1, 1.5 + 0.3j, 2.0])
+    sweep = _continued_corners(m, zs, [8, 16, 32])
+    next(sweep)
+    keep = np.array([True, False, True])
+    assert np.array_equal(sweep.send(keep), corner_resolvent(m, zs[keep], 16))
+    assert np.array_equal(next(sweep), corner_resolvent(m, zs[keep], 32))
+
+
+@pytest.mark.parametrize("corner", [None, "up"])
+def test_truncated_ladder_equals_one_point_evaluations(corner):
+    m = models.flip_channel_half_line(0.7, 0.8, corner=corner)
+    ev = TruncatedStieltjes(m, window=100)
+    points = list(DEFAULT_LADDER) + [1.5 + 0.3j]
+    rungs = list(ev.ladder(points))
+    assert len(rungs) == len(points)
+    for (z, res), point in zip(rungs, points):
+        assert z is point
+        one = ev.evaluate(point)
+        assert np.array_equal(res.value, one.value)
+        assert res.residual == one.residual
+        assert res.method == "truncated"
+    # the off-axis point converges, the rungs nearest 1 do not
+    assert rungs[-1][1].residual <= ev.tolerance
+    assert rungs[-2][1].residual > ev.tolerance
+
+
+def test_truncated_point_stops_at_its_first_converged_window():
+    m = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    ev = TruncatedStieltjes(m, window=50, max_doublings=3)
+    for z in (1.5 + 0.3j, 1.0 + 1e-4):
+        res = ev.evaluate(z)
+        values = [corner_resolvent(m, z, 50 * 2**k) for k in range(4)]
+        steps = [float(np.linalg.norm(b - a, 2)) for a, b in zip(values, values[1:])]
+        stop = next((k for k, s in enumerate(steps) if s <= ev.tolerance), len(steps) - 1)
+        assert np.array_equal(res.value, values[stop + 1])
+        assert res.residual == steps[stop]
+
+
+def test_truncated_segment_ladder_is_one_sweep_over_all_sites():
+    m = models.uniform_hopping_segment(6, 0.5, 0.5, 0.5, 0.25, 0.25)
+    points = [1.5 + 0.3j, 1.01, 2.0]
+    rungs = list(TruncatedStieltjes(m, window=2).ladder(points))
+    want = corner_resolvent(m, np.array(points, dtype=complex), 6)
+    for (z, res), point, value in zip(rungs, points, want):
+        assert z is point
+        assert np.array_equal(res.value, value)
+        assert res.residual == 0.0
+
+
+def test_truncated_ladder_sweeps_each_tail_site_once(monkeypatch):
+    m = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    window, doublings = 50, 3
+    h = max(m.overrides) + 1
+    swept = []
+
+    def counting(table, lo, sites, **kw):
+        swept.append(len(sites))
+        return schur_sweep(table, lo, sites, **kw)
+
+    monkeypatch.setattr(spectral, "schur_sweep", counting)
+    monkeypatch.setattr(spectral, "corner_resolvent",
+                        lambda *a, **k: pytest.fail("restarted corner sweep"))
+    ev = TruncatedStieltjes(m, window=window, max_doublings=doublings)
+    rungs = list(ev.ladder(DEFAULT_LADDER))
+    # the rungs nearest 1 never converge, so every window is swept
+    assert rungs[-1][1].residual > ev.tolerance
+    last = window * 2**doublings
+    # each tail site once, plus the h head sites again for every window
+    assert sum(swept) == (last - h) + (doublings + 1) * h
+    assert sum(swept) <= last + doublings * h
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"window": 0}, "window"),
+    ({"window": -3}, "window"),
+    ({"max_doublings": 0}, "max_doublings"),
+    ({"max_doublings": -2}, "max_doublings"),
+])
+def test_truncated_rejects_empty_window_and_no_doubling(kw, match):
+    m = models.flip_channel_half_line(0.7, 0.8)
+    with pytest.raises(ValueError, match=match):
+        TruncatedStieltjes(m, **kw)
