@@ -70,6 +70,14 @@ class Topology:
             return False
         return True
 
+    def clip(self, lo: int, hi: int) -> tuple[int, int]:
+        """The window [lo, hi] clipped to the sites of the topology."""
+        if self.lo is not None:
+            lo = max(lo, self.lo)
+        if self.hi is not None:
+            hi = min(hi, self.hi)
+        return lo, hi
+
 
 def segment(num_sites: int) -> Topology:
     return Topology(SEGMENT, num_sites)
@@ -220,17 +228,18 @@ class QmcModel:
         t = self.trace_vec
         return float(np.linalg.norm(t @ total - t))
 
-    def tp_report(self, probe_sites: int = 4) -> dict[int, float]:
-        """Column defects for representative sites (edges plus interior)."""
+    def tp_report(self) -> dict[int, float]:
+        """Column defects for representative sites: every site of a
+        segment; otherwise the overrides, 0, 1, 2 and 4, mirrored on a
+        line."""
         topo = self.topology
-        sites: list[int] = []
         if topo.kind == SEGMENT:
             sites = list(range(topo.num_sites))
         else:
             candidates = set(self.overrides)
-            candidates.update({0, 1, 2, probe_sites})
+            candidates.update({0, 1, 2, 4})
             if topo.kind == LINE:
-                candidates.update({-1, -2, -probe_sites})
+                candidates.update({-1, -2, -4})
             sites = sorted(s for s in candidates if topo.contains(s))
         return {s: self.column_defect(s) for s in sites}
 
@@ -248,15 +257,22 @@ class QmcModel:
     # -- convenience --------------------------------------------------
 
     def state_vec(self, rho) -> Array:
-        """Representation vector of a density block for this model."""
+        """Representation vector of a density block for this model.
+
+        Raises ``ValueError`` when its length is not ``block_dim``."""
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim == 1:
-            if rho.shape[0] != self.block_dim:
-                raise ValueError("state vector has wrong length")
-            return rho
-        if self.mode == "compact":
-            return compact_vec(rho)
-        return vec(rho)
+            v = rho
+        elif self.mode == "compact":
+            v = compact_vec(rho)
+        else:
+            v = vec(rho)
+        if v.shape != (self.block_dim,):
+            raise ValueError(
+                f"density of shape {rho.shape} gives a state vector of shape "
+                f"{v.shape}, but the model's blocks act on shape ({self.block_dim},)"
+            )
+        return v
 
     def state_matrix(self, v) -> Array:
         if self.mode == "compact":
@@ -431,11 +447,7 @@ class TruncatedOperator:
 
 def truncate(model: QmcModel, lo: int, hi: int) -> TruncatedOperator:
     """Assemble the dense window [lo, hi] of the block matrix."""
-    topo = model.topology
-    if topo.lo is not None:
-        lo = max(lo, topo.lo)
-    if topo.hi is not None:
-        hi = min(hi, topo.hi)
+    lo, hi = model.topology.clip(lo, hi)
     if hi < lo:
         raise ValueError("empty truncation window")
     d = model.block_dim
@@ -525,13 +537,7 @@ def evolve(model: QmcModel, state: LatticeState, n: int) -> LatticeState:
 
 
 def step(model: QmcModel, state: LatticeState) -> LatticeState:
-    topo = model.topology
-    lo = state.offset - 1
-    hi = state.offset + state.data.shape[0]
-    if topo.lo is not None:
-        lo = max(lo, topo.lo)
-    if topo.hi is not None:
-        hi = min(hi, topo.hi)
+    lo, hi = model.topology.clip(state.offset - 1, state.offset + state.data.shape[0])
     S = hi - lo + 1
     d = model.block_dim
     new = np.zeros((S, d), dtype=complex)
@@ -599,15 +605,6 @@ def site_prob_series(model: QmcModel, i: int, j: int, rho, n_max: int) -> Array:
 # ---------------------------------------------------------------------
 
 
-def _window_bounds(model: QmcModel, window: int) -> tuple[int, int]:
-    topo = model.topology
-    lo = -window if topo.kind == LINE else 0
-    hi = window
-    if topo.hi is not None:
-        hi = min(hi, topo.hi)
-    return lo, hi
-
-
 def resolvent_block(
     model: QmcModel,
     j: int,
@@ -624,7 +621,7 @@ def resolvent_block(
     point for the value to represent the untruncated chain; it is the
     reference that the exact routes are tested against.
     """
-    lo, hi = _window_bounds(model, window)
+    lo, hi = model.topology.clip(-window, window)
     if not (lo <= i <= hi and lo <= j <= hi):
         raise ValueError("requested sites outside truncation window")
     trunc = truncate(model, lo, hi)
@@ -744,7 +741,5 @@ def corner_resolvent(model: QmcModel, z: complex | Array, depth: int) -> Array:
     """
     if model.topology.kind == LINE:
         raise ValueError("corner resolvent needs a bounded-from-below chain")
-    hi = depth - 1
-    if model.topology.hi is not None:
-        hi = min(hi, model.topology.hi)
+    _, hi = model.topology.clip(0, depth - 1)
     return schur_sweep(block_table(model, 0, hi), 0, range(hi, -1, -1), z=z)

@@ -61,9 +61,9 @@ def encode_value(v):
     return v
 
 
-def emit(payload, stream=None) -> None:
-    json.dump(encode_value(payload), stream or sys.stdout, indent=1)
-    (stream or sys.stdout).write("\n")
+def emit(payload) -> None:
+    json.dump(encode_value(payload), sys.stdout, indent=1)
+    sys.stdout.write("\n")
 
 
 def _load_model(path: str) -> QmcModel:
@@ -128,9 +128,9 @@ def cmd_evolve(args) -> None:
     rho = _load_density(args.density)
     try:
         state = chain_model.LatticeState.from_density(model, args.site, rho)
+        state = chain_model.evolve(model, state, args.steps)
     except ValueError as exc:
-        raise CliError(f"density incompatible with model: {exc}", EXIT_SCHEMA) from exc
-    state = chain_model.evolve(model, state, args.steps)
+        raise CliError(f"bad evolution query: {exc}", EXIT_SCHEMA) from exc
     sites = []
     for k, v in state.items():
         tr = model.trace_of(v)
@@ -287,6 +287,8 @@ def cmd_poly(args) -> None:
             out = {"family": "folded", "values": values}
     except np.linalg.LinAlgError as exc:
         raise CliError(f"polynomial recurrence failed: {exc}", EXIT_NUMERIC) from exc
+    except ValueError as exc:
+        raise CliError(f"bad polynomial query: {exc}", EXIT_SCHEMA) from exc
     out["x"] = x
     emit(out)
 
@@ -299,8 +301,10 @@ def cmd_simulate(args) -> None:
             model, args.site, rho, args.steps, args.trajectories, args.seed
         )
         est = trajectories.estimate_site_prob(cfg)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         raise CliError(f"simulation failed: {exc}", EXIT_NUMERIC) from exc
+    except ValueError as exc:
+        raise CliError(f"bad simulation query: {exc}", EXIT_SCHEMA) from exc
     out = sys.stdout
     out.write("step,site,mean,stderr\n")
     for step in range(est.means.shape[0]):

@@ -42,7 +42,7 @@ from .spectral import (
     stieltjes_folded,
     transform_evaluator,
 )
-from .statistics import Classification, DEFAULT_LADDER, classify_recurrence
+from .statistics import Classification, classify_recurrence
 
 QUADRANTS = {(1, 1): (0, 0), (1, 2): (0, 1), (2, 1): (1, 0), (2, 2): (1, 1)}
 
@@ -195,15 +195,7 @@ def half_line_evaluators(
     )
 
 
-def km_on_line(
-    model: QmcModel,
-    j: int,
-    i: int,
-    n: int,
-    *,
-    window: int | None = None,
-    sym: Symmetrizer | None = None,
-) -> Array:
+def km_on_line(model: QmcModel, j: int, i: int, n: int) -> Array:
     """n-step block (j, i) of a line chain through the spectral sum of its
     folded truncation.
 
@@ -214,10 +206,8 @@ def km_on_line(
     """
     fj = j if j >= 0 else -j - 1
     fi = i if i >= 0 else -i - 1
-    if window is None:
-        window = max(fj, fi) + n + 2
-    if sym is None:
-        sym = find_symmetrizer(model, window + 1)
+    window = max(fj, fi) + n + 2
+    sym = find_symmetrizer(model, window + 1)
     if not sym.success:
         raise ValueError(
             f"line chain is not symmetrizable (site {sym.fail_index}: {sym.reason})"
@@ -266,8 +256,7 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
 
     def __init__(self, model: QmcModel, site: int, *,
                  plus: StieltjesEvaluator | None = None,
-                 minus: StieltjesEvaluator | None = None,
-                 tolerance: float = 1e-8):
+                 minus: StieltjesEvaluator | None = None):
         if site not in (0, -1):
             raise ValueError("folded transforms are anchored at sites 0 and -1")
         if plus is None or minus is None:
@@ -278,7 +267,6 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         self.site = site
         self.plus = plus
         self.minus = minus
-        self.tolerance = tolerance
 
     def evaluate(self, z: complex, x0=None) -> EvalResult:
         """Split-identity value at z; ``x0`` and the returned ``state``
@@ -291,9 +279,7 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         return EvalResult(value, ft.residual, self.method, state=ft.state)
 
 
-def classify_recurrence_on_line(
-    model: QmcModel, site: int, rho, *, ladder=DEFAULT_LADDER
-) -> Classification:
+def classify_recurrence_on_line(model: QmcModel, site: int, rho) -> Classification:
     """Recurrence/transience of any site of a line chain.
 
     The return transform is the exact diagonal block of
@@ -304,4 +290,4 @@ def classify_recurrence_on_line(
     """
     if model.topology.kind != LINE:
         raise ValueError("needs a line model")
-    return classify_recurrence(model, site, rho, ladder=ladder)
+    return classify_recurrence(model, site, rho)

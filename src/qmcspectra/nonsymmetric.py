@@ -25,7 +25,7 @@ from .spectral import (
     StieltjesEvaluator,
     finite_spectrum_weights,
 )
-from .statistics import Classification, DEFAULT_LADDER, classify, trace_action
+from .statistics import Classification, classify, trace_action
 
 TOL_SEMI = 1e-8
 
@@ -66,18 +66,15 @@ def semiorth_residual_of(
     return _semiorth_norm(weight, i, polys.main(weight.nodes(), max(j, 1))[j])
 
 
-def nonsym_finite_weights(
-    model: QmcModel, *, max_order: int | None = None
-) -> SemiOrthogonalSystem:
+def nonsym_finite_weights(model: QmcModel) -> SemiOrthogonalSystem:
     """Weight family of a finite chain by corner residues, complex nodes
-    allowed, with the one-sided orthogonality residual table attached.
+    allowed, with the one-sided orthogonality residual table attached for
+    every i < j up to the top site of the chain.
 
     One evaluation of the polynomial family at the nodes serves the
     whole table."""
     weight = finite_spectrum_weights(model)
     top = model.topology.num_sites - 1
-    if max_order is not None:
-        top = min(top, max_order)
     residuals = {}
     if top >= 1:
         q = PolyFamily(model).main(weight.nodes(), top)
@@ -126,7 +123,6 @@ def classify_recurrence_homogeneous(
     corner_a: Array | None = None,
     on_line: bool = False,
     trace_vec: Array | None = None,
-    ladder=DEFAULT_LADDER,
 ) -> Classification:
     """Recurrence of the origin of a homogeneous chain from its transform.
 
@@ -167,4 +163,4 @@ def classify_recurrence_homogeneous(
             a0=corner_a if corner_a is not None else a,
             c=c,
         )
-    return classify(evaluator, trace_vec, rho_vec, ladder)
+    return classify(evaluator, trace_vec, rho_vec)

@@ -45,6 +45,8 @@ from .quantum_core import TOL_HERM, Array, hermitian_part
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
 RESIDUE_POINTS = 64
+# stopping step of the homogeneous fixed-point iteration
+FP_TOL = 1e-12
 
 
 class SpectralError(RuntimeError):
@@ -85,10 +87,10 @@ class Symmetrizer:
     reason: str = ""
 
 
-def _cholesky_factor(pi: Array, tol_herm: float) -> Array | None:
+def _cholesky_factor(pi: Array) -> Array | None:
     anti = float(np.linalg.norm(pi - pi.conj().T, 2))
     scale = max(1.0, float(np.linalg.norm(pi, 2)))
-    if anti > tol_herm * scale:
+    if anti > TOL_HERM * scale:
         return None
     sym = hermitian_part(pi)
     try:
@@ -98,13 +100,7 @@ def _cholesky_factor(pi: Array, tol_herm: float) -> Array | None:
     return low.conj().T
 
 
-def find_symmetrizer(
-    model: QmcModel,
-    n_max: int,
-    *,
-    tol_sym: float = TOL_SYM,
-    tol_herm: float = TOL_HERM,
-) -> Symmetrizer:
+def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
     """Search for the product sequence certifying a positive weight family.
 
     pi[0] = I and pi[n+1] = (A_n*)^{-1} pi[n] C_{n+1}.  On line models the
@@ -138,10 +134,10 @@ def find_symmetrizer(
             sites.append(-n - 1)
 
     for n in sorted(sites, key=abs):
-        factor = _cholesky_factor(pi[n], tol_herm)
+        factor = _cholesky_factor(pi[n])
         if factor is None:
             defect = float(np.linalg.norm(pi[n] - pi[n].conj().T, 2))
-            if defect <= tol_herm * max(1.0, float(np.linalg.norm(pi[n], 2))):
+            if defect <= TOL_HERM * max(1.0, float(np.linalg.norm(pi[n], 2))):
                 defect = float(-np.linalg.eigvalsh(hermitian_part(pi[n])).min())
                 reason = f"pi[{n}] is not positive definite"
             else:
@@ -152,7 +148,7 @@ def find_symmetrizer(
         witness = factor @ b @ np.linalg.inv(factor)
         herm_defect = float(np.linalg.norm(witness - witness.conj().T, 2))
         scale = max(1.0, float(np.linalg.norm(witness, 2)))
-        if herm_defect > tol_sym * scale:
+        if herm_defect > TOL_SYM * scale:
             return Symmetrizer(
                 pi, r, e, False, n, herm_defect,
                 f"r B r^{{-1}} at site {n} is not Hermitian",
@@ -224,19 +220,14 @@ def _cluster_eigenvalues(ev: Array, tol: float) -> list[list[int]]:
     return groups
 
 
-def finite_spectrum_weights(
-    model: QmcModel,
-    *,
-    tol_group: float = TOL_GROUP,
-    quad_points: int = RESIDUE_POINTS,
-) -> DiscreteWeight:
+def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     """Eigenvalue nodes of a finite chain with matrix weights by residues.
 
     The weight of a node is the residue of z -> ((z I - Phi)^{-1})_{00}
     there, extracted by trapezoid contour quadrature on a small circle
     (radius min(1e-4, gap/10)); this handles simple and double poles
     uniformly.  Each cluster makes one ``corner_resolvent`` call with
-    its ``quad_points`` contour points stacked, a (quad_points, d, d)
+    its ``RESIDUE_POINTS`` contour points stacked, a (points, d, d)
     array of corner blocks from one backward Schur sweep.  The weights
     always sum to the identity, the n = 0 moment of the corner block.
     """
@@ -245,41 +236,42 @@ def finite_spectrum_weights(
     trunc = truncate(model, 0, model.topology.num_sites - 1)
     mat = trunc.matrix
     ev = np.linalg.eigvals(mat)
-    groups = _cluster_eigenvalues(ev, tol_group)
+    groups = _cluster_eigenvalues(ev, TOL_GROUP)
     centers = np.array([ev[g].mean() for g in groups])
     if len(centers) > 1:
         dist = np.abs(centers[:, None] - centers[None, :])
         np.fill_diagonal(dist, np.inf)
         gaps = dist.min(axis=1)
         worst = float(gaps.min())
-        if worst < 10.0 * tol_group:
+        if worst < 10.0 * TOL_GROUP:
             raise SpectralError(
                 f"eigenvalue clusters only {worst:.3e} apart; grouping is "
-                f"ambiguous at tolerance {tol_group:.1e}"
+                f"ambiguous at tolerance {TOL_GROUP:.1e}"
             )
     else:
         gaps = np.array([np.inf])
 
     depth = trunc.num_sites
-    unit = np.exp(2j * np.pi * np.arange(quad_points) / quad_points)
+    unit = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
     points = []
     for g, center, gap in zip(groups, centers, gaps):
         radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
         zs = center + radius * unit
         corner = corner_resolvent(model, zs, depth)
-        weight = np.einsum("k,kij->ij", zs - center, corner) / quad_points
+        weight = np.einsum("k,kij->ij", zs - center, corner) / RESIDUE_POINTS
         node = complex(center)
-        if abs(node.imag) <= tol_group:
+        if abs(node.imag) <= TOL_GROUP:
             node = complex(node.real, 0.0)
         points.append(WeightPoint(node, len(g), weight))
     points.sort(key=lambda p: (p.node.real, p.node.imag))
     return DiscreteWeight(tuple(points))
 
 
-def double_root_weight(model: QmcModel, node: complex, h: float = 1e-5) -> Array:
+def double_root_weight(model: QmcModel, node: complex) -> Array:
     """Derivative-form residue for a double node: the derivative of
     -(node - z)^2 ((Phi - z I)^{-1})_{00} at the node, by central
-    difference.  Retained as a cross-check on the contour route."""
+    difference with step 1e-5.  Retained as a cross-check on the contour
+    route."""
     trunc = truncate(model, 0, model.topology.num_sites - 1)
     mat = trunc.matrix
     d = model.block_dim
@@ -291,6 +283,7 @@ def double_root_weight(model: QmcModel, node: complex, h: float = 1e-5) -> Array
         corner = np.linalg.solve(mat - z * np.eye(S), rhs)[:d]
         return -((node - z) ** 2) * corner
 
+    h = 1e-5
     return (g(node + h) - g(node - h)) / (2.0 * h)
 
 
@@ -346,14 +339,14 @@ class StieltjesEvaluator:
             )
         return res.value
 
-    def near_axis(self, x: float, delta: float, n_steps: int = 24) -> Array:
+    def near_axis(self, x: float, delta: float) -> Array:
         """Boundary value at x + i*delta by continuation from far above the
         axis, passing each converged value down as the next starting point.
 
         Rungs whose residual misses the tolerance are geometrically
         bisected, which keeps the branch tracking honest across the
         spectral edges."""
-        schedule = list(np.geomspace(max(10.0 * delta, 0.5), delta, n_steps))
+        schedule = list(np.geomspace(max(10.0 * delta, 0.5), delta, 24))
         val = None
         warm = None
         d_prev = None
@@ -488,23 +481,20 @@ class HomogeneousStieltjes(StieltjesEvaluator):
 
     method = "homogeneous_fp"
 
-    def __init__(self, a: Array, b: Array, c: Array, *, fp_tol: float = 1e-12,
-                 max_iter: int = 10_000, tolerance: float = 1e-8):
+    def __init__(self, a: Array, b: Array, c: Array, *, tolerance: float = 1e-8):
         self.a = np.asarray(a, dtype=complex)
         self.b = np.asarray(b, dtype=complex)
         self.c = np.asarray(c, dtype=complex)
-        self.fp_tol = fp_tol
-        self.max_iter = max_iter
         self.tolerance = tolerance
 
     @classmethod
     def from_model(cls, model: QmcModel, **kw) -> "HomogeneousStieltjes":
         return cls(model.block(1, "A"), model.block(1, "B"), model.block(2, "C"), **kw)
 
-    def _newton(self, z: complex, x: Array, steps: int = 60) -> Array:
+    def _newton(self, z: complex, x: Array) -> Array:
         d = self.a.shape[0]
         eye = np.eye(d, dtype=complex)
-        for _ in range(steps):
+        for _ in range(60):
             core = z * eye - self.b - self.c @ x @ self.a
             g = core @ x - eye
             if np.linalg.norm(g, 2) < 1e-14:
@@ -532,18 +522,18 @@ class HomogeneousStieltjes(StieltjesEvaluator):
             warm = (x, r)
         x = eye / z
         last_delta = np.inf
-        for it in range(self.max_iter):
+        for it in range(10_000):
             try:
                 nxt = np.linalg.solve(z * eye - self.b - self.c @ x @ self.a, eye)
             except np.linalg.LinAlgError:
                 break  # iteration left its domain; Newton recovers
             last_delta = float(np.linalg.norm(nxt - x, 2))
             x = nxt
-            if last_delta < self.fp_tol:
+            if last_delta < FP_TOL:
                 break
             if it >= 200 and last_delta < 1e-3:
                 break
-        if last_delta >= self.fp_tol:
+        if last_delta >= FP_TOL:
             x = self._newton(z, x)
         residual = _quadratic_residual(self.a, self.b, self.c, z, x)
         if warm is not None and warm[1] < residual:
@@ -565,15 +555,13 @@ class CornerStieltjes(StieltjesEvaluator):
     method = "corner"
 
     def __init__(self, inner: StieltjesEvaluator, b_corner: Array, *,
-                 a0: Array | None = None, c: Array | None = None,
-                 tolerance: float = 1e-8):
+                 a0: Array | None = None, c: Array | None = None):
         if (a0 is None) != (c is None):
             raise ValueError("supply both a0 and c, or neither")
         self.inner = inner
         self.b_corner = np.asarray(b_corner, dtype=complex)
         self.a0 = None if a0 is None else np.asarray(a0, dtype=complex)
         self.c = None if c is None else np.asarray(c, dtype=complex)
-        self.tolerance = tolerance
 
     def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
         inner = self.inner.evaluate(z, x0=x0)
@@ -712,8 +700,6 @@ def stieltjes_folded(
     minus: StieltjesEvaluator,
     z: complex,
     *,
-    pi0_plus: Array | None = None,
-    pim1_minus: Array | None = None,
     x0: tuple | None = None,
 ) -> FoldedTransform:
     """Split identities expressing the line-chain transforms through the
@@ -724,16 +710,15 @@ def stieltjes_folded(
         P22 = Xm (I - C_0 Xp A_{-1} Xm)^{-1}
         P12 = P11 A_{-1} Xm,   P21 = P22 C_0 Xp
 
-    where Xp/Xm are the plus/minus corner transforms with their weight
-    normalizations included (pass pi0_plus / pim1_minus if your evaluators
-    return bare transforms instead).  ``x0`` is the (plus, minus) pair of
-    warm starts, as in the ``state`` of a previous result.
+    where Xp/Xm are the values of ``plus`` and ``minus``, the plus/minus
+    corner transforms with their weight normalizations included.  ``x0``
+    is the (plus, minus) pair of warm starts, as in the ``state`` of a
+    previous result.
     """
     xp0, xm0 = x0 or (None, None)
     rp = plus.evaluate(z, x0=xp0)
     rm = minus.evaluate(z, x0=xm0)
-    xp = rp.value if pi0_plus is None else np.asarray(pi0_plus) @ rp.value
-    xm = rm.value if pim1_minus is None else np.asarray(pim1_minus) @ rm.value
+    xp, xm = rp.value, rm.value
     d = xp.shape[0]
     eye = np.eye(d, dtype=complex)
     mid_p = eye - a_minus1 @ xm @ c0 @ xp
@@ -750,22 +735,15 @@ def stieltjes_folded(
     )
 
 
-def residue_probe(
-    evaluator: StieltjesEvaluator,
-    x0: complex,
-    *,
-    eps_ladder=(1e-2, 1e-3, 1e-4, 1e-5),
-    direction: complex = 1j,
-) -> Array:
+def residue_probe(evaluator: StieltjesEvaluator, x0: complex) -> Array:
     """Estimate the point mass of the underlying measure at x0 from
-    eps * B(x0 + eps * direction), extrapolated down the ladder.
+    i eps B(x0 + i eps), extrapolated down the ladder eps = 1e-2 .. 1e-5.
 
-    The default approach direction is vertical, which stays clear of any
-    surrounding continuous spectrum on the real axis; real-direction
-    probes may hit singular evaluations (themselves a point-mass
-    indicator)."""
-    rungs = evaluator.ladder([x0 + eps * direction for eps in eps_ladder])
-    samples = [eps * direction * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
+    The approach is vertical, which stays clear of any surrounding
+    continuous spectrum on the real axis."""
+    eps_ladder = (1e-2, 1e-3, 1e-4, 1e-5)
+    rungs = evaluator.ladder([x0 + eps * 1j for eps in eps_ladder])
+    samples = [eps * 1j * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     # remove the leading analytic background, linear in eps
     return samples[-1] + (samples[-1] - samples[-2]) / (
         eps_ladder[-2] / eps_ladder[-1] - 1.0

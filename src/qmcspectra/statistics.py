@@ -37,6 +37,8 @@ INCONCLUSIVE = "inconclusive"
 MAGNITUDE_THRESHOLD = 1e6
 GROWTH_RATIO = 1.5
 STABILIZE_RTOL = 1e-6
+# a jump at x = 1 whose norm is below this is no jump
+TOL_ZERO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,7 @@ def _aitken(seq):
     return out
 
 
-def classify_from_samples(
-    samples,
-    *,
-    magnitude_threshold: float = MAGNITUDE_THRESHOLD,
-    growth_ratio: float = GROWTH_RATIO,
-    stabilize_rtol: float = STABILIZE_RTOL,
-) -> Classification:
+def classify_from_samples(samples) -> Classification:
     """Verdict from trace samples taken along a ladder approaching z = 1.
 
     Divergence is recognized either by magnitude (beyond the threshold
@@ -77,10 +73,10 @@ def classify_from_samples(
     traces = [t for _, t in evidence]
     incs = np.diff(traces)
     growing = len(incs) >= 2 and all(
-        incs[k] > 0 and incs[k] >= growth_ratio * incs[k - 1]
+        incs[k] > 0 and incs[k] >= GROWTH_RATIO * incs[k - 1]
         for k in range(len(incs) - 2, len(incs))
     )
-    if traces[-1] > magnitude_threshold and (len(incs) == 0 or incs[-1] > 0):
+    if traces[-1] > MAGNITUDE_THRESHOLD and (len(incs) == 0 or incs[-1] > 0):
         return Classification(RECURRENT, evidence)
     if growing:
         return Classification(RECURRENT, evidence)
@@ -91,10 +87,10 @@ def classify_from_samples(
     while len(extr) >= 3:
         nxt = _aitken(extr)
         scale = max(1.0, abs(nxt[-1]))
-        if len(nxt) >= 2 and abs(nxt[-1] - nxt[-2]) <= stabilize_rtol * scale:
+        if len(nxt) >= 2 and abs(nxt[-1] - nxt[-2]) <= STABILIZE_RTOL * scale:
             return Classification(TRANSIENT, evidence, float(nxt[-1]))
         extr = nxt
-    if len(incs) >= 2 and abs(incs[-1]) <= stabilize_rtol * max(1.0, abs(traces[-1])):
+    if len(incs) >= 2 and abs(incs[-1]) <= STABILIZE_RTOL * max(1.0, abs(traces[-1])):
         return Classification(TRANSIENT, evidence, float(traces[-1]))
     return Classification(INCONCLUSIVE, evidence)
 
@@ -108,14 +104,12 @@ def trace_action(model_or_trace, value: Array, rho_vec: Array) -> float:
     return complex(t @ (value @ rho_vec)).real
 
 
-def classify(
-    evaluator: StieltjesEvaluator, trace_vec: Array, rho_vec: Array, ladder=DEFAULT_LADDER
-) -> Classification:
-    """Verdict from Re tr(value rho) sampled down the ladder, whose rungs
-    the evaluator walks with its :meth:`~StieltjesEvaluator.ladder`."""
+def classify(evaluator: StieltjesEvaluator, trace_vec: Array, rho_vec: Array) -> Classification:
+    """Verdict from Re tr(value rho) sampled down ``DEFAULT_LADDER``, whose
+    rungs the evaluator walks with its :meth:`~StieltjesEvaluator.ladder`."""
     samples = [
         (z, trace_action(trace_vec, res.value, rho_vec))
-        for z, res in evaluator.ladder(ladder)
+        for z, res in evaluator.ladder(DEFAULT_LADDER)
     ]
     return classify_from_samples(samples)
 
@@ -125,8 +119,6 @@ def classify_recurrence(
     site: int,
     rho,
     stieltjes: StieltjesEvaluator | None = None,
-    *,
-    ladder=DEFAULT_LADDER,
 ) -> Classification:
     """Classify a site from the boundary behavior of its return transform.
 
@@ -139,7 +131,7 @@ def classify_recurrence(
         stieltjes = SiteStieltjes(model, site)
     elif site != 0:
         raise ValueError(f"an explicit transform evaluator answers site 0, not site {site}")
-    return classify(stieltjes, model.trace_vec, model.state_vec(rho), ladder)
+    return classify(stieltjes, model.trace_vec, model.state_vec(rho))
 
 
 # ---------------------------------------------------------------------
@@ -320,22 +312,17 @@ def reach_analysis(
 # ---------------------------------------------------------------------
 
 
-def jump_at_one(
-    evaluator: StieltjesEvaluator,
-    *,
-    m_range=range(2, 9),
-    tol_zero: float = 1e-6,
-) -> Array:
+def jump_at_one(evaluator: StieltjesEvaluator) -> Array:
     """Point mass of the attached measure at x = 1.
 
-    Estimates lim eps * B(1 + eps) down an epsilon ladder with entrywise
-    geometric extrapolation, which kills both analytic backgrounds and the
-    slowly decaying square-root tails of divergent atomless transforms.
-    A norm below tol_zero means no jump.  Combined with an irreducibility
+    Estimates lim eps * B(1 + eps) down the ladder eps = 10^-2 .. 10^-8
+    with entrywise geometric extrapolation, which kills both analytic
+    backgrounds and the slowly decaying square-root tails of divergent
+    atomless transforms.  A norm below ``TOL_ZERO`` means no jump.  Combined with an irreducibility
     flag supplied by the caller, a nonzero jump is the positive-recurrence
     criterion.
     """
-    eps_ladder = [10.0**-m for m in m_range]
+    eps_ladder = [10.0**-m for m in range(2, 9)]
     rungs = evaluator.ladder([1.0 + eps for eps in eps_ladder])
     samples = [eps * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
     p2, p1, p0 = samples[-3], samples[-2], samples[-1]
@@ -345,15 +332,13 @@ def jump_at_one(
     small = np.abs(denom) < 1e-300
     with np.errstate(invalid="ignore", divide="ignore"):
         est = np.where(small, p0, p0 - d1 * d1 / np.where(small, 1.0, denom))
-    if float(np.linalg.norm(est, 2)) < tol_zero:
+    if float(np.linalg.norm(est, 2)) < TOL_ZERO:
         return np.zeros_like(est)
     return est
 
 
-def positive_recurrent(
-    evaluator: StieltjesEvaluator, *, irreducible: bool, tol_zero: float = 1e-6
-) -> bool:
+def positive_recurrent(evaluator: StieltjesEvaluator, *, irreducible: bool) -> bool:
     """Positive recurrence = irreducibility (caller-supplied) plus a
     finite jump of the weight at x = 1."""
-    jump = jump_at_one(evaluator, tol_zero=tol_zero)
-    return irreducible and float(np.linalg.norm(jump, 2)) >= tol_zero
+    jump = jump_at_one(evaluator)
+    return irreducible and float(np.linalg.norm(jump, 2)) >= TOL_ZERO

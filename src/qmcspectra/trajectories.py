@@ -103,14 +103,7 @@ def _stream_uniforms(seed: int, index: int, steps: int) -> Array:
 
 def _window(config: TrajectoryConfig) -> tuple[int, int]:
     """Lowest and highest site a trajectory can reach in config.steps."""
-    topo = config.model.topology
-    lo = config.site - config.steps
-    hi = config.site + config.steps
-    if topo.lo is not None:
-        lo = max(lo, topo.lo)
-    if topo.hi is not None:
-        hi = min(hi, topo.hi)
-    return lo, hi
+    return config.model.topology.clip(config.site - config.steps, config.site + config.steps)
 
 
 def _step(model: QmcModel, sites: Array, states: Array, r: Array) -> None:

@@ -37,6 +37,40 @@ def test_topology_validation():
     assert topo.contains(2) and not topo.contains(3) and not topo.contains(-1)
 
 
+@pytest.mark.parametrize(
+    "topo, window, clipped",
+    [
+        (Topology("segment", 3), (-5, 9), (0, 2)),
+        (Topology("segment", 3), (1, 1), (1, 1)),
+        (Topology("half_line"), (-5, 9), (0, 9)),
+        (Topology("line"), (-5, 9), (-5, 9)),
+    ],
+    ids=["segment", "segment-inside", "half_line", "line"],
+)
+def test_topology_clip(topo, window, clipped):
+    assert topo.clip(*window) == clipped
+    lo, hi = clipped
+    assert topo.contains(lo) and topo.contains(hi)
+
+
+@pytest.mark.parametrize(
+    "mode, rho, match",
+    [
+        ("full", np.eye(3) / 3, r"shape \(3, 3\).*shape \(9,\).*shape \(4,\)"),
+        ("full", np.ones(3) / 3, r"shape \(3,\).*shape \(4,\)"),
+        ("compact", np.eye(3) / 3, "2x2"),
+        ("compact", np.ones(4) / 4, r"shape \(4,\).*shape \(3,\)"),
+    ],
+    ids=["full-matrix", "full-vector", "compact-matrix", "compact-vector"],
+)
+def test_state_vec_rejects_wrong_dimension(mode, rho, match):
+    m = models.shear_coin_segment(3, mode)
+    with pytest.raises(ValueError, match=match):
+        m.state_vec(rho)
+    with pytest.raises(ValueError, match=match):
+        LatticeState.from_density(m, 0, rho)
+
+
 def test_build_single_site_identity_channel():
     spec = {
         "topology": "segment",

@@ -10,7 +10,7 @@ import pytest
 
 import qmcspectra
 from qmcspectra import models
-from qmcspectra.chain_model import build_model, model_to_dict, site_prob_series
+from qmcspectra.chain_model import Block, QmcModel, build_model, model_to_dict, site_prob_series
 from qmcspectra.cli import run
 
 
@@ -384,6 +384,45 @@ def test_simulate_branch_mass_above_one_is_numerical_failure(files, capsys, tmp_
     )
     assert code == 4
     assert "> 1 at site 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evolve", "shear", "--steps", "-1", "--density", "rho"], "nonnegative"),
+        (["evolve", "shear", "--steps", "2", "--density", "rho3"], "shape (4,)"),
+        (["first-passage", "shear", "--from", "0", "--to", "1", "--density", "rho3"],
+         "shape (4,)"),
+        (["poly", "hop", "--x", "1", "--n", "3", "--family", "two-sided"], "line model"),
+        (["poly", "hop", "--x", "1", "--n", "3", "--family", "folded"], "line model"),
+        (["simulate", "shear", "--steps", "3", "--density", "rho3"], "wrong shape"),
+        (["simulate", "shear", "--trajectories", "0", "--steps", "3", "--density", "rho"],
+         "n_traj >= 1"),
+        (["simulate", "shear", "--steps", "-2", "--density", "rho"], "steps >= 0"),
+        (["simulate", "no_kraus", "--steps", "3", "--density", "rho"], "Kraus effects"),
+    ],
+    ids=["evolve-negative-steps", "evolve-density-dim", "first-passage-density-dim",
+         "poly-two-sided-half-line", "poly-folded-half-line", "simulate-density-shape",
+         "simulate-no-trajectories", "simulate-negative-steps", "simulate-no-kraus"],
+)
+def test_malformed_input_is_schema_error(files, capsys, tmp_path, argv, message):
+    paths = dict(files)
+    paths["rho3"] = str(tmp_path / "rho3.json")
+    Path(paths["rho3"]).write_text(json.dumps({"matrix": (np.eye(3) / 3).tolist()}))
+    # the shear segment with its blocks stripped of their Kraus effects
+    shear = models.shear_coin_segment()
+    bare = QmcModel(
+        topology=shear.topology, dim=shear.dim, block_dim=shear.block_dim, mode=shear.mode,
+        blocks={r: Block(b.matrix) for r, b in shear.blocks.items()}, substochastic=True,
+    )
+    paths["no_kraus"] = str(tmp_path / "no_kraus.json")
+    Path(paths["no_kraus"]).write_text(json.dumps(model_to_dict(bare)))
+    argv = [paths.get(a, a) for a in argv]
+    code, err = run_error(capsys, argv)
+    assert code == 3, err
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_rejected(files):

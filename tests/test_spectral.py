@@ -260,7 +260,7 @@ def test_corner_transform_diagonal_entries():
 def test_corner_point_mass_probe():
     p, q = 0.4, 0.2
     m = models.flip_channel_half_line(p, q, corner="up")
-    inner = HomogeneousStieltjes.from_model(m, max_iter=40_000)
+    inner = HomogeneousStieltjes.from_model(m)
     co = CornerStieltjes(
         inner, m.overrides[0]["B"].matrix, a0=m.block(0, "A"), c=m.block(1, "C")
     )
