@@ -298,7 +298,9 @@ def build_model(spec: dict) -> QmcModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model spec missing field: {exc}") from exc
     topo = Topology(kind, spec.get("num_sites"))
-    substochastic = bool(spec.get("substochastic", False))
+    substochastic = spec.get("substochastic", False)
+    if not isinstance(substochastic, bool):
+        raise ValueError(f"substochastic must be true or false, got {substochastic!r}")
 
     def parse_block(bs) -> Block:
         if "kraus" in bs:
@@ -307,15 +309,20 @@ def build_model(spec: dict) -> QmcModel:
             return block_from_matrix(decode_matrix(bs["matrix"]))
         raise ValueError("blockspec needs 'kraus' or 'matrix'")
 
+    homogeneous = spec.get("homogeneous") or {}
+    if not isinstance(homogeneous, dict):
+        raise ValueError("homogeneous must map block roles to blockspecs")
     blocks = {}
-    for role, bs in (spec.get("homogeneous") or {}).items():
+    for role, bs in homogeneous.items():
         if role not in ROLES:
             raise ValueError(f"unknown block role {role!r}")
         if bs is not None:
             blocks[role] = parse_block(bs)
     overrides = {}
     for entry in spec.get("overrides") or []:
-        site = int(entry["site"])
+        site = entry["site"]
+        if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+            raise ValueError(f"override site must be an integer, got {site!r}")
         if not topo.contains(site):
             raise ValueError(f"override site {site} outside topology")
         overrides[site] = {
@@ -342,10 +349,7 @@ def build_model(spec: dict) -> QmcModel:
         if spec.get("block_dim") not in (None, block_dim):
             raise ValueError("block_dim disagrees with the supplied blocks")
         if "trace" in spec:
-            trace_vec = np.array(
-                [complex(e[0], e[1]) if isinstance(e, list) else complex(e)
-                 for e in spec["trace"]]
-            )
+            trace_vec = np.array([_decode_entry(e) for e in spec["trace"]])
         dim = None
 
     model = QmcModel(
@@ -362,18 +366,18 @@ def build_model(spec: dict) -> QmcModel:
     return model
 
 
+def _decode_entry(e) -> complex:
+    if isinstance(e, (list, tuple)):
+        if len(e) != 2:
+            raise ValueError("complex entries are [re, im] pairs")
+        return complex(e[0], e[1])
+    return complex(e)
+
+
 def decode_matrix(rows) -> Array:
     """Decode a row-major nested array whose entries are [re, im] pairs
     or bare reals."""
-
-    def entry(e):
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise ValueError("complex entries are [re, im] pairs")
-            return complex(e[0], e[1])
-        return complex(e)
-
-    return np.array([[entry(e) for e in row] for row in rows], dtype=complex)
+    return np.array([[_decode_entry(e) for e in row] for row in rows], dtype=complex)
 
 
 def encode_matrix(m: Array) -> list:
@@ -415,9 +419,10 @@ def load_model(path) -> QmcModel:
 
 
 def load_density_matrix(path) -> Array:
+    """The square, finite matrix of a density file ``{"matrix": ...}``."""
     with open(path) as fh:
         data = json.load(fh)
-    return decode_matrix(data["matrix"])
+    return as_square(decode_matrix(data["matrix"]), "density matrix")
 
 
 # ---------------------------------------------------------------------

@@ -3,25 +3,21 @@
 Each subcommand maps one-to-one onto a library operation and emits
 machine-readable JSON (or CSV for ``simulate``) with 15 significant
 digits.  Exit codes: 0 success, 2 missing file, 3 schema violation,
-4 numerical failure.
+4 numerical failure.  The subcommands call the library directly; :func:`run`
+alone maps what it raises to an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import chain_model, folding, spectral, statistics, trajectories
-from .chain_model import (
-    LINE,
-    QmcModel,
-    build_model,
-    load_density_matrix,
-    model_to_dict,
-)
+from .chain_model import QmcModel, load_density_matrix, model_to_dict
 from .polynomials import PolyFamily
 
 EXIT_FILE = 2
@@ -68,14 +64,11 @@ def emit(payload) -> None:
 
 def _load_model(path: str) -> QmcModel:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        return chain_model.load_model(path)
     except FileNotFoundError as exc:
         raise CliError(f"model file not found: {path}", EXIT_FILE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"model file is not valid JSON: {exc}", EXIT_SCHEMA) from exc
-    try:
-        return build_model(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad model spec: {exc}", EXIT_SCHEMA) from exc
 
@@ -85,27 +78,24 @@ def _load_density(path: str):
         return load_density_matrix(path)
     except FileNotFoundError as exc:
         raise CliError(f"density file not found: {path}", EXIT_FILE) from exc
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad density file: {exc}", EXIT_SCHEMA) from exc
 
 
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(*map(float, parts))
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
     except ValueError:
         pass
-    raise CliError(f"cannot parse z value {text!r}; use RE or RE,IM", EXIT_SCHEMA)
+    raise CliError(f"cannot parse z value {text!r}; use finite RE or RE,IM", EXIT_SCHEMA)
 
 
 def _evaluator(model: QmcModel, method: str, window: int):
-    try:
-        return spectral.transform_evaluator(model, method, window)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_SCHEMA) from exc
+    return spectral.transform_evaluator(model, method, window)
 
 
 def cmd_validate(args) -> None:
@@ -126,11 +116,8 @@ def cmd_validate(args) -> None:
 def cmd_evolve(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    try:
-        state = chain_model.LatticeState.from_density(model, args.site, rho)
-        state = chain_model.evolve(model, state, args.steps)
-    except ValueError as exc:
-        raise CliError(f"bad evolution query: {exc}", EXIT_SCHEMA) from exc
+    state = chain_model.LatticeState.from_density(model, args.site, rho)
+    state = chain_model.evolve(model, state, args.steps)
     sites = []
     for k, v in state.items():
         tr = model.trace_of(v)
@@ -151,21 +138,13 @@ def cmd_evolve(args) -> None:
 def cmd_prob(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    try:
-        p = chain_model.site_prob(model, args.from_site, args.to_site, rho, args.steps)
-    except ValueError as exc:
-        raise CliError(f"bad probability query: {exc}", EXIT_SCHEMA) from exc
+    p = chain_model.site_prob(model, args.from_site, args.to_site, rho, args.steps)
     emit({"from": args.from_site, "to": args.to_site, "steps": args.steps, "probability": p})
 
 
 def cmd_spectrum(args) -> None:
     model = _load_model(args.model)
-    if model.topology.kind != "segment":
-        raise CliError("spectrum needs a finite segment model", EXIT_SCHEMA)
-    try:
-        weights = spectral.finite_spectrum_weights(model)
-    except (spectral.SpectralError, np.linalg.LinAlgError) as exc:
-        raise CliError(f"spectrum computation failed: {exc}", EXIT_NUMERIC) from exc
+    weights = spectral.finite_spectrum_weights(model)
     try:
         symmetrizable = spectral.find_symmetrizer(
             model, model.topology.num_sites - 1
@@ -189,30 +168,17 @@ def cmd_spectrum(args) -> None:
 def cmd_stieltjes(args) -> None:
     model = _load_model(args.model)
     z = _parse_z(args.z)
-    try:
-        ev = _evaluator(model, args.method, args.window)
-        res = ev.evaluate(z)
-    except (spectral.ConvergenceError, np.linalg.LinAlgError) as exc:
-        raise CliError(f"transform evaluation failed: {exc}", EXIT_NUMERIC) from exc
+    res = _evaluator(model, args.method, args.window).evaluate(z)
     emit({"z": z, "value": res.value, "residual": res.residual, "method": res.method})
 
 
 def cmd_recurrence(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    try:
-        model.state_vec(rho)
-    except ValueError as exc:
-        raise CliError(f"density incompatible with model: {exc}", EXIT_SCHEMA) from exc
-    try:
-        # an explicit method names a site-0 evaluator; classify_recurrence
-        # rejects it at any other site
-        ev = None if args.method == "auto" else _evaluator(model, args.method, args.window)
-        cls = statistics.classify_recurrence(model, args.site, rho, ev)
-    except (spectral.ConvergenceError, np.linalg.LinAlgError) as exc:
-        raise CliError(f"classification failed: {exc}", EXIT_NUMERIC) from exc
-    except ValueError as exc:
-        raise CliError(f"bad recurrence query: {exc}", EXIT_SCHEMA) from exc
+    # an explicit method names a site-0 evaluator; classify_recurrence
+    # rejects it at any other site
+    ev = None if args.method == "auto" else _evaluator(model, args.method, args.window)
+    cls = statistics.classify_recurrence(model, args.site, rho, ev)
     out = {
         "site": args.site,
         "verdict": cls.verdict,
@@ -226,14 +192,9 @@ def cmd_recurrence(args) -> None:
 def cmd_first_passage(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    try:
-        result = statistics.reach_analysis(
-            model, args.from_site, args.to_site, rho, window=args.window
-        )
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise CliError(f"first-passage evaluation failed: {exc}", EXIT_NUMERIC) from exc
-    except ValueError as exc:
-        raise CliError(f"bad first-passage query: {exc}", EXIT_SCHEMA) from exc
+    result = statistics.reach_analysis(
+        model, args.from_site, args.to_site, rho, window=args.window
+    )
     emit(
         {
             "from": args.from_site,
@@ -247,8 +208,6 @@ def cmd_first_passage(args) -> None:
 
 def cmd_fold(args) -> None:
     model = _load_model(args.model)
-    if model.topology.kind != LINE:
-        raise CliError("fold needs a line model", EXIT_SCHEMA)
     fm = folding.fold_model(model)
     data = model_to_dict(fm.folded)
     data["block_dim"] = fm.folded.block_dim
@@ -269,26 +228,18 @@ def cmd_poly(args) -> None:
     model = _load_model(args.model)
     x = _parse_z(args.x)
     pf = PolyFamily(model)
-    try:
-        if args.family == "main":
-            values = pf.main(x, args.n)
-            out = {"family": "main", "values": values}
-        elif args.family == "associated":
-            values = pf.associated(args.k, x, args.n)
-            out = {"family": f"associated({args.k})", "values": values}
-        elif args.family == "two-sided":
-            table = pf.two_sided(args.alpha, x, -args.n, args.n)
-            out = {
-                "family": f"two_sided({args.alpha})",
-                "values": {str(k): v for k, v in sorted(table.items())},
-            }
-        else:
-            values = pf.folded(x, args.n)
-            out = {"family": "folded", "values": values}
-    except np.linalg.LinAlgError as exc:
-        raise CliError(f"polynomial recurrence failed: {exc}", EXIT_NUMERIC) from exc
-    except ValueError as exc:
-        raise CliError(f"bad polynomial query: {exc}", EXIT_SCHEMA) from exc
+    if args.family == "main":
+        out = {"family": "main", "values": pf.main(x, args.n)}
+    elif args.family == "associated":
+        out = {"family": f"associated({args.k})", "values": pf.associated(args.k, x, args.n)}
+    elif args.family == "two-sided":
+        table = pf.two_sided(args.alpha, x, -args.n, args.n)
+        out = {
+            "family": f"two_sided({args.alpha})",
+            "values": {str(k): v for k, v in sorted(table.items())},
+        }
+    else:
+        out = {"family": "folded", "values": pf.folded(x, args.n)}
     out["x"] = x
     emit(out)
 
@@ -296,15 +247,10 @@ def cmd_poly(args) -> None:
 def cmd_simulate(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    try:
-        cfg = trajectories.TrajectoryConfig(
-            model, args.site, rho, args.steps, args.trajectories, args.seed
-        )
-        est = trajectories.estimate_site_prob(cfg)
-    except ArithmeticError as exc:
-        raise CliError(f"simulation failed: {exc}", EXIT_NUMERIC) from exc
-    except ValueError as exc:
-        raise CliError(f"bad simulation query: {exc}", EXIT_SCHEMA) from exc
+    cfg = trajectories.TrajectoryConfig(
+        model, args.site, rho, args.steps, args.trajectories, args.seed
+    )
+    est = trajectories.estimate_site_prob(cfg)
     out = sys.stdout
     out.write("step,site,mean,stderr\n")
     for step in range(est.means.shape[0]):
@@ -401,15 +347,22 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the one mapping from exceptions to exit codes; LinAlgError is a
+    # ValueError, so the numerical clause must come first
     try:
         args.fn(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    return 0
+        code, message = EXIT_FILE, str(exc)
+    except (ArithmeticError, np.linalg.LinAlgError, spectral.SpectralError) as exc:
+        code, message = EXIT_NUMERIC, f"{args.command} failed: {exc}"
+    except ValueError as exc:
+        code, message = EXIT_SCHEMA, f"bad {args.command} query: {exc}"
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -66,14 +66,12 @@ def _diag2(top: Array, bottom: Array) -> Array:
     return out
 
 
-def fold_model(model: QmcModel, depth: int = 0) -> FoldedModel:
+def fold_model(model: QmcModel) -> FoldedModel:
     """Fold a line chain at the origin.
 
     The folded hold block at 0 couples the two strands through the
     original blocks A_{-1} (upper right) and C_0 (lower left); every other
     folded block is the diagonal pair of the two strands' blocks.
-    ``depth`` forces explicit overrides that far out (only needed when the
-    source has overrides at |site| > 1).
     """
     if model.topology.kind != LINE:
         raise ValueError("folding needs a line model")
@@ -98,7 +96,6 @@ def fold_model(model: QmcModel, depth: int = 0) -> FoldedModel:
     for s in model.overrides:
         f = s if s >= 0 else -s - 1
         affected.update({max(0, f - 1), f, f + 1})
-    affected.update(range(depth + 1))
 
     a, b, c = (_homogeneous_matrix(model, role) for role in "ABC")
     blocks = {
@@ -237,7 +234,7 @@ def folded_discrete_weight(
     """
     if sym is None:
         sym = find_symmetrizer(model, window + 1)
-    folded = fold_model(model, depth=min(window, 3)).folded
+    folded = fold_model(model).folded
     seg = segment_window(folded, 0, window)
     raw = finite_spectrum_weights(seg)
     anchor = _diag2(sym.pi[0], sym.pi[-1])

@@ -32,6 +32,11 @@ def _solve_right(num: Array, mat: Array, index: int, direction: str) -> Array:
     return np.linalg.solve(mat.T, num.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
+def _check_range(n_lo: int, n_hi: int) -> None:
+    if n_lo > n_hi:
+        raise ValueError(f"empty index range: {n_lo} > {n_hi}")
+
+
 @dataclass(frozen=True)
 class PolyFamily:
     """Evaluator for the polynomial families attached to one model."""
@@ -48,6 +53,7 @@ class PolyFamily:
         ``x`` is one point or a 1-D array of points; for an array every
         Q_n is the stack of shape (len(x), d, d), and each pivot A_n is
         checked and used once for all points."""
+        _check_range(0, n_max)
         d = self.model.block_dim
         x = np.asarray(x)
         shape = x.shape + (d, d)
@@ -64,6 +70,7 @@ class PolyFamily:
     def associated(self, k: int, x: complex, n_max: int) -> list[Array]:
         """The k-th associated family; zero up to index k, then degree
         n - k - 1."""
+        _check_range(0, n_max)
         d = self.model.block_dim
         eye = np.eye(d, dtype=complex)
         zero = np.zeros((d, d), dtype=complex)
@@ -92,6 +99,7 @@ class PolyFamily:
             raise ValueError("two-sided families need a line model")
         if alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
+        _check_range(n_lo, n_hi)
         d = self.model.block_dim
         x = np.asarray(x)
         shape = x.shape + (d, d)
@@ -112,7 +120,8 @@ class PolyFamily:
         return {n: table[n] for n in range(n_lo, n_hi + 1)}
 
     def folded(self, x: complex, n_max: int) -> list[Array]:
-        """Doubled-dimension family [[Q_n^1, Q_{-n-1}^1], [Q_n^2, Q_{-n-1}^2]]."""
+        """Doubled-dimension family [[Q_n^1, Q_{-n-1}^1], [Q_n^2, Q_{-n-1}^2]];
+        a negative ``n_max`` empties the two-sided range and raises there."""
         q1 = self.two_sided(1, x, -n_max - 1, n_max)
         q2 = self.two_sided(2, x, -n_max - 1, n_max)
         out = []

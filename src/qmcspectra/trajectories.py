@@ -48,6 +48,8 @@ class TrajectoryConfig:
             raise ValueError(f"site {self.site} outside topology")
         if self.steps < 0 or self.n_traj < 1:
             raise ValueError("need steps >= 0 and n_traj >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.model.dim, self.model.dim):
             raise ValueError("density has wrong shape for the model")

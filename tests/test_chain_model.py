@@ -13,6 +13,7 @@ from qmcspectra.chain_model import (
     build_model,
     corner_resolvent,
     evolve,
+    load_density_matrix,
     model_to_dict,
     resolvent_block,
     schur_sweep,
@@ -121,6 +122,56 @@ def test_build_model_errors():
                 },
             }
         )
+
+
+HALF_LINE_SPEC = {
+    "topology": "half_line",
+    "mode": "abstract",
+    "homogeneous": {"B": {"matrix": [[0.5]]}},
+    "substochastic": True,
+}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"substochastic": "false"}, "substochastic must be true or false"),
+        ({"substochastic": 0}, "substochastic must be true or false"),
+        ({"overrides": [{"site": 1.5, "B": {"matrix": [[0.2]]}}]}, "site must be an integer"),
+        ({"overrides": [{"site": True, "B": {"matrix": [[0.2]]}}]}, "site must be an integer"),
+        ({"trace": [[1]]}, r"\[re, im\] pairs"),
+        ({"homogeneous": [{"matrix": [[0.5]]}]}, "homogeneous must map"),
+    ],
+    ids=["substochastic-string", "substochastic-int", "site-float", "site-bool",
+         "trace-short-pair", "homogeneous-list"],
+)
+def test_build_model_rejects_schema_holes(change, match):
+    with pytest.raises(ValueError, match=match):
+        build_model({**HALF_LINE_SPEC, **change})
+
+
+def test_build_model_reads_trace_entries_like_matrix_entries():
+    m = build_model({**HALF_LINE_SPEC, "trace": [[2, 1]]})
+    assert m.trace_vec.tolist() == [2 + 1j]
+    m = build_model({**HALF_LINE_SPEC, "trace": [3]})
+    assert m.trace_vec.tolist() == [3]
+
+
+@pytest.mark.parametrize(
+    "matrix, match",
+    [
+        ([[float("nan"), 0], [0, 1]], "non-finite"),
+        ([[[0.5, float("inf")], 0], [0, 0.5]], "non-finite"),
+        ([[1, 0, 0], [0, 1, 0]], "square"),
+        ([], "2-D"),
+    ],
+    ids=["nan", "inf-imaginary", "rectangular", "empty"],
+)
+def test_load_density_matrix_rejects_bad_matrices(tmp_path, matrix, match):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    with pytest.raises(ValueError, match=match):
+        load_density_matrix(path)
 
 
 def test_model_json_roundtrip(tmp_path):

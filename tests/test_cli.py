@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmcspectra
-from qmcspectra import models
+from qmcspectra import cli, models, spectral
 from qmcspectra.chain_model import Block, QmcModel, build_model, model_to_dict, site_prob_series
 from qmcspectra.cli import run
 
@@ -423,6 +423,84 @@ def test_malformed_input_is_schema_error(files, capsys, tmp_path, argv, message)
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+
+
+def _spec_with(name, **change):
+    return {**model_to_dict(getattr(models, name)()), **change}
+
+
+FUZZ_MODELS = {
+    "sub_string": _spec_with("shear_coin_segment", substochastic="false"),
+    "site_float": {
+        **model_to_dict(models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25)),
+        "overrides": [{"site": 1.5, "B": {"matrix": np.eye(4).tolist()}}],
+    },
+    "trace_short": {
+        "topology": "half_line", "mode": "abstract", "substochastic": True,
+        "homogeneous": {"B": {"matrix": [[0.5]]}}, "trace": [[1]],
+    },
+    "homogeneous_list": _spec_with("shear_coin_segment", homogeneous=[{"matrix": [[1]]}]),
+}
+FUZZ_DENSITIES = {"rho_nan": {"matrix": [[float("nan"), 0.0], [0.0, 1.0]]}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "sub_string"],
+        ["validate", "site_float"],
+        ["validate", "trace_short"],
+        ["validate", "homogeneous_list"],
+        ["simulate", "shear", "--steps", "3", "--trajectories", "10", "--density", "rho_nan"],
+        ["poly", "shear", "--x", "1", "--n", "-2"],
+        ["poly", "shear", "--x", "1", "--n", "-2", "--family", "associated", "--k", "1"],
+        ["poly", "diagline", "--x", "1", "--n", "-1", "--family", "folded"],
+        ["poly", "diagline", "--x", "1", "--n", "-1", "--family", "two-sided"],
+        ["simulate", "shear", "--steps", "3", "--seed", "-1", "--density", "rho_sym"],
+        ["simulate", "shear", "--steps", "3", "--seed", str(2**64), "--density", "rho_sym"],
+        ["stieltjes", "flip", "--z", "nan"],
+        ["stieltjes", "flip", "--z", "inf"],
+        ["stieltjes", "flip", "--z", "1.5,-inf"],
+        ["poly", "shear", "--x", "nan", "--n", "2"],
+    ],
+    ids=["substochastic-string", "override-site-float", "abstract-trace-short",
+         "homogeneous-list", "simulate-density-nan", "poly-main-negative-n",
+         "poly-associated-negative-n", "poly-folded-negative-n",
+         "poly-two-sided-negative-n", "simulate-seed-negative", "simulate-seed-2**64",
+         "stieltjes-z-nan", "stieltjes-z-inf", "stieltjes-z-imag-inf", "poly-x-nan"],
+)
+def test_fuzzed_input_exits_3_without_traceback(files, capsys, tmp_path, argv):
+    paths = dict(files)
+    for name, payload in {**FUZZ_MODELS, **FUZZ_DENSITIES}.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(payload))
+    code, err = run_error(capsys, [paths.get(a, a) for a in argv])
+    assert code == 3, err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ValueError("no"), 3, "error: bad first-passage query: no"),
+        (np.linalg.LinAlgError("no"), 4, "error: first-passage failed: no"),
+        (ArithmeticError("no"), 4, "error: first-passage failed: no"),
+        (spectral.SpectralError("no"), 4, "error: first-passage failed: no"),
+        (spectral.ConvergenceError("no"), 4, "error: first-passage failed: no"),
+        (FileNotFoundError("no"), 2, "error: no"),
+    ],
+    ids=["ValueError", "LinAlgError", "ArithmeticError", "SpectralError",
+         "ConvergenceError", "FileNotFoundError"],
+)
+def test_run_maps_exceptions_to_exit_codes(capsys, monkeypatch, exc, code, prefix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_first_passage", fail)
+    argv = ["first-passage", "m.json", "--from", "1", "--to", "0", "--density", "rho.json"]
+    assert run(argv) == code
+    assert capsys.readouterr().err == prefix + "\n"
 
 
 def test_unknown_flag_rejected(files):

@@ -153,6 +153,23 @@ def test_folded_family_blocks():
     assert recurrence_residual(fm, pf, x) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pf: pf.main(0.5, -1),
+        lambda pf: pf.associated(1, 0.5, -2),
+        lambda pf: pf.folded(0.5, -1),
+        lambda pf: pf.two_sided(1, 0.5, 1, -1),
+        lambda pf: pf.two_sided(2, 0.5, 3, 2),
+    ],
+    ids=["main", "associated", "folded", "two-sided-1", "two-sided-2"],
+)
+def test_negative_degree_or_empty_range_rejected(call):
+    pf = PolyFamily(models.diagonal_coin_line_walk())
+    with pytest.raises(ValueError, match="empty index range"):
+        call(pf)
+
+
 def test_singular_pivot_names_site():
     blocks = {
         "A": Block(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),

@@ -53,6 +53,13 @@ def test_config_validation():
         TrajectoryConfig(m2, 0, np.eye(3) / 3, 3, 10)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match="seed"):
+        TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 10, seed)
+    TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 10, 2**64 - 1)
+
+
 def test_superoperator_only_blocks_rejected():
     mat = superop_of([np.eye(2) / np.sqrt(2)])
     m = QmcModel(
