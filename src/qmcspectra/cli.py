@@ -2,9 +2,9 @@
 
 Each subcommand maps one-to-one onto a library operation and emits
 machine-readable JSON (or CSV for ``simulate``) with 15 significant
-digits.  Exit codes: 0 success, 2 missing file, 3 schema violation,
-4 numerical failure.  The subcommands call the library directly; :func:`run`
-alone maps what it raises to an exit code.
+digits.  Exit codes: 0 success, 2 missing or unreadable file, 3 schema
+violation, 4 numerical failure.  The subcommands call the library
+directly; :func:`run` alone maps what it raises to an exit code.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def run(argv=None) -> int:
         args.fn(args)
     except CliError as exc:
         code, message = exc.code, str(exc)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         code, message = EXIT_FILE, str(exc)
     except (ArithmeticError, np.linalg.LinAlgError, spectral.SpectralError) as exc:
         code, message = EXIT_NUMERIC, f"{args.command} failed: {exc}"

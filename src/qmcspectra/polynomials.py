@@ -70,6 +70,8 @@ class PolyFamily:
     def associated(self, k: int, x: complex, n_max: int) -> list[Array]:
         """The k-th associated family; zero up to index k, then degree
         n - k - 1."""
+        if k < 0:
+            raise ValueError(f"associated index k must be nonnegative, not {k}")
         _check_range(0, n_max)
         d = self.model.block_dim
         eye = np.eye(d, dtype=complex)

@@ -4,7 +4,10 @@ The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
 half-line or line chain that is homogeneous outside finitely many sites:
 the homogeneous fixed point closes each unbounded side and one
-block-Schur sweep covers the rest.  Truncated corner resolvents, the bare
+block-Schur sweep covers the rest.  On a real ladder above 1, the ladder
+of every recurrence verdict and of the jump at one, both closures are
+solved for all rungs at once by cyclic reduction and the sweep runs
+stacked over the rungs.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
@@ -47,6 +50,10 @@ TOL_GROUP = 1e-8
 RESIDUE_POINTS = 64
 # stopping step of the homogeneous fixed-point iteration
 FP_TOL = 1e-12
+# cyclic reduction of a closure: iteration cap, and the relative step of
+# the reduced pivot at which a point stops
+CR_MAX_ITER = 40
+CR_TOL = 1e-14
 
 
 class SpectralError(RuntimeError):
@@ -461,12 +468,17 @@ class TruncatedStieltjes(StieltjesEvaluator):
             yield z, res
 
 
-def _quadratic_residual(a, b, c, z, x) -> float:
+def _quadratic_residual(a, b, c, z, x):
+    """||x - (z I - b - c x a)^{-1}||_2 at one point z, or at each point of
+    an array z with x stacked to match; inf at every point when the
+    solve fails."""
+    eye = np.eye(a.shape[0])
     try:
-        target = np.linalg.solve(z * np.eye(a.shape[0]) - b - c @ x @ a, np.eye(a.shape[0]))
+        target = np.linalg.solve(np.multiply.outer(z, eye) - b - c @ x @ a,
+                                 np.broadcast_to(eye, np.shape(x)))
     except np.linalg.LinAlgError:
-        return np.inf
-    return float(np.linalg.norm(x - target, 2))
+        return np.full(np.shape(z), np.inf)[()]
+    return np.linalg.norm(x - target, 2, axis=(-2, -1))
 
 
 class HomogeneousStieltjes(StieltjesEvaluator):
@@ -540,6 +552,58 @@ class HomogeneousStieltjes(StieltjesEvaluator):
             x, residual = warm
         return EvalResult(x, residual, self.method, state=x)
 
+    def reduce(self, zs: Array) -> tuple[Array, Array, Array]:
+        """The fixed point at every point of the real array ``zs`` at once,
+        by cyclic reduction, with its certificate.
+
+        With G = X A the closure solves A + (B - z) G + C G^2 = 0, and
+        X = -U^{-1} for the reduced pivot U = B - z + C G that cyclic
+        reduction converges to quadratically (Bini, Latouche & Meini,
+        *Numerical Methods for Structured Markov Chains*, 2005).  Every
+        step is one stacked solve over all points; the reduction stops once
+        every point's pivot has moved by at most ``CR_TOL`` relative, in
+        the Frobenius norm.
+        Returns the values, their defining-equation residuals and a mask
+        of the certified points: reduced within ``CR_MAX_ITER`` steps,
+        residual at most ``FP_TOL`` relative to max(1, ||X||) and
+        spectral radius of G below 1, the decaying branch.  A point that
+        did not reduce has value NaN and residual inf.  Off the real axis
+        the reduction can reach another solvent, so it serves real points
+        above the support only.
+        """
+        d = self.a.shape[0]
+        n = len(zs)
+        mid = self.b - np.multiply.outer(zs, np.eye(d))
+        hat = mid
+        down = np.broadcast_to(self.a, mid.shape)
+        up = np.broadcast_to(self.c, mid.shape)
+        reduced = np.zeros(n, dtype=bool)
+        # a point keeps reducing with the others once it has settled: its
+        # later steps are below rounding, so they leave its pivot as it is
+        with np.errstate(all="ignore"):
+            for _ in range(CR_MAX_ITER):
+                try:
+                    k = np.linalg.solve(mid, np.concatenate((down, up), axis=-1))
+                except np.linalg.LinAlgError:
+                    break
+                kd, ku = k[..., :d], k[..., d:]
+                step = up @ kd
+                hat = hat - step
+                mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
+                reduced |= (np.linalg.norm(step, axis=(-2, -1))
+                            <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
+                if reduced.all():
+                    break
+        x = np.full(mid.shape, np.nan, dtype=complex)
+        residual = np.full(n, np.inf)
+        certified = np.zeros(n, dtype=bool)
+        x[reduced] = -np.linalg.inv(hat[reduced])
+        residual[reduced] = _quadratic_residual(self.a, self.b, self.c, zs[reduced], x[reduced])
+        scale = np.maximum(1.0, np.linalg.norm(x[reduced], 2, axis=(-2, -1)))
+        radius = np.abs(np.linalg.eigvals(x[reduced] @ self.a)).max(axis=-1)
+        certified[reduced] = (residual[reduced] <= FP_TOL * scale) & (radius < 1.0)
+        return x, residual, certified
+
 
 class CornerStieltjes(StieltjesEvaluator):
     """Transform of a chain whose corner blocks differ from a homogeneous
@@ -599,6 +663,14 @@ class SiteStieltjes(StieltjesEvaluator):
     ``site``.  The residual sums the defining-equation residual of each
     fixed point and that of the last pivot solve; ``state`` carries both
     fixed points, (above, below), for warm starts.
+
+    A ladder whose points are all real and above 1 runs stacked: each
+    closure is solved for every rung at once by
+    :meth:`HomogeneousStieltjes.reduce`, then one stacked sweep per side
+    and one stacked pivot solve give every rung, with the same residual
+    and state as :meth:`evaluate`.  A rung that a closure does not
+    certify is re-solved by :meth:`evaluate`, warm-started from the rung
+    before it.  Any other ladder is walked rung by rung.
     """
 
     method = "closed"
@@ -629,21 +701,50 @@ class SiteStieltjes(StieltjesEvaluator):
             None if fp is None else fp.evaluate(z, x0=warm)
             for fp, warm in zip(self.closures, x0 or (None, None))
         ]
+        state = tuple(None if end is None else end.value for end in ends)
+        value, residual = self._pivot(z, state)
+        residual = float(residual) + sum(end.residual for end in ends if end is not None)
+        return EvalResult(value, residual, self.method, state=state)
+
+    def ladder(self, points):
+        points = list(points)
+        zs = np.array(points, dtype=complex)
+        if not (zs.size and np.all(zs.imag == 0) and np.all(zs.real > 1)):
+            yield from super().ladder(points)
+            return
+        ends = [None if fp is None else fp.reduce(zs) for fp in self.closures]
+        ok = np.ones(len(zs), dtype=bool)
+        for end in ends:
+            if end is not None:
+                ok &= end[2]
+        closings = [None if end is None else end[0][ok] for end in ends]
+        values, residuals = self._pivot(zs[ok], closings)
+        residuals += sum(end[1][ok] for end in ends if end is not None)
+        warm = None
+        for z, certified, i in zip(points, ok, np.cumsum(ok) - 1):
+            if certified:
+                state = tuple(None if c is None else c[i] for c in closings)
+                res = EvalResult(values[i], float(residuals[i]), self.method, state=state)
+            else:
+                res = self.evaluate(z, x0=warm)
+            warm = res.warm()
+            yield z, res
+
+    def _pivot(self, z, closings):
+        """The inverse pivot at ``site`` and its solve residual, at one
+        point z or stacked over an array of them, from the closings of the
+        two sides (None at a bounded edge)."""
         A, B, C = self.table
         k = self.site - self.lo
         eye = np.eye(B[k].shape[0], dtype=complex)
-        core = z * eye - B[k]
+        core = np.multiply.outer(z, eye) - B[k]
         # the eliminated sides couple in through the blocks next to site
-        for sites, end, into, back in zip(self.sweeps, ends, (C, A), (A, C)):
-            y = schur_sweep(self.table, self.lo, sites, z=z,
-                            closing=None if end is None else end.value)
+        for sites, closing, into, back in zip(self.sweeps, closings, (C, A), (A, C)):
+            y = schur_sweep(self.table, self.lo, sites, z=z, closing=closing)
             if y is not None:
                 core = core - into[k - sites.step] @ y @ back[k]
-        value = np.linalg.solve(core, eye)
-        residual = float(np.linalg.norm(core @ value - eye, 2))
-        residual += sum(end.residual for end in ends if end is not None)
-        state = tuple(None if end is None else end.value for end in ends)
-        return EvalResult(value, residual, self.method, state=state)
+        value = np.linalg.solve(core, np.broadcast_to(eye, core.shape))
+        return value, np.linalg.norm(core @ value - eye, 2, axis=(-2, -1))
 
 
 def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> StieltjesEvaluator:

@@ -268,6 +268,13 @@ def test_segment_recurrence_reports_segment_limit(files, capsys, tmp_path):
 def test_exit_codes(files, capsys, tmp_path):
     assert run(["validate", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # a path that exists but cannot be read as a file is a file error too
+    code, err = run_error(capsys, ["validate", str(tmp_path)])
+    assert code == 2 and err.startswith("error:") and "Is a directory" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    code, err = run_error(capsys, ["prob", files["shear"], "--from", "0", "--to", "0",
+                                   "--steps", "1", "--density", str(tmp_path)])
+    assert code == 2 and "Traceback" not in err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"matrix": [[1, 0], [0, 0]]}))
     assert run(["prob", str(bad), "--from", "0", "--to", "0", "--steps", "1",
@@ -454,6 +461,7 @@ FUZZ_DENSITIES = {"rho_nan": {"matrix": [[float("nan"), 0.0], [0.0, 1.0]]}}
         ["simulate", "shear", "--steps", "3", "--trajectories", "10", "--density", "rho_nan"],
         ["poly", "shear", "--x", "1", "--n", "-2"],
         ["poly", "shear", "--x", "1", "--n", "-2", "--family", "associated", "--k", "1"],
+        ["poly", "shear", "--x", "1", "--n", "2", "--family", "associated", "--k", "-1"],
         ["poly", "diagline", "--x", "1", "--n", "-1", "--family", "folded"],
         ["poly", "diagline", "--x", "1", "--n", "-1", "--family", "two-sided"],
         ["simulate", "shear", "--steps", "3", "--seed", "-1", "--density", "rho_sym"],
@@ -465,7 +473,7 @@ FUZZ_DENSITIES = {"rho_nan": {"matrix": [[float("nan"), 0.0], [0.0, 1.0]]}}
     ],
     ids=["substochastic-string", "override-site-float", "abstract-trace-short",
          "homogeneous-list", "simulate-density-nan", "poly-main-negative-n",
-         "poly-associated-negative-n", "poly-folded-negative-n",
+         "poly-associated-negative-n", "poly-associated-negative-k", "poly-folded-negative-n",
          "poly-two-sided-negative-n", "simulate-seed-negative", "simulate-seed-2**64",
          "stieltjes-z-nan", "stieltjes-z-inf", "stieltjes-z-imag-inf", "poly-x-nan"],
 )
@@ -489,9 +497,11 @@ def test_fuzzed_input_exits_3_without_traceback(files, capsys, tmp_path, argv):
         (spectral.SpectralError("no"), 4, "error: first-passage failed: no"),
         (spectral.ConvergenceError("no"), 4, "error: first-passage failed: no"),
         (FileNotFoundError("no"), 2, "error: no"),
+        (IsADirectoryError("no"), 2, "error: no"),
+        (PermissionError("no"), 2, "error: no"),
     ],
     ids=["ValueError", "LinAlgError", "ArithmeticError", "SpectralError",
-         "ConvergenceError", "FileNotFoundError"],
+         "ConvergenceError", "FileNotFoundError", "IsADirectoryError", "PermissionError"],
 )
 def test_run_maps_exceptions_to_exit_codes(capsys, monkeypatch, exc, code, prefix):
     def fail(args):

@@ -170,6 +170,13 @@ def test_negative_degree_or_empty_range_rejected(call):
         call(pf)
 
 
+def test_negative_associated_index_rejected():
+    # a negative k is malformed input, not a singular pivot at site k
+    pf = PolyFamily(models.shear_coin_segment())
+    with pytest.raises(ValueError, match="nonnegative"):
+        pf.associated(-1, 1.0, 2)
+
+
 def test_singular_pivot_names_site():
     blocks = {
         "A": Block(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcspectra import models
+from qmcspectra import models, spectral
 from qmcspectra.chain_model import (
     Block,
     QmcModel,
@@ -19,6 +19,7 @@ from qmcspectra.chain_model import (
 )
 from qmcspectra.folding import FoldedTransformEvaluator, half_line_evaluators
 from qmcspectra.spectral import (
+    HomogeneousStieltjes,
     SiteStieltjes,
     StieltjesEvaluator,
     residue_probe,
@@ -183,3 +184,214 @@ def test_rung_consumers_warm_start_every_rung(consumer):
     else:
         residue_probe(spy, 1.0)
     assert len(spy.x0s) > 2 and _warm_chain(spy)
+
+
+# -- the stacked real ladder ---------------------------------------------
+
+HALF_LINES = {
+    "hopping-out": models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4),
+    "hopping-in": models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.4, 0.2),
+    "hopping-balanced": models.uniform_hopping_half_line(0.5, 0.5, 0.5, 0.25, 0.25),
+    "flip": models.flip_channel_half_line(0.7, 0.8),
+    "flip-up-corner": models.flip_channel_half_line(0.7, 0.8, corner="up"),
+    "tilted-shear": models.tilted_shear_half_line(),
+    "tilted-shear-corner": models.tilted_shear_half_line(corner=True),
+    "balanced-shift": models.balanced_shift_half_line(),
+    "balanced-shift-corner": models.balanced_shift_half_line(corner=True),
+    "corner-coin": models.corner_coin_oqw(0.5),
+}
+LINES = {
+    "diagonal-coin": models.diagonal_coin_line_walk(),
+    "hopping-balanced-line": models.uniform_hopping_line(0.5, 0.5, 0.5, 0.25, 0.25),
+    "hopping-tilted-line": models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3),
+    "tilted-shear-line": models.tilted_shear_line(),
+}
+CHAIN_SITES = [(name, site) for name in HALF_LINES for site in (0, 1)] + [
+    (name, site) for name in LINES for site in (0, 1, -1)
+]
+
+
+def _walk(ev, points=DEFAULT_LADDER):
+    """The inherited rung-by-rung walk, warm-started evaluate calls."""
+    return list(StieltjesEvaluator.ladder(ev, points))
+
+
+@pytest.mark.parametrize("name, site", CHAIN_SITES, ids=[f"{n}@{s}" for n, s in CHAIN_SITES])
+def test_stacked_ladder_matches_rung_walk(name, site):
+    ev = SiteStieltjes({**HALF_LINES, **LINES}[name], site)
+    stacked = list(ev.ladder(DEFAULT_LADDER))
+    assert [z for z, _ in stacked] == list(DEFAULT_LADDER)
+    for (_, got), (_, want) in zip(stacked, _walk(ev)):
+        size = np.linalg.norm(want.value, 2)
+        # the transform of a null-recurrent chain reaches 1e4 at the last
+        # rungs, where both routes sit at the conditioning of the corner.
+        # Below that the walk's own fixed-point error sets the bound: on
+        # the diagonal-coin line at z = 1.01 the walk is 1.0e-11 from the
+        # closed form and the stacked ladder 1.3e-14
+        tol = 2e-11 if size < 1e2 else 1e-8
+        assert np.linalg.norm(got.value - want.value, 2) <= tol * size
+        assert got.residual <= 1e-11
+        assert got.method == want.method
+        for x, x_want in zip(got.state, want.state):
+            assert (x is None) == (x_want is None)
+
+
+def _flip_interior(p, q, z):
+    """Closed-form interior transform of the flip-channel chain, with
+    z^2 - 1 formed from z - 1 so that it keeps its digits near z = 1."""
+    xi = np.array([1.0, 1 - 2 * q, (1 - 2 * p) * (1 - 2 * q)])
+    eps = z - 1.0
+    u = models.flip_channel_basis()
+    return u @ np.diag(2 * (z - np.sqrt(eps * (2 + eps) + (1 - xi))) / xi) @ u.T
+
+
+def _flip_closed_form(p, q, corner):
+    m = models.flip_channel_half_line(p, q, corner=corner)
+
+    def form(z):
+        x = _flip_interior(p, q, z)
+        if corner is None:
+            return x
+        core = z * np.eye(3) - m.block(0, "B") - m.block(1, "C") @ x @ m.block(0, "A")
+        return np.linalg.inv(core)
+    return SiteStieltjes(m), form
+
+
+def _coin_closed_form(site):
+    # commuting diagonal coins: each component is a scalar walk
+    r = np.array([1 / 3, 1 / np.sqrt(6), 1 / np.sqrt(6), 0.5])
+    l = np.array([2 / 3, 1 / np.sqrt(3), 1 / np.sqrt(3), 0.5])
+
+    def form(z):
+        eps = z - 1.0
+        return np.diag(1.0 / np.sqrt(eps * (2 + eps) + (1 - 4 * r * l)))
+    return SiteStieltjes(models.diagonal_coin_line_walk(), site), form
+
+
+CLOSED_FORMS = {
+    **{f"flip-{p}-{q}-{corner}": (_flip_closed_form, (p, q, corner))
+       for p, q in [(0.7, 0.8), (0.6, 0.9), (0.85, 0.65)] for corner in (None, "up")},
+    "coin-line@0": (_coin_closed_form, (0,)),
+    "coin-line@-1": (_coin_closed_form, (-1,)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_stacked_ladder_matches_closed_forms(name):
+    make, args = CLOSED_FORMS[name]
+    ev, form = make(*args)
+    for (z, got), (_, walked) in zip(ev.ladder(DEFAULT_LADDER), _walk(ev)):
+        want = form(z)
+        size = np.linalg.norm(want, 2)
+        err = np.linalg.norm(got.value - want, 2) / size
+        # rounding in the closure is amplified by |value| and by the
+        # square-root branch point at z = 1
+        floor = 1e-15 * size / np.sqrt(z - 1.0)
+        assert err <= max(np.linalg.norm(walked.value - want, 2) / size, floor)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, sides", [("flip-up-corner", 1), ("diagonal-coin", 2)])
+@pytest.mark.parametrize("consumer", ["classify_recurrence", "jump_at_one"])
+def test_real_ladder_runs_one_reduction_per_side(monkeypatch, name, sides, consumer):
+    m = {**HALF_LINES, **LINES}[name]
+    evaluations = _count_calls(monkeypatch, HomogeneousStieltjes, "evaluate")
+    reductions = _count_calls(monkeypatch, HomogeneousStieltjes, "reduce")
+    if consumer == "classify_recurrence":
+        classify_recurrence(m, 0, np.eye(2) / 2)
+    else:
+        jump_at_one(SiteStieltjes(m))
+    assert evaluations == []
+    assert len(reductions) == sides
+    assert all(len(zs) == len(DEFAULT_LADDER) for (zs,) in reductions)
+
+
+def test_residue_probe_walks_rung_by_rung(monkeypatch):
+    m = HALF_LINES["flip-up-corner"]
+    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
+    reductions = _count_calls(monkeypatch, HomogeneousStieltjes, "reduce")
+    residue_probe(SiteStieltjes(m), 1.0)
+    assert len(evaluations) == 4 and reductions == []
+
+
+def test_uncertified_rungs_fall_back_to_evaluate(monkeypatch):
+    ev = SiteStieltjes(LINES["diagonal-coin"], -1)
+    want = _walk(ev)
+    # one reduction step certifies no rung: every rung is the walk's own
+    monkeypatch.setattr(spectral, "CR_MAX_ITER", 1)
+    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
+    got = list(ev.ladder(DEFAULT_LADDER))
+    assert len(evaluations) == len(DEFAULT_LADDER)
+    for (_, res), (_, ref) in zip(got, want):
+        assert np.array_equal(res.value, ref.value) and res.residual == ref.residual
+
+
+def test_one_uncertified_rung_is_resolved_from_its_neighbour(monkeypatch):
+    ev = SiteStieltjes(LINES["hopping-tilted-line"], 1)
+    stacked = list(ev.ladder(DEFAULT_LADDER))
+    reduce = HomogeneousStieltjes.reduce
+
+    def drop_rung_3(self, zs):
+        x, residual, certified = reduce(self, zs)
+        return x, residual, certified & (np.arange(len(zs)) != 3)
+
+    monkeypatch.setattr(HomogeneousStieltjes, "reduce", drop_rung_3)
+    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
+    got = list(ev.ladder(DEFAULT_LADDER))
+    assert len(evaluations) == 1
+    z3, x0 = DEFAULT_LADDER[3], stacked[2][1].state
+    assert evaluations[0][0] == z3
+    want = ev.evaluate(z3, x0=x0)
+    assert np.array_equal(got[3][1].value, want.value)
+    for k in (0, 1, 2, 4, 5, 6):
+        assert np.array_equal(got[k][1].value, stacked[k][1].value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["segment", "half_line", "line"]).flatmap(chains),
+       st.integers(-2, 3))
+def test_real_ladder_matches_dense_resolvent(model, site):
+    if not model.topology.contains(site):
+        return
+    ladder = (1.0 + 1e-2, 1.0 + 1e-5, 1.0 + 1e-8, 1.7)
+    for z, res in SiteStieltjes(model, site).ladder(ladder):
+        want = resolvent_block(model, site, site, 1 / z, 40)
+        assert np.abs(z * res.value - want).max() < 1e-10
+
+
+ACCEPTANCE_RECURRENCE = [
+    ("flip", 0, np.diag([1.0, 0.0])),
+    ("flip", 0, np.array([[0.5, 0.2], [0.2, 0.5]])),
+    ("flip-up-corner", 0, np.diag([0.0, 1.0])),
+    ("flip-up-corner", 0, np.diag([0.25, 0.75])),
+    ("hopping-balanced", 0, np.array([[0.6, 0.1], [0.1, 0.4]])),
+    ("hopping-in", 1, np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])),
+    ("diagonal-coin", 0, np.diag([1.0, 0.0])),
+    ("diagonal-coin", 0, np.eye(2) / 2),
+    ("hopping-balanced-line", 0, np.diag([0.4, 0.6])),
+    ("hopping-tilted-line", -1, np.diag([0.4, 0.6])),
+]
+
+
+@pytest.mark.parametrize("name, site, rho", ACCEPTANCE_RECURRENCE)
+def test_stacked_ladder_keeps_recurrence_verdicts(monkeypatch, name, site, rho):
+    m = {**HALF_LINES, **LINES}[name]
+    got = classify_recurrence(m, site, rho)
+    monkeypatch.setattr(SiteStieltjes, "ladder", StieltjesEvaluator.ladder)
+    want = classify_recurrence(m, site, rho)
+    assert got.verdict == want.verdict
+    if want.limit is None:
+        assert got.limit is None
+    else:
+        assert got.limit == pytest.approx(want.limit, rel=1e-9)
