@@ -12,9 +12,10 @@ fixed point, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
 the value, except :class:`TruncatedStieltjes`, whose residual is the step
-between its last two windows; it runs a whole ladder of points as one
-stacked sweep and continues that sweep, instead of restarting it, at each
-window doubling.  :meth:`StieltjesEvaluator.ladder` is the one rung
+between its last two windows; it runs a whole ladder of points at once and
+builds the homogeneous tail of each window from glued block ports of
+runs of 2^j sites, in O(log window) stacked solves instead of one per
+site.  :meth:`StieltjesEvaluator.ladder` is the one rung
 walker of every ladder.  :func:`transform_evaluator` holds the one route
 policy; the CLI and the half-chains of a folded line chain both take
 their evaluators from it.
@@ -378,30 +379,91 @@ class StieltjesEvaluator:
         return val
 
 
+def _port_solve(m, rhs):
+    """Stacked solve of m x = rhs, NaN at the points where m is exactly
+    singular instead of an error for the whole stack."""
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(m) == 0
+        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(m.shape[-1]), m), rhs)
+        x[singular] = np.nan
+        return x
+
+
+def _glue(p, q, a, c):
+    """Port of the run ``p`` (near) followed by the run ``q`` (far).
+
+    A port of a homogeneous run stacks its four corner blocks (first-first,
+    first-last, last-first, last-last) of (z I - Phi)^{-1}; ``a`` couples
+    the last site of ``p`` up into the first of ``q``, ``c`` couples back
+    down.  One stacked solve with F = (I - Pnn C Q11 A)^{-1} and
+    F' = I + Q11 A F Pnn C = (I - Q11 A Pnn C)^{-1}."""
+    p11, p1n, pn1, pnn = p
+    q11, q1n, qn1, qnn = q
+    qa, pc = q11 @ a, pnn @ c
+    d = a.shape[-1]
+    x = _port_solve(np.eye(d) - pc @ qa, np.concatenate([pn1, pc @ q1n], axis=-1))
+    f_pn1, g = x[..., :d], q1n + qa @ x[..., d:]  # F Pn1 and F' Q1n
+    p1c, qna = p1n @ c, qn1 @ a
+    return np.stack([p11 + p1c @ qa @ f_pn1, p1c @ g, qna @ f_pn1, qnn + qna @ pc @ g])
+
+
+def _close(g, tail, a, c):
+    """First-first block of the run ``g`` (a port) followed by a run whose
+    first-first block is ``tail`` (None: no run)."""
+    if tail is None:
+        return g[0]
+    sigma = c @ tail @ a
+    return g[0] + g[1] @ sigma @ _port_solve(np.eye(a.shape[-1]) - g[3] @ sigma, g[2])
+
+
 def _continued_corners(model: QmcModel, zs: Array, windows):
     """Corner stacks of the absorbing truncations of a chain bounded from
     below, one per window in ``windows`` (ascending), for the points
-    ``zs``, each ``np.array_equal`` to ``corner_resolvent(model, zs, w)``.
+    ``zs``, each equal to ``corner_resolvent(model, zs, w)`` to rounding.
 
     Sites at and above h = max(overrides) + 1 hold the homogeneous B and
     A, and the C of the site above, so the inverse pivot at h after
-    eliminating the tail above it depends only on the tail's length: a
-    longer window continues the kept tail pivot by its new tail sites
-    instead of sweeping again from the far end.  Only the head sites
-    below h are swept again for each window, and a window that does not
-    reach past h is swept whole.  Sending a boolean mask keeps only those
-    points for the later windows.
+    eliminating the tail above it is the first-first block of a
+    homogeneous run of w - h sites.  The ports of runs of 2^j sites are
+    built by gluing each to itself, and the tail of every window grows
+    from the kept tail by closing it with the ports of the binary digits
+    of its new length: O(log w) stacked solves per window instead of one
+    per site.  Only the head sites below h are swept (:func:`schur_sweep`)
+    for each window.  Sending a boolean mask keeps only those points, and
+    their ports, for the later windows.  A non-finite port or tail raises
+    ``np.linalg.LinAlgError`` naming the window and the points.
     """
-    table = block_table(model, 0, windows[-1] - 1)
     h = max(model.overrides, default=0) + 1
-    tail, done = None, 0
+    table = block_table(model, 0, min(h, windows[-1] - 1))
+    a, b, c = model.block(h, "A"), model.block(h, "B"), model.block(h + 1, "C")
+    eye = np.eye(b.shape[0])
+    ports, tail, done = [], None, 0
     for w in windows:
         new = max(w - h, 0) - done
-        tail = schur_sweep(table, 0, range(h + new - 1, h - 1, -1), z=zs, closing=tail)
+        with np.errstate(all="ignore"):
+            if new and not ports:
+                # one site: all four corners are (z I - B)^{-1}
+                ports.append(np.stack([_port_solve(zs[..., None, None] * eye - b, eye)] * 4))
+            for j in range(new.bit_length()):
+                if j == len(ports):
+                    ports.append(_glue(ports[-1], ports[-1], a, c))
+                if new >> j & 1:
+                    tail = _close(ports[j], tail, a, c)
         done += new
+        if tail is not None:
+            bad = ~np.isfinite(tail).all(axis=(-2, -1))
+            for port in ports:
+                bad |= ~np.isfinite(port).all(axis=(0, -2, -1))
+            if bad.any():
+                raise np.linalg.LinAlgError(
+                    f"non-finite homogeneous tail port for z in {zs[bad].tolist()} on window [0, {w - 1}]"
+                )
         keep = yield schur_sweep(table, 0, range(min(h, w) - 1, -1, -1), z=zs, closing=tail)
         if keep is not None:
-            zs, tail = zs[keep], None if tail is None else tail[keep]
+            zs, ports = zs[keep], [port[:, keep] for port in ports]
+            tail = None if tail is None else tail[keep]
 
 
 class TruncatedStieltjes(StieltjesEvaluator):
@@ -411,11 +473,12 @@ class TruncatedStieltjes(StieltjesEvaluator):
     A point stops at its first window whose step from the previous window
     is at most ``tolerance``, or else at the last of ``max_doublings``
     doublings.  Its residual is that step between its last two windows,
-    not a defining-equation residual.  A ladder of points runs as one
-    stacked sweep, and each doubling continues the previous window's
-    sweep by the new homogeneous tail sites (:func:`_continued_corners`);
-    the values are those of a fresh sweep of every window.  A segment is
-    swept once over all its sites, with residual 0.
+    not a defining-equation residual.  A ladder of points runs stacked,
+    and each doubling extends the previous window's homogeneous tail by
+    glued block ports (:func:`_continued_corners`): the same windows,
+    values equal to a fresh sweep of every window to rounding, and
+    O(log window) stacked solves per window.  A segment is swept once over
+    all its sites, with residual 0.
     """
 
     method = "truncated"
