@@ -202,6 +202,8 @@ def cmd_first_passage(args) -> None:
             "probability": result.probability,
             "extrapolated": result.extrapolated,
             "ladder": [[s, v] for s, v in result.ladder],
+            "route": result.route,
+            "residual": result.residual,
         }
     )
 
@@ -315,7 +317,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_site", type=int, required=True)
     p.add_argument("--density", required=True)
     p.add_argument("--window", type=int, default=64,
-                   help="truncation radius of the first-passage sweep")
+                   help="window of the fallback ladder, which runs only where "
+                        "the exact s = 1 solve does not apply; both sites must "
+                        "lie in it")
 
     p = add("fold", cmd_fold, help="rewrite a line model on the half-line")
     p.add_argument("--output", required=True)

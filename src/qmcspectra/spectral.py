@@ -49,7 +49,8 @@ from .quantum_core import TOL_HERM, Array, hermitian_part
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
 RESIDUE_POINTS = 64
-# stopping step of the homogeneous fixed-point iteration
+# stopping step of the homogeneous fixed-point iteration (Newton finishes
+# it when the contraction is slower than 1/2 per step)
 FP_TOL = 1e-12
 # cyclic reduction of a closure: iteration cap, and the relative step of
 # the reduced pivot at which a point stops
@@ -544,10 +545,46 @@ def _quadratic_residual(a, b, c, z, x):
     return np.linalg.norm(x - target, 2, axis=(-2, -1))
 
 
+def _cyclic_reduction(mid, down, up):
+    """Cyclic reduction of ``down + mid G + up G^2 = 0`` for the d x d
+    blocks of the stack ``mid``; ``down`` and ``up`` are one block or a
+    stack of the same shape.
+
+    Returns the reduced pivot, from which the minimal solvent is
+    G = -hat^{-1} down, and the mask of the points whose pivot has moved
+    by at most ``CR_TOL`` relative (Frobenius) within ``CR_MAX_ITER``
+    steps.  Every step is one stacked solve over all points (Bini,
+    Latouche & Meini, *Numerical Methods for Structured Markov Chains*,
+    2005).
+    """
+    d = mid.shape[-1]
+    hat = mid
+    down = np.broadcast_to(down, mid.shape)
+    up = np.broadcast_to(up, mid.shape)
+    reduced = np.zeros(mid.shape[:-2], dtype=bool)
+    # a point keeps reducing with the others once it has settled: its
+    # later steps are below rounding, so they leave its pivot as it is
+    with np.errstate(all="ignore"):
+        for _ in range(CR_MAX_ITER):
+            try:
+                k = np.linalg.solve(mid, np.concatenate((down, up), axis=-1))
+            except np.linalg.LinAlgError:
+                break
+            kd, ku = k[..., :d], k[..., d:]
+            step = up @ kd
+            hat = hat - step
+            mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
+            reduced |= (np.linalg.norm(step, axis=(-2, -1))
+                        <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
+            if reduced.all():
+                break
+    return hat, reduced
+
+
 class HomogeneousStieltjes(StieltjesEvaluator):
     """Fixed point of X = (z I - B - C X A)^{-1} for a homogeneous
     interior, started from X = I/z, with Newton polishing when plain
-    iteration stalls.
+    iteration stalls or contracts by less than half per step.
 
     The iteration is a contraction for z outside the support and selects
     the transform of the genuine measure (decaying branch), which is
@@ -596,19 +633,23 @@ class HomogeneousStieltjes(StieltjesEvaluator):
                 return EvalResult(x, r, self.method, state=x)
             warm = (x, r)
         x = eye / z
-        last_delta = np.inf
+        last_delta = ratio = np.inf
         for it in range(10_000):
             try:
                 nxt = np.linalg.solve(z * eye - self.b - self.c @ x @ self.a, eye)
             except np.linalg.LinAlgError:
                 break  # iteration left its domain; Newton recovers
-            last_delta = float(np.linalg.norm(nxt - x, 2))
+            delta = float(np.linalg.norm(nxt - x, 2))
             x = nxt
-            if last_delta < FP_TOL:
+            ratio, last_delta = delta / last_delta, delta
+            if delta < FP_TOL:
                 break
-            if it >= 200 and last_delta < 1e-3:
+            if it >= 200 and delta < 1e-3:
                 break
-        if last_delta >= FP_TOL:
+        # at the observed contraction ratio q the error left after a step
+        # delta is at most delta q / (1 - q), which delta bounds only for
+        # q <= 1/2; a slower contraction, or none, is finished by Newton
+        if not (last_delta < FP_TOL and ratio <= 0.5):
             x = self._newton(z, x)
         residual = _quadratic_residual(self.a, self.b, self.c, z, x)
         if warm is not None and warm[1] < residual:
@@ -634,30 +675,10 @@ class HomogeneousStieltjes(StieltjesEvaluator):
         the reduction can reach another solvent, so it serves real points
         above the support only.
         """
-        d = self.a.shape[0]
         n = len(zs)
-        mid = self.b - np.multiply.outer(zs, np.eye(d))
-        hat = mid
-        down = np.broadcast_to(self.a, mid.shape)
-        up = np.broadcast_to(self.c, mid.shape)
-        reduced = np.zeros(n, dtype=bool)
-        # a point keeps reducing with the others once it has settled: its
-        # later steps are below rounding, so they leave its pivot as it is
-        with np.errstate(all="ignore"):
-            for _ in range(CR_MAX_ITER):
-                try:
-                    k = np.linalg.solve(mid, np.concatenate((down, up), axis=-1))
-                except np.linalg.LinAlgError:
-                    break
-                kd, ku = k[..., :d], k[..., d:]
-                step = up @ kd
-                hat = hat - step
-                mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
-                reduced |= (np.linalg.norm(step, axis=(-2, -1))
-                            <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
-                if reduced.all():
-                    break
-        x = np.full(mid.shape, np.nan, dtype=complex)
+        hat, reduced = _cyclic_reduction(
+            self.b - np.multiply.outer(zs, np.eye(self.a.shape[0])), self.a, self.c)
+        x = np.full(hat.shape, np.nan, dtype=complex)
         residual = np.full(n, np.inf)
         certified = np.zeros(n, dtype=bool)
         x[reduced] = -np.linalg.inv(hat[reduced])

@@ -20,14 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel, block_table, schur_sweep
+from .chain_model import (
+    LINE,
+    ROLES,
+    QmcModel,
+    _homogeneous_matrix,
+    block_table,
+    schur_sweep,
+)
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
+    FP_TOL,
     DiscreteWeight,
     SiteStieltjes,
     StieltjesEvaluator,
     Symmetrizer,
+    _cyclic_reduction,
 )
 
 RECURRENT = "recurrent"
@@ -178,6 +187,17 @@ def km_probability(
 # ---------------------------------------------------------------------
 
 
+def _passage_window(model: QmcModel, i: int, j: int, window: int) -> tuple[int, int]:
+    """The window [-window, window] on a line, [0, window] on a half-line
+    and the whole of a segment, whatever its length; ``ValueError`` when
+    it does not hold both sites."""
+    lo = -window if model.topology.kind == LINE else 0
+    hi = window if model.topology.hi is None else model.topology.hi
+    if not (lo <= i <= hi and lo <= j <= hi):
+        raise ValueError(f"sites {i}, {j} outside window [{lo}, {hi}]")
+    return lo, hi
+
+
 def first_passage_gf(
     model: QmcModel,
     j: int,
@@ -202,11 +222,7 @@ def first_passage_gf(
     :func:`first_passage_poly` is the polynomial route
     Q_j(1/s)^{-1} Q_i(1/s); the two agree wherever both apply.
     """
-    # the window covers a segment whole, whatever its length
-    lo = -window if model.topology.kind == LINE else 0
-    hi = window if model.topology.hi is None else model.topology.hi
-    if not (lo <= i <= hi and lo <= j <= hi):
-        raise ValueError(f"sites {i}, {j} outside window [{lo}, {hi}]")
+    lo, hi = _passage_window(model, i, j, window)
     A, B, C = table = block_table(model, lo, hi)
     d = model.block_dim
     ss = np.reshape(s, (-1,))
@@ -243,6 +259,106 @@ def first_passage_corner(model: QmcModel, s: complex) -> Array:
     return s * np.linalg.solve((np.eye(d, dtype=complex) - s * b0).T, a0.T).T
 
 
+def _fixed_spaces(phi: Array) -> tuple[Array, Array]:
+    """Orthonormal bases of the fixed vectors of ``phi`` (columns) and of
+    its fixed functionals (rows): the singular vectors of phi - I whose
+    singular values are at most ``FP_TOL``."""
+    u, sv, vh = np.linalg.svd(phi - np.eye(phi.shape[0]))
+    fixed = sv <= FP_TOL
+    return vh[fixed].conj().T, u[:, fixed].conj().T
+
+
+def _drift(a: Array, b: Array, c: Array, t: Array) -> float | None:
+    """Mean drift m = t (A - C) v per step of a trace-preserving interior
+    in its invariant states v, t v = 1 (Carbone & Pautrat, Ann. Henri
+    Poincare 17, 2016): positive upward.  None when the invariant states
+    do not all drift alike, as in a reducible interior whose enclosures
+    move differently."""
+    v, _ = _fixed_spaces(a + b + c)
+    mass, drift = t @ v, t @ (a - c) @ v
+    norm = float(np.vdot(mass, mass).real)
+    if norm <= FP_TOL:
+        return None
+    m = complex(drift @ mass.conj()) / norm
+    if np.linalg.norm(drift - m * mass) > FP_TOL:
+        return None
+    return m.real
+
+
+def _passage_solvent(a: Array, b: Array, c: Array, t: Array) -> tuple[Array, float] | None:
+    """G(1), the minimal solvent of G = C + G B + G^2 A, with its residual
+    relative to max(1, ||G||): the first passage one level down of a
+    homogeneous interior, by cyclic reduction on the transposed equation.
+
+    When the interior is trace preserving and its drift is at most 0,
+    every fixed functional l of A + B + C, t among them, keeps l G = l, so
+    G = X + Q with Q the projection onto them, and X solves
+    X = (I - Q) C + X (B + Q A) + X^2 A with the root 1 of a recurrent
+    interior shifted to 0 (He, Meini & Rhee, SIAM J. Matrix Anal. Appl.
+    23, 2002); unshifted, a null-recurrent interior reduces only linearly.
+    None when the invariant states drift apart, the reduction does not
+    settle or the residual is above ``FP_TOL``.
+    """
+    eye = np.eye(a.shape[0])
+    q = np.zeros_like(eye)
+    phi = a + b + c
+    if np.linalg.norm(t @ phi - t) <= FP_TOL * np.linalg.norm(t):
+        m = _drift(a, b, c, t)
+        if m is None:
+            return None
+        if m <= FP_TOL:
+            ell = _fixed_spaces(phi)[1]
+            q = ell.conj().T @ ell
+    down = c - q @ c
+    hat, reduced = _cyclic_reduction((b + q @ a - eye).T, down.T, a.T)
+    if not reduced:
+        return None
+    g = q - np.linalg.solve(hat, down.T).T
+    residual = float(np.linalg.norm(g - c - g @ b - g @ g @ a, 2))
+    residual /= max(1.0, float(np.linalg.norm(g, 2)))
+    return (g, residual) if residual <= FP_TOL else None
+
+
+def _closed_passage(model: QmcModel, i: int, j: int, window: int) -> tuple[Array, float] | None:
+    """F_ji(1) for i != j in one solve at s = 1, with the residual of its
+    passage solvent (0 without one); None when the solvent does not apply.
+
+    A source side bounded by an edge is swept at s = 1 as in
+    :func:`first_passage_gf`.  An unbounded one is swept from the first
+    site past every override and the source, closed there by the inverse
+    pivot Y = (I - B - G A)^{-1} of the homogeneous tail, for which
+    G = C Y; below the target on a line the mirror solvent, with A and C
+    swapped, closes it.  A singular pivot raises
+    ``np.linalg.LinAlgError``.
+    """
+    topo = model.topology
+    above = i > j
+    if (topo.hi if above else topo.lo) is not None:
+        return first_passage_gf(model, j, i, 1.0, window=window), 0.0
+    a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
+    if not above:
+        a, c = c, a
+    solved = _passage_solvent(a, b, c, model.trace_vec)
+    if solved is None:
+        return None
+    g, residual = solved
+    eye = np.eye(model.block_dim)
+    closing = np.linalg.solve(eye - b - g @ a, eye)
+    marks = [*model.overrides, i]
+    if above:
+        # the tail starts past every override and the source
+        hi = max(marks) + 1
+        table = block_table(model, j, hi)
+        x = schur_sweep(table, j, range(hi - 1, j, -1), s=1.0, source_site=i, source=eye,
+                        closing=closing)
+        return table[2][1] @ x, residual
+    lo = min(marks) - 1
+    table = block_table(model, lo, j)
+    x = schur_sweep(table, lo, range(lo + 1, j), s=1.0, source_site=i, source=eye,
+                    closing=closing)
+    return table[0][j - 1 - lo] @ x, residual
+
+
 @dataclass(frozen=True)
 class PassageResult:
     from_site: int
@@ -250,7 +366,9 @@ class PassageResult:
     probability: float
     ladder: tuple  # ((s, trace), ...)
     extrapolated: bool
-    gf: object = None  # s -> first-passage block, same truncation
+    route: str  # "closed" (one solve at s = 1) or "window" (the ladder)
+    residual: float  # solvent residual, or the last Richardson step
+    gf: object = None  # s -> first-passage block on the window
 
     def block(self, s: complex) -> Array:
         return self.gf(s)
@@ -267,12 +385,18 @@ def reach_analysis(
 ) -> PassageResult:
     """Probability of ever reaching site j from a density at site i.
 
-    The first-passage trace is sampled at s = 1 - 2^{-m}, the whole
-    ladder in one stacked :func:`first_passage_gf` call, and Richardson
-    extrapolation of order 2 is applied on the geometric ladder; when the
-    ladder is too rough to extrapolate the last sample is returned with a
-    warning, and fewer than three rungs raise ``ValueError``.  ``gf`` of
-    the result evaluates one s on the same window.
+    The closed route (:func:`_closed_passage`) gives t F_ji(1) rho in one
+    solve at s = 1, exact on every topology: no ladder, no window and no
+    extrapolation.  It falls back to the window ladder when the passage
+    solvent misses its certificate, the invariant states of the interior
+    drift apart, or the s = 1 sweep hits a singular pivot.  The ladder
+    samples the first-passage trace on ``window`` at s = 1 - 2^{-m}, all in
+    one stacked :func:`first_passage_gf` call, and applies Richardson
+    extrapolation of order 2; when the ladder is too rough to extrapolate
+    the last sample is returned with a warning.  ``route`` and ``residual``
+    of the result say which ran.  Both sites must lie in the window, and
+    fewer than three rungs raise ``ValueError`` on either route.  ``gf``
+    of the result evaluates one s on the window.
     """
     ladder = [1.0 - 2.0**-m for m in m_range]
     if len(ladder) < 3:
@@ -285,25 +409,37 @@ def reach_analysis(
         return first_passage_gf(model, j, i, s, window=window)
 
     if i == j:
-        return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, gf)
-    blocks = gf(np.array(ladder))
-    samples = [(s, trace_action(model, f, rho_vec)) for s, f in zip(ladder, blocks)]
-    t = [v for _, v in samples]
-    r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
-    r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
-    prob, extrapolated = r2[-1], True
-    if len(r2) >= 2 and abs(r2[-1] - r2[-2]) > 1e-6 * max(1.0, abs(r2[-1])):
-        warnings.warn(
-            "first-passage ladder not smooth; falling back to last sample",
-            stacklevel=2,
-        )
-        prob, extrapolated = t[-1], False
+        return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0, gf)
+    _passage_window(model, i, j, window)
+    try:
+        closed = _closed_passage(model, i, j, window)
+    except np.linalg.LinAlgError:
+        closed = None
+    if closed is not None:
+        block, residual = closed
+        prob = trace_action(model, block, rho_vec)
+        samples, extrapolated, route = ((1.0, prob),), False, "closed"
+    else:
+        blocks = gf(np.array(ladder))
+        samples = tuple((s, trace_action(model, f, rho_vec)) for s, f in zip(ladder, blocks))
+        t = [v for _, v in samples]
+        r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
+        r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
+        prob, extrapolated, route = r2[-1], True, "window"
+        residual = abs(r2[-1] - r2[-2]) if len(r2) >= 2 else np.inf
+        if len(r2) >= 2 and residual > 1e-6 * max(1.0, abs(r2[-1])):
+            warnings.warn(
+                "first-passage ladder not smooth; falling back to last sample",
+                stacklevel=2,
+            )
+            prob, extrapolated = t[-1], False
     if prob < -1e-8 or prob > 1.0 + 1e-8:
         raise ArithmeticError(
-            f"extrapolated passage probability {prob} outside [0, 1]"
+            f"{route} passage probability {prob} outside [0, 1]"
         )
     return PassageResult(
-        i, j, float(min(max(prob, 0.0), 1.0)), tuple(samples), extrapolated, gf
+        i, j, float(min(max(prob, 0.0), 1.0)), samples, extrapolated, route,
+        float(residual), gf,
     )
 
 

@@ -168,7 +168,10 @@ def test_first_passage_ladder(files, capsys):
          "--density", files["rho_sym"]],
     )
     assert out["probability"] == pytest.approx((1 + np.sqrt(2) * 0.1) / 2, abs=1e-8)
-    assert out["ladder"][0][0] == pytest.approx(1 - 2**-4)
+    # the segment is solved once at s = 1, the ladder's only rung
+    assert out["route"] == "closed" and out["residual"] == 0.0
+    assert out["ladder"] == [[1.0, pytest.approx(out["probability"], abs=1e-15)]]
+    assert out["extrapolated"] is False
 
 
 def test_fold_writes_loadable_model(files, capsys):

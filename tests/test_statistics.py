@@ -12,6 +12,7 @@ from qmcspectra.chain_model import (
 )
 from qmcspectra.polynomials import PolyFamily
 from qmcspectra.spectral import (
+    FP_TOL,
     HomogeneousStieltjes,
     SiteStieltjes,
     TruncatedStieltjes,
@@ -213,19 +214,22 @@ def test_first_passage_singular_pivot_names_site_s_and_window():
     ids=["balanced", "drift_in", "drift_out"],
 )
 def test_reach_analysis_matches_dense_route(params):
+    # the site traces form a lazy birth-death walk (down r, up t) killed
+    # below 0, so the reach probability from i is min(1, r/t)^i; the
+    # generating function of the result stays the dense window's below 1
+    r, t = params[3], params[4]
     m = models.uniform_hopping_half_line(*params)
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])
-    ladder = [1.0 - 2.0**-k for k in range(4, 25)]
+    ladder = np.array([1.0 - 2.0**-k for k in range(4, 25)])
     for i in (1, 3):
         res = reach_analysis(m, i, 0, rho, window=64)
-        t = [trace_action(m, _dense_masked_gf(m, 0, i, s, 0, 64), m.state_vec(rho))
-             for s in ladder]
-        r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
-        r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
-        assert res.extrapolated
-        assert [s for s, _ in res.ladder] == ladder
-        assert max(abs(a - b) for (_, a), b in zip(res.ladder, t)) < 1e-12
-        assert abs(res.probability - min(max(r2[-1], 0.0), 1.0)) < 1e-12
+        assert res.route == "closed" and res.residual <= FP_TOL
+        ((s1, sample),) = res.ladder
+        assert s1 == 1.0 and abs(sample - res.probability) < 1e-15 and not res.extrapolated
+        assert abs(res.probability - min(1.0, r / t) ** i) < 1e-12
+        blocks = res.block(ladder)
+        for s, f in zip(ladder, blocks):
+            assert np.abs(f - _dense_masked_gf(m, 0, i, s, 0, 64)).max() < 1e-12
 
 
 def test_first_passage_covers_whole_long_segment():
@@ -233,14 +237,17 @@ def test_first_passage_covers_whole_long_segment():
     # above the window are reachable and no mass leaks out at the window
     m = models.uniform_hopping_segment(100, 0.4, 0.5, 0.5, 0.3, 0.3)
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])
-    ladder = [1.0 - 2.0**-k for k in range(4, 25)]
     for i, j in ((80, 70), (70, 90), (60, 75), (99, 0)):
         got = first_passage_gf(m, j, i, np.array([0.0, 0.5, 0.99]), window=64)
         for g, sk in zip(got, (0.0, 0.5, 0.99)):
             assert np.abs(g - _dense_masked_gf(m, j, i, sk, 0, 99)).max() < 1e-12
+    # the balanced walk leaks out above site 99, so from 80 it reaches 70
+    # before 100 with probability 2/3
     res = reach_analysis(m, 80, 70, rho, window=64)
-    t = [trace_action(m, _dense_masked_gf(m, 70, 80, s, 0, 99), m.state_vec(rho)) for s in ladder]
-    assert max(abs(a - b) for (_, a), b in zip(res.ladder, t)) < 1e-12
+    dense = trace_action(m, _dense_masked_gf(m, 70, 80, 1.0, 0, 99), m.state_vec(rho))
+    assert res.route == "closed"
+    assert abs(res.probability - dense) < 1e-12
+    assert abs(res.probability - 2.0 / 3.0) < 1e-12
 
 
 def test_polynomial_and_resolvent_paths_agree():
@@ -289,6 +296,108 @@ def test_reach_analysis_needs_three_rungs(monkeypatch):
     m = models.three_site_absorbing_oqw()
     with pytest.raises(ValueError, match="at least three rungs"):
         reach_analysis(m, 0, 1, np.eye(2) / 2, m_range=range(4, 6))
+
+
+def test_balanced_reach_is_one_at_every_window():
+    # the window-64 ladder answered the gambler's-ruin value 1 - 3/65
+    # = 0.953846 of its absorbing window here; the null-recurrent interior
+    # needs the shifted solvent, and the result is independent of window
+    m = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.3)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    for res in (reach_analysis(m, 3, 0, rho), reach_analysis(m, 3, 0, rho, window=64)):
+        assert res.route == "closed"
+        assert abs(res.probability - 1.0) < 1e-10
+
+
+def _hopping_regime(rng, regime):
+    """(s, a, b, r, t) with rates drawn as in the benchmark's reach class:
+    r, t in [0.15, 0.45], |t - r| >= 0.1 unless balanced, s = 1 - r - t
+    at least 0.1."""
+    while True:
+        r, t = rng.uniform(0.15, 0.45, size=2)
+        if regime == "balanced":
+            t = r
+        elif (t - r if regime == "up" else r - t) < 0.1:
+            continue
+        s = 1.0 - r - t
+        if s >= 0.1:
+            a, b = rng.uniform(0.3, 0.6, size=2)
+            return s, a, b, r, t
+
+
+@pytest.mark.parametrize("regime", ["up", "down", "balanced"])
+def test_reach_is_closed_in_every_hopping_regime(regime):
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        s, a, b, r, t = _hopping_regime(rng, regime)
+        m = models.uniform_hopping_half_line(s, a, b, r, t)
+        rho = random_density(rng)
+        for start in (2, 3, 4):
+            res = reach_analysis(m, start, 0, rho, window=64)
+            assert res.route == "closed" and res.residual <= FP_TOL
+            assert abs(res.probability - min(1.0, r / t) ** start) < 1e-12
+
+
+@pytest.mark.parametrize("r, t", [(0.2, 0.4), (0.4, 0.2), (0.3, 0.3)])
+def test_line_reach_both_ways_matches_birth_death(r, t):
+    # above the target the passage solvent closes the sweep, below it the
+    # mirror solvent with A and C swapped
+    m = models.uniform_hopping_line(1.0 - r - t, 0.5, 0.4, r, t)
+    rho = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    for i, j in ((3, 0), (1, -2), (-3, 0), (-1, 1)):
+        res = reach_analysis(m, i, j, rho)
+        want = min(1.0, r / t) ** (i - j) if i > j else min(1.0, t / r) ** (j - i)
+        assert res.route == "closed"
+        assert abs(res.probability - want) < 1e-12
+
+
+@pytest.mark.parametrize("corner", [False, True])
+def test_closed_reach_matches_deep_window(corner):
+    # the tilted-shear chain drifts away from the target, so the dense
+    # masked route on a deep window converges to the exact s = 1 value;
+    # the corner variant puts an override at the target site
+    m = models.tilted_shear_half_line(corner=corner)
+    rho = np.array([[0.4, 0.05], [0.05, 0.6]])
+    for i in (1, 2, 5):
+        res = reach_analysis(m, i, 0, rho)
+        dense = trace_action(m, _dense_masked_gf(m, 0, i, 1.0, 0, 160), m.state_vec(rho))
+        assert res.route == "closed"
+        assert abs(res.probability - dense) < 1e-12
+
+
+def test_reach_falls_back_to_window_ladder():
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    # the diagonal coins drift down in one invariant state and not at all
+    # in the other, so no single drift decides the shift
+    m = models.diagonal_coin_line_walk()
+    a, c = m.blocks["A"].matrix, m.blocks["C"].matrix
+    assert statistics._drift(a, np.zeros_like(a), c, m.trace_vec) is None
+    res = reach_analysis(m, 3, 0, rho)
+    assert res.route == "window" and res.extrapolated
+    assert len(res.ladder) == 21 and 0.0 < res.residual < 1e-6
+    # a trace-preserving hold at site 2 makes the s = 1 pivot singular
+    hop = Block(np.eye(2, dtype=complex) / 2)
+    hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
+    seg = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+                   blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
+    res = reach_analysis(seg, 1, 0, np.array([1.0, 0.0]))
+    assert res.route == "window"
+    assert res.ladder[0] == (1.0 - 2.0**-4, pytest.approx(res.ladder[0][1]))
+
+
+def test_drift_of_the_corrected_acceptance_chains():
+    # 4d: both flip channels carry sum K*K = I/2, so the walk is balanced
+    mc = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    a, c = mc.blocks["A"].matrix, mc.blocks["C"].matrix
+    assert abs(statistics._drift(a, np.zeros_like(a), c, mc.trace_vec)) < 1e-15
+    # 9c: up with probability (4 + 2 v22)/7, down with (3 - 2 v22)/7, and
+    # the invariant state is diag(0, 1)
+    up, down = models.tilted_shear_blocks()
+    m = statistics._drift(up.matrix, np.zeros((3, 3)), down.matrix, mc.trace_vec)
+    assert m == pytest.approx(5.0 / 7.0, abs=1e-14)
+    # mirrored, the drift changes sign
+    assert statistics._drift(down.matrix, np.zeros((3, 3)), up.matrix, mc.trace_vec) == (
+        pytest.approx(-5.0 / 7.0, abs=1e-14))
 
 
 # -- classification ---------------------------------------------------
