@@ -9,13 +9,17 @@ the single-path sampler and the ensemble, does the drawing for a batch of
 trajectories.  The ensemble is a statistically independent oracle for the
 site-occupation numbers computed by direct evolution.
 
-Randomness comes from the counter-based Philox generator keyed by
-(seed, trajectory index), so trajectory t consumes its own stream and the
-ensemble is independent of evaluation order and worker count.
+Randomness comes from the counter-based Philox4x64-10 generator keyed by
+(seed, trajectory index): trajectory t consumes the stream of
+``numpy.random.Generator(Philox(key=[seed, t])).random``, bit for bit, so
+the ensemble is independent of evaluation order, chunking and worker
+count.  No generator object is built: one vectorized Philox evaluation in
+uint64 arithmetic draws the streams of a whole chunk of trajectories.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +36,15 @@ MASS_TOL = 1e-9
 THREADS_ENV = "QMC_SPECTRA_THREADS"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ``ValueError`` for anything that is not
+    an integer (a float such as 1.5 is not silently truncated)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     model: QmcModel
@@ -42,6 +55,8 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("site", "steps", "n_traj", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.model.mode != "full":
             raise ValueError("trajectory sampling needs a full-mode model")
         if not self.model.topology.contains(self.site):
@@ -98,9 +113,82 @@ def _branches(model: QmcModel, site: int):
     return out
 
 
-def _stream_uniforms(seed: int, index: int, steps: int) -> Array:
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-    return gen.random(steps)
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC '11): round multipliers
+# and Weyl key increments
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+PHILOX_ROUNDS = 10
+LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhi(a: Array, m: int) -> Array:
+    """High 64 bits of the 128-bit products a * m, through 32-bit halves
+    with wrapping uint64 arithmetic."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    lo = a & LOW32
+    hi = a >> np.uint64(32)
+    cross = lo * m_lo
+    cross >>= np.uint64(32)
+    lo *= m_hi
+    cross += lo
+    np.multiply(hi, m_lo, out=lo)
+    hi *= m_hi
+    # cross <= (2**32 - 1)**2 + 2 * (2**32 - 1) = 2**64 - 1: it never wraps
+    cross += lo & LOW32
+    lo >>= np.uint64(32)
+    hi += lo
+    cross >>= np.uint64(32)
+    hi += cross
+    return hi
+
+
+def _philox(seed: int, t0: int, t1: int, blocks: int) -> list[Array]:
+    """The four output words, each (t1 - t0, blocks), of Philox4x64-10
+    under keys (seed, t) for t in [t0, t1) and counters (b, 0, 0, 0) for
+    b = 1..blocks.
+
+    All (key, block) pairs run through the rounds at once, in place: a
+    round leaves new word i in the slot of old word i + 1, so after r
+    rounds word i lies in slot (i + r) % 4.
+    """
+    x = np.zeros((4, t1 - t0, blocks), dtype=np.uint64)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    key0 = seed
+    key1 = np.arange(t0, t1, dtype=np.uint64)[:, None]
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            key0 = (key0 + PHILOX_W[0]) % 2**64
+            key1 += np.uint64(PHILOX_W[1])
+        c0, c1, c2, c3 = (x[(i + r) % 4] for i in range(4))
+        c1 ^= _mulhi(c2, PHILOX_M[1])
+        c1 ^= np.uint64(key0)
+        c2 *= np.uint64(PHILOX_M[1])
+        c3 ^= _mulhi(c0, PHILOX_M[0])
+        c3 ^= key1
+        c0 *= np.uint64(PHILOX_M[0])
+    return [x[(i + PHILOX_ROUNDS) % 4] for i in range(4)]
+
+
+def _stream_uniforms(seed: int, t0: int, t1: int, steps: int) -> Array:
+    """Uniforms (t1 - t0, steps): row t - t0 is exactly
+    ``Generator(Philox(key=[seed, t])).random(steps)``.
+
+    numpy increments the block counter before each block, so block b of a
+    stream is Philox4x64-10 of counter (b, 0, 0, 0) from b = 1; its four
+    words x become (x >> 11) * 2**-53 in order, and the tail of the last
+    block is dropped.  The keys run in slices of about t1 - t0 (key, block)
+    pairs, so the scratch grows with the number of trajectories and not
+    with their length.
+    """
+    n, blocks = t1 - t0, -(-steps // 4)
+    out = np.empty((n, steps))
+    rows = -(-n // max(1, blocks))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        for i, word in enumerate(_philox(seed, t0 + a, t0 + b, blocks)):
+            dest = out[a:b, i::4]
+            np.multiply(word[:, : dest.shape[1]] >> np.uint64(11), 2.0**-53, out=dest)
+    return out
 
 
 def _window(config: TrajectoryConfig) -> tuple[int, int]:
@@ -161,8 +249,11 @@ def sample_trajectory(config: TrajectoryConfig, index: int = 0):
     """One sampled path: a list of (site, conditioned density) per step,
     with (None, None) entries after a kill event.  Trajectory ``index``
     draws the same stream, and takes the same steps, as it does in
-    :func:`estimate_site_prob`."""
-    u = _stream_uniforms(config.seed, index, config.steps)
+    :func:`estimate_site_prob`; it must lie in [0, 2**64)."""
+    index = _integer("index", index)
+    if not 0 <= index < 2**64:
+        raise ValueError(f"trajectory index must lie in [0, 2**64), got {index}")
+    u = _stream_uniforms(config.seed, index, index + 1, config.steps)[0]
     sites = np.array([config.site], dtype=np.int64)
     states = config.rho[None].copy()
     path = [(config.site, config.rho.copy())]
@@ -183,10 +274,7 @@ def _run_block(config: TrajectoryConfig, t0: int, t1: int) -> Array:
     lo, hi = _window(config)
     width = hi - lo + 1
 
-    uniforms = np.empty((n, steps), dtype=float)
-    for t in range(n):
-        uniforms[t] = _stream_uniforms(config.seed, t0 + t, steps)
-
+    uniforms = _stream_uniforms(config.seed, t0, t1, steps)
     sites = np.full(n, config.site, dtype=np.int64)
     states = np.broadcast_to(config.rho, (n, dim, dim)).copy()
     counts = np.zeros((steps + 1, width))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmcspectra import models, site_prob
+from qmcspectra import models, site_prob, trajectories
 from qmcspectra.chain_model import (
     Block,
     LatticeState,
@@ -17,6 +17,17 @@ from qmcspectra.trajectories import (
     estimate_site_prob,
     sample_trajectory,
 )
+
+
+def reference_uniforms(seed, t0, t1, steps):
+    """Uniforms of trajectories [t0, t1) from numpy's own generator, one
+    key at a time: what ``trajectories._stream_uniforms`` must reproduce
+    bit for bit."""
+    out = np.empty((t1 - t0, steps))
+    for row, t in enumerate(range(t0, t1)):
+        key = np.array([seed, t], dtype=np.uint64)
+        out[row] = np.random.Generator(np.random.Philox(key=key)).random(steps)
+    return out
 
 
 def ping_pong_model():
@@ -58,6 +69,62 @@ def test_config_rejects_seed_outside_uint64(seed):
     with pytest.raises(ValueError, match="seed"):
         TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 10, seed)
     TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 10, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", "3"), ("site", 0.5), ("steps", 2.0), ("n_traj", 10.0)],
+)
+def test_config_rejects_non_integer_fields(field, value):
+    args = dict(model=ping_pong_model(), site=0, rho=np.eye(2) / 2, steps=3, n_traj=10)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrajectoryConfig(**{**args, field: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    m = models.shear_coin_segment()
+    rho = np.eye(2) / 2
+    cfg = TrajectoryConfig(m, np.int64(1), rho, np.int32(3), np.uint16(200), np.uint64(9))
+    assert all(type(v) is int for v in (cfg.site, cfg.steps, cfg.n_traj, cfg.seed))
+    plain = estimate_site_prob(TrajectoryConfig(m, 1, rho, 3, 200, 9))
+    assert np.array_equal(estimate_site_prob(cfg).means, plain.means)
+
+
+@pytest.mark.parametrize("index", [1.5, -1, 2**64, "2"])
+def test_sample_trajectory_rejects_bad_index(index):
+    cfg = TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 1)
+    with pytest.raises(ValueError, match="index"):
+        sample_trajectory(cfg, index)
+
+
+def test_sample_trajectory_takes_last_uint64_index():
+    cfg = TrajectoryConfig(ping_pong_model(), 0, np.eye(2) / 2, 3, 1)
+    assert [s for s, _ in sample_trajectory(cfg, np.uint64(2**64 - 1))] == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 12345, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("steps", [0, 1, 3, 5, 16, 57])
+def test_stream_is_numpy_philox_bit_for_bit(seed, steps):
+    for t0, t1 in ((0, 37), (20_000, 20_021), (2**64 - 3, 2**64)):
+        got = trajectories._stream_uniforms(seed, t0, t1, steps)
+        assert got.shape == (t1 - t0, steps)
+        assert np.array_equal(got, reference_uniforms(seed, t0, t1, steps))
+
+
+@pytest.mark.parametrize(
+    "model, site, steps, n_traj",
+    [
+        (models.diagonal_coin_line_walk(), 0, 9, 1500),
+        (models.shear_coin_segment(3, "full"), 1, 6, 1200),
+        (models.three_site_absorbing_oqw(), 1, 7, 1000),
+    ],
+)
+def test_estimate_matches_per_key_generators(monkeypatch, model, site, steps, n_traj):
+    rho = np.array([[0.6, 0.15], [0.15, 0.4]])
+    cfg = TrajectoryConfig(model, site, rho, steps, n_traj, seed=2**63 + 5)
+    fast = estimate_site_prob(cfg)
+    monkeypatch.setattr(trajectories, "_stream_uniforms", reference_uniforms)
+    assert np.array_equal(fast.means, estimate_site_prob(cfg).means)
 
 
 def test_superoperator_only_blocks_rejected():
