@@ -4,10 +4,12 @@ The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
 half-line or line chain that is homogeneous outside finitely many sites:
 the homogeneous fixed point closes each unbounded side and one
-block-Schur sweep covers the rest.  On a real ladder above 1, the ladder
-of every recurrence verdict and of the jump at one, both closures are
-solved for all rungs at once by cyclic reduction and the sweep runs
-stacked over the rungs.  Truncated corner resolvents, the bare
+block-Schur sweep covers the rest.  :func:`homogeneous_closure` is the
+one cyclic reduction of a homogeneous interior, stacked over real points
+z >= 1: on a real ladder above 1, the ladder of every recurrence verdict
+and of the jump at one, it solves both closures for all rungs at once
+and the sweep runs stacked over the rungs; at z = 1 it closes the exact
+reach probabilities of ``statistics``.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
@@ -545,23 +547,77 @@ def _quadratic_residual(a, b, c, z, x):
     return np.linalg.norm(x - target, 2, axis=(-2, -1))
 
 
-def _cyclic_reduction(mid, down, up):
-    """Cyclic reduction of ``down + mid G + up G^2 = 0`` for the d x d
-    blocks of the stack ``mid``; ``down`` and ``up`` are one block or a
-    stack of the same shape.
+def _fixed_spaces(phi: Array) -> tuple[Array, Array]:
+    """Orthonormal bases of the fixed vectors of ``phi`` (columns) and of
+    its fixed functionals (rows): the singular vectors of phi - I whose
+    singular values are at most ``FP_TOL``."""
+    u, sv, vh = np.linalg.svd(phi - np.eye(phi.shape[0]))
+    fixed = sv <= FP_TOL
+    return vh[fixed].conj().T, u[:, fixed].conj().T
 
-    Returns the reduced pivot, from which the minimal solvent is
-    G = -hat^{-1} down, and the mask of the points whose pivot has moved
-    by at most ``CR_TOL`` relative (Frobenius) within ``CR_MAX_ITER``
-    steps.  Every step is one stacked solve over all points (Bini,
-    Latouche & Meini, *Numerical Methods for Structured Markov Chains*,
-    2005).
+
+def _drift(a: Array, b: Array, c: Array, t: Array) -> float | None:
+    """Mean drift m = t (A - C) v per step of a trace-preserving interior
+    in its invariant states v, t v = 1 (Carbone & Pautrat, Ann. Henri
+    Poincare 17, 2016): positive upward.  None when the invariant states
+    do not all drift alike, as in a reducible interior whose enclosures
+    move differently."""
+    v, _ = _fixed_spaces(a + b + c)
+    mass, drift = t @ v, t @ (a - c) @ v
+    norm = float(np.vdot(mass, mass).real)
+    if norm <= FP_TOL:
+        return None
+    m = complex(drift @ mass.conj()) / norm
+    if np.linalg.norm(drift - m * mass) > FP_TOL:
+        return None
+    return m.real
+
+
+def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
+    """Y = (z I - B - G A)^{-1} of a homogeneous interior at every real
+    point z >= 1 of ``zs`` at once, with its certificate.
+
+    G = C Y is the minimal solvent of z G = C + G B + G^2 A, the first
+    passage one level down at s = 1/z, and Y is the decaying fixed point
+    Y = (z I - B - C Y A)^{-1} of the transform.  Cyclic reduction of the
+    transposed equation converges quadratically to the reduced pivot
+    (B - z + G A)^T = -Y^{-T}, one stacked solve per step over all points
+    (Bini, Latouche & Meini, *Numerical Methods for Structured Markov
+    Chains*, 2005); a point stops once its pivot has moved by at most
+    ``CR_TOL`` relative, in the Frobenius norm.
+
+    At z = 1, given the trace functional ``t`` of a trace-preserving
+    interior whose drift is at most 0, every fixed functional l of
+    A + B + C keeps l G = l, so G = X + Q with Q the projection onto them,
+    and X solves X = (I - Q) C + X (B + Q A) + X^2 A with the root 1 of a
+    recurrent interior shifted to 0 (He, Meini & Rhee, SIAM J. Matrix
+    Anal. Appl. 23, 2002); unshifted, a null-recurrent interior reduces
+    only linearly.  Its reduced pivot is the same (B - 1 + G A)^T.
+
+    Returns the values, their residuals ||Y - (z I - B - C Y A)^{-1}||
+    and a mask of the certified points: reduced within ``CR_MAX_ITER``
+    steps, residual at most ``FP_TOL`` relative to max(1, ||Y||) and,
+    above 1, spectral radius of Y A below 1, the decaying branch (it is 1
+    at z = 1 on a recurrent interior).  A point that did not reduce has
+    value NaN and residual inf; z = 1 is not certified when the invariant
+    states of a trace-preserving interior drift apart.  Off the real axis
+    the reduction can reach another solvent.
     """
-    d = mid.shape[-1]
-    hat = mid
-    down = np.broadcast_to(down, mid.shape)
-    up = np.broadcast_to(up, mid.shape)
-    reduced = np.zeros(mid.shape[:-2], dtype=bool)
+    zs, d = np.asarray(zs), a.shape[0]
+    at_one, apart = zs == 1.0, False
+    mid, down = b - np.multiply.outer(zs, np.eye(d)), np.broadcast_to(c, zs.shape + (d, d))
+    phi = a + b + c
+    if t is not None and at_one.any() and (
+            np.linalg.norm(t @ phi - t) <= FP_TOL * np.linalg.norm(t)):
+        m = _drift(a, b, c, t)
+        apart = m is None
+        if not apart and m <= FP_TOL:
+            ell = _fixed_spaces(phi)[1]
+            q = at_one[..., None, None] * (ell.conj().T @ ell)
+            mid, down = mid + q @ a, down - q @ c
+    hat = mid = np.ascontiguousarray(mid.swapaxes(-1, -2))
+    down, up = down.swapaxes(-1, -2), np.broadcast_to(a.T, mid.shape)
+    reduced = np.zeros(zs.shape, dtype=bool)
     # a point keeps reducing with the others once it has settled: its
     # later steps are below rounding, so they leave its pivot as it is
     with np.errstate(all="ignore"):
@@ -578,7 +634,17 @@ def _cyclic_reduction(mid, down, up):
                         <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
             if reduced.all():
                 break
-    return hat, reduced
+    y = np.full(hat.shape, np.nan, dtype=complex)
+    residual = np.full(zs.shape, np.inf)
+    certified = np.zeros(zs.shape, dtype=bool)
+    y[reduced] = -np.linalg.inv(hat[reduced]).swapaxes(-1, -2)
+    residual[reduced] = _quadratic_residual(a, b, c, zs[reduced], y[reduced])
+    scale = np.maximum(1.0, np.linalg.norm(y[reduced], 2, axis=(-2, -1)))
+    radius = np.abs(np.linalg.eigvals(y[reduced] @ a)).max(axis=-1)
+    certified[reduced] = (residual[reduced] <= FP_TOL * scale) & (
+        (radius < 1.0) | at_one[reduced])
+    certified[at_one] &= not apart
+    return y, residual, certified
 
 
 class HomogeneousStieltjes(StieltjesEvaluator):
@@ -601,7 +667,7 @@ class HomogeneousStieltjes(StieltjesEvaluator):
 
     @classmethod
     def from_model(cls, model: QmcModel, **kw) -> "HomogeneousStieltjes":
-        return cls(model.block(1, "A"), model.block(1, "B"), model.block(2, "C"), **kw)
+        return cls(*(_homogeneous_matrix(model, role) for role in ROLES), **kw)
 
     def _newton(self, z: complex, x: Array) -> Array:
         d = self.a.shape[0]
@@ -655,38 +721,6 @@ class HomogeneousStieltjes(StieltjesEvaluator):
         if warm is not None and warm[1] < residual:
             x, residual = warm
         return EvalResult(x, residual, self.method, state=x)
-
-    def reduce(self, zs: Array) -> tuple[Array, Array, Array]:
-        """The fixed point at every point of the real array ``zs`` at once,
-        by cyclic reduction, with its certificate.
-
-        With G = X A the closure solves A + (B - z) G + C G^2 = 0, and
-        X = -U^{-1} for the reduced pivot U = B - z + C G that cyclic
-        reduction converges to quadratically (Bini, Latouche & Meini,
-        *Numerical Methods for Structured Markov Chains*, 2005).  Every
-        step is one stacked solve over all points; the reduction stops once
-        every point's pivot has moved by at most ``CR_TOL`` relative, in
-        the Frobenius norm.
-        Returns the values, their defining-equation residuals and a mask
-        of the certified points: reduced within ``CR_MAX_ITER`` steps,
-        residual at most ``FP_TOL`` relative to max(1, ||X||) and
-        spectral radius of G below 1, the decaying branch.  A point that
-        did not reduce has value NaN and residual inf.  Off the real axis
-        the reduction can reach another solvent, so it serves real points
-        above the support only.
-        """
-        n = len(zs)
-        hat, reduced = _cyclic_reduction(
-            self.b - np.multiply.outer(zs, np.eye(self.a.shape[0])), self.a, self.c)
-        x = np.full(hat.shape, np.nan, dtype=complex)
-        residual = np.full(n, np.inf)
-        certified = np.zeros(n, dtype=bool)
-        x[reduced] = -np.linalg.inv(hat[reduced])
-        residual[reduced] = _quadratic_residual(self.a, self.b, self.c, zs[reduced], x[reduced])
-        scale = np.maximum(1.0, np.linalg.norm(x[reduced], 2, axis=(-2, -1)))
-        radius = np.abs(np.linalg.eigvals(x[reduced] @ self.a)).max(axis=-1)
-        certified[reduced] = (residual[reduced] <= FP_TOL * scale) & (radius < 1.0)
-        return x, residual, certified
 
 
 class CornerStieltjes(StieltjesEvaluator):
@@ -750,7 +784,7 @@ class SiteStieltjes(StieltjesEvaluator):
 
     A ladder whose points are all real and above 1 runs stacked: each
     closure is solved for every rung at once by
-    :meth:`HomogeneousStieltjes.reduce`, then one stacked sweep per side
+    :func:`homogeneous_closure`, then one stacked sweep per side
     and one stacked pivot solve give every rung, with the same residual
     and state as :meth:`evaluate`.  A rung that a closure does not
     certify is re-solved by :meth:`evaluate`, warm-started from the rung
@@ -796,7 +830,8 @@ class SiteStieltjes(StieltjesEvaluator):
         if not (zs.size and np.all(zs.imag == 0) and np.all(zs.real > 1)):
             yield from super().ladder(points)
             return
-        ends = [None if fp is None else fp.reduce(zs) for fp in self.closures]
+        ends = [None if fp is None else homogeneous_closure(fp.a, fp.b, fp.c, zs.real)
+                for fp in self.closures]
         ok = np.ones(len(zs), dtype=bool)
         for end in ends:
             if end is not None:

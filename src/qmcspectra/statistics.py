@@ -11,6 +11,12 @@ classifier (any site of any chain here, through the exact
 homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
 and hands it to :func:`classify`.  The returned classification carries
 the raw samples so callers can re-judge.
+
+Reach probabilities are solved once at s = 1: the side holding the source
+is swept toward the target and closed by the homogeneous closure of
+``spectral`` at z = 1, whose G = C Y is the first passage one level down.
+The window ladder is a fallback, and says so when its answer is the
+absorbing window's rather than the chain's.
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ from .chain_model import (
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
-    FP_TOL,
     DiscreteWeight,
     SiteStieltjes,
     StieltjesEvaluator,
     Symmetrizer,
-    _cyclic_reduction,
+    homogeneous_closure,
 )
 
 RECURRENT = "recurrent"
@@ -259,77 +264,19 @@ def first_passage_corner(model: QmcModel, s: complex) -> Array:
     return s * np.linalg.solve((np.eye(d, dtype=complex) - s * b0).T, a0.T).T
 
 
-def _fixed_spaces(phi: Array) -> tuple[Array, Array]:
-    """Orthonormal bases of the fixed vectors of ``phi`` (columns) and of
-    its fixed functionals (rows): the singular vectors of phi - I whose
-    singular values are at most ``FP_TOL``."""
-    u, sv, vh = np.linalg.svd(phi - np.eye(phi.shape[0]))
-    fixed = sv <= FP_TOL
-    return vh[fixed].conj().T, u[:, fixed].conj().T
-
-
-def _drift(a: Array, b: Array, c: Array, t: Array) -> float | None:
-    """Mean drift m = t (A - C) v per step of a trace-preserving interior
-    in its invariant states v, t v = 1 (Carbone & Pautrat, Ann. Henri
-    Poincare 17, 2016): positive upward.  None when the invariant states
-    do not all drift alike, as in a reducible interior whose enclosures
-    move differently."""
-    v, _ = _fixed_spaces(a + b + c)
-    mass, drift = t @ v, t @ (a - c) @ v
-    norm = float(np.vdot(mass, mass).real)
-    if norm <= FP_TOL:
-        return None
-    m = complex(drift @ mass.conj()) / norm
-    if np.linalg.norm(drift - m * mass) > FP_TOL:
-        return None
-    return m.real
-
-
-def _passage_solvent(a: Array, b: Array, c: Array, t: Array) -> tuple[Array, float] | None:
-    """G(1), the minimal solvent of G = C + G B + G^2 A, with its residual
-    relative to max(1, ||G||): the first passage one level down of a
-    homogeneous interior, by cyclic reduction on the transposed equation.
-
-    When the interior is trace preserving and its drift is at most 0,
-    every fixed functional l of A + B + C, t among them, keeps l G = l, so
-    G = X + Q with Q the projection onto them, and X solves
-    X = (I - Q) C + X (B + Q A) + X^2 A with the root 1 of a recurrent
-    interior shifted to 0 (He, Meini & Rhee, SIAM J. Matrix Anal. Appl.
-    23, 2002); unshifted, a null-recurrent interior reduces only linearly.
-    None when the invariant states drift apart, the reduction does not
-    settle or the residual is above ``FP_TOL``.
-    """
-    eye = np.eye(a.shape[0])
-    q = np.zeros_like(eye)
-    phi = a + b + c
-    if np.linalg.norm(t @ phi - t) <= FP_TOL * np.linalg.norm(t):
-        m = _drift(a, b, c, t)
-        if m is None:
-            return None
-        if m <= FP_TOL:
-            ell = _fixed_spaces(phi)[1]
-            q = ell.conj().T @ ell
-    down = c - q @ c
-    hat, reduced = _cyclic_reduction((b + q @ a - eye).T, down.T, a.T)
-    if not reduced:
-        return None
-    g = q - np.linalg.solve(hat, down.T).T
-    residual = float(np.linalg.norm(g - c - g @ b - g @ g @ a, 2))
-    residual /= max(1.0, float(np.linalg.norm(g, 2)))
-    return (g, residual) if residual <= FP_TOL else None
-
-
 def _closed_passage(model: QmcModel, i: int, j: int, window: int) -> tuple[Array, float] | None:
     """F_ji(1) for i != j in one solve at s = 1, with the residual of its
-    passage solvent (0 without one); None when the solvent does not apply.
+    homogeneous closure (0 without one); None when the closure is not
+    certified.
 
     A source side bounded by an edge is swept at s = 1 as in
     :func:`first_passage_gf`.  An unbounded one is swept from the first
     site past every override and the source, closed there by the inverse
-    pivot Y = (I - B - G A)^{-1} of the homogeneous tail, for which
-    G = C Y; below the target on a line the mirror solvent, with A and C
-    swapped, closes it.  A singular pivot raises
-    ``np.linalg.LinAlgError``.
+    pivot Y = (I - B - G A)^{-1} of the homogeneous tail at z = 1
+    (:func:`~qmcspectra.spectral.homogeneous_closure`), for which G = C Y
+    is the first passage one level down; below the target on a line the
+    mirror closure, with A and C swapped, closes it.  A singular pivot
+    raises ``np.linalg.LinAlgError``.
     """
     topo = model.topology
     above = i > j
@@ -338,12 +285,11 @@ def _closed_passage(model: QmcModel, i: int, j: int, window: int) -> tuple[Array
     a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
     if not above:
         a, c = c, a
-    solved = _passage_solvent(a, b, c, model.trace_vec)
-    if solved is None:
+    (closing,), (residual,), (certified,) = homogeneous_closure(a, b, c, np.ones(1),
+                                                                model.trace_vec)
+    if not certified:
         return None
-    g, residual = solved
     eye = np.eye(model.block_dim)
-    closing = np.linalg.solve(eye - b - g @ a, eye)
     marks = [*model.overrides, i]
     if above:
         # the tail starts past every override and the source
@@ -367,7 +313,7 @@ class PassageResult:
     ladder: tuple  # ((s, trace), ...)
     extrapolated: bool
     route: str  # "closed" (one solve at s = 1) or "window" (the ladder)
-    residual: float  # solvent residual, or the last Richardson step
+    residual: float  # closure residual, or the last Richardson step
     gf: object = None  # s -> first-passage block on the window
 
     def block(self, s: complex) -> Array:
@@ -387,16 +333,19 @@ def reach_analysis(
 
     The closed route (:func:`_closed_passage`) gives t F_ji(1) rho in one
     solve at s = 1, exact on every topology: no ladder, no window and no
-    extrapolation.  It falls back to the window ladder when the passage
-    solvent misses its certificate, the invariant states of the interior
-    drift apart, or the s = 1 sweep hits a singular pivot.  The ladder
-    samples the first-passage trace on ``window`` at s = 1 - 2^{-m}, all in
-    one stacked :func:`first_passage_gf` call, and applies Richardson
-    extrapolation of order 2; when the ladder is too rough to extrapolate
-    the last sample is returned with a warning.  ``route`` and ``residual``
-    of the result say which ran.  Both sites must lie in the window, and
-    fewer than three rungs raise ``ValueError`` on either route.  ``gf``
-    of the result evaluates one s on the window.
+    extrapolation.  It falls back to the window ladder when the
+    homogeneous closure misses its certificate, the invariant states of
+    the interior drift apart, or the s = 1 sweep hits a singular pivot.
+    The ladder samples the first-passage trace on ``window`` at
+    s = 1 - 2^{-m}, all in one stacked :func:`first_passage_gf` call, and
+    applies Richardson extrapolation of order 2; when the ladder is too
+    rough to extrapolate the last sample is returned with a warning.  When
+    the source side is unbounded the ladder answers for the absorbing
+    window, not for the chain, and a warning naming the window says so.
+    ``route`` and ``residual`` of the result say which ran.  Both sites
+    must lie in the window, and fewer than three rungs raise
+    ``ValueError`` on either route.  ``gf`` of the result evaluates one s
+    on the window.
     """
     ladder = [1.0 - 2.0**-m for m in m_range]
     if len(ladder) < 3:
@@ -410,7 +359,7 @@ def reach_analysis(
 
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0, gf)
-    _passage_window(model, i, j, window)
+    lo, hi = _passage_window(model, i, j, window)
     try:
         closed = _closed_passage(model, i, j, window)
     except np.linalg.LinAlgError:
@@ -426,6 +375,12 @@ def reach_analysis(
         r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
         r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
         prob, extrapolated, route = r2[-1], True, "window"
+        if (model.topology.hi if i > j else model.topology.lo) is None:
+            warnings.warn(
+                f"no certified passage closure from site {i} to {j}; the probability is "
+                f"that of the absorbing window [{lo}, {hi}], not of the chain",
+                stacklevel=2,
+            )
         residual = abs(r2[-1] - r2[-2]) if len(r2) >= 2 else np.inf
         if len(r2) >= 2 and residual > 1e-6 * max(1.0, abs(r2[-1])):
             warnings.warn(

@@ -2,6 +2,8 @@
 truncations, the split identities of folded line chains, closed forms
 and the birth-death return limits of the hopping chains."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from qmcspectra import models, spectral
 from qmcspectra.chain_model import (
+    ROLES,
     Block,
     QmcModel,
+    _homogeneous_matrix,
     corner_resolvent,
     half_line,
     line,
@@ -27,7 +31,7 @@ from qmcspectra.spectral import (
 )
 from qmcspectra.statistics import DEFAULT_LADDER, classify, classify_recurrence, jump_at_one
 
-from conftest import random_complex
+from conftest import random_complex, random_density
 
 # every block has spectral norm BLOCK_NORM, so ||Phi|| <= 3 BLOCK_NORM
 # and the truncation error at |z| >= 1.5 falls like 2^-(path length)
@@ -293,15 +297,17 @@ def test_stacked_ladder_matches_closed_forms(name):
         assert err <= max(np.linalg.norm(walked.value - want, 2) / size, floor)
 
 
-def _count_calls(monkeypatch, cls, name):
+def _count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of the method or
+    module function ``name`` of ``owner``; a method's start with self."""
     calls = []
-    inner = getattr(cls, name)
+    inner = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return inner(self, *args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -310,20 +316,80 @@ def _count_calls(monkeypatch, cls, name):
 def test_real_ladder_runs_one_reduction_per_side(monkeypatch, name, sides, consumer):
     m = {**HALF_LINES, **LINES}[name]
     evaluations = _count_calls(monkeypatch, HomogeneousStieltjes, "evaluate")
-    reductions = _count_calls(monkeypatch, HomogeneousStieltjes, "reduce")
+    reductions = _count_calls(monkeypatch, spectral, "homogeneous_closure")
     if consumer == "classify_recurrence":
         classify_recurrence(m, 0, np.eye(2) / 2)
     else:
         jump_at_one(SiteStieltjes(m))
     assert evaluations == []
     assert len(reductions) == sides
-    assert all(len(zs) == len(DEFAULT_LADDER) for (zs,) in reductions)
+    assert all(len(zs) == len(DEFAULT_LADDER) for *_, zs in reductions)
+
+
+# the kernel in both orientations: (A, B, C) closes the side above a
+# site, the mirror (C, B, A) the side below it on a line
+KERNEL_CHAINS = ["flip", "tilted-shear", "hopping-in", "hopping-out", "hopping-balanced"]
+
+
+def _interior(name, mirrored):
+    a, b, c = (_homogeneous_matrix(HALF_LINES[name], role) for role in ROLES)
+    return (c, b, a) if mirrored else (a, b, c)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", KERNEL_CHAINS)
+def test_closure_above_one_is_the_fixed_point(name, mirrored):
+    a, b, c = _interior(name, mirrored)
+    zs = np.array([1.001, 1.4, 3.0])
+    y, residual, certified = spectral.homogeneous_closure(a, b, c, zs)
+    assert certified.all()
+    for z, got, r in zip(zs, y, residual):
+        want = HomogeneousStieltjes(a, b, c).evaluate(z)
+        assert np.linalg.norm(got - want.value, 2) <= 1e-12 * np.linalg.norm(want.value, 2)
+        assert r <= spectral.FP_TOL
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", KERNEL_CHAINS)
+def test_closure_at_one_gives_the_passage_solvent(rng, name, mirrored):
+    m = HALF_LINES[name]
+    a, b, c = _interior(name, mirrored)
+    (y,), _, (certified,) = spectral.homogeneous_closure(a, b, c, np.ones(1), m.trace_vec)
+    assert certified
+    g = c @ y
+    assert np.linalg.norm(g - c - g @ b - g @ g @ a, 2) <= spectral.FP_TOL * max(
+        1.0, np.linalg.norm(g, 2))
+    if name.startswith("hopping"):
+        # one level down with hops r down and t up: min(1, r / t)
+        up, down = np.trace(a), np.trace(c)
+        rho = m.state_vec(random_density(rng))
+        assert m.trace_vec @ g @ rho == pytest.approx(min(1.0, down / up), abs=1e-12)
+
+
+def test_closure_at_one_is_uncertified_when_states_drift_apart():
+    # the diagonal coins drift down in one invariant state and not at all
+    # in the other: no single shift applies, and z = 1 alone is dropped
+    m = LINES["diagonal-coin"]
+    a, b, c = (_homogeneous_matrix(m, role) for role in ROLES)
+    y, _, certified = spectral.homogeneous_closure(a, b, c, np.array([1.0, 1.01, 2.0]),
+                                                   m.trace_vec)
+    assert certified.tolist() == [False, True, True]
+    want, _, alone = spectral.homogeneous_closure(a, b, c, np.array([1.01, 2.0]))
+    assert alone.all()
+    assert np.abs(y[1:] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_from_model_reads_the_interior_past_overrides():
+    m = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.2)
+    held = dataclasses.replace(m, overrides={1: {"B": Block(np.zeros((4, 4), dtype=complex))}})
+    got = HomogeneousStieltjes.from_model(held).evaluate(1.5).value
+    assert np.array_equal(got, HomogeneousStieltjes.from_model(m).evaluate(1.5).value)
 
 
 def test_residue_probe_walks_rung_by_rung(monkeypatch):
     m = HALF_LINES["flip-up-corner"]
     evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
-    reductions = _count_calls(monkeypatch, HomogeneousStieltjes, "reduce")
+    reductions = _count_calls(monkeypatch, spectral, "homogeneous_closure")
     residue_probe(SiteStieltjes(m), 1.0)
     assert len(evaluations) == 4 and reductions == []
 
@@ -343,18 +409,18 @@ def test_uncertified_rungs_fall_back_to_evaluate(monkeypatch):
 def test_one_uncertified_rung_is_resolved_from_its_neighbour(monkeypatch):
     ev = SiteStieltjes(LINES["hopping-tilted-line"], 1)
     stacked = list(ev.ladder(DEFAULT_LADDER))
-    reduce = HomogeneousStieltjes.reduce
+    closure = spectral.homogeneous_closure
 
-    def drop_rung_3(self, zs):
-        x, residual, certified = reduce(self, zs)
-        return x, residual, certified & (np.arange(len(zs)) != 3)
+    def drop_rung_3(a, b, c, zs):
+        y, residual, certified = closure(a, b, c, zs)
+        return y, residual, certified & (np.arange(len(zs)) != 3)
 
-    monkeypatch.setattr(HomogeneousStieltjes, "reduce", drop_rung_3)
+    monkeypatch.setattr(spectral, "homogeneous_closure", drop_rung_3)
     evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
     got = list(ev.ladder(DEFAULT_LADDER))
     assert len(evaluations) == 1
     z3, x0 = DEFAULT_LADDER[3], stacked[2][1].state
-    assert evaluations[0][0] == z3
+    assert evaluations[0][1] == z3
     want = ev.evaluate(z3, x0=x0)
     assert np.array_equal(got[3][1].value, want.value)
     for k in (0, 1, 2, 4, 5, 6):
