@@ -197,13 +197,22 @@ def km_on_line(model: QmcModel, j: int, i: int, n: int) -> Array:
     folded truncation.
 
     Requires the line chain to admit a symmetrizer.  The folded chain is
-    truncated deep enough that every path of length n between the two
-    sites is retained, the discrete weight of the truncation is computed,
-    and the two-sided families are summed over all four weight quadrants.
+    truncated to the sites 0..h with h = max(fi, fj, (fi + fj + n) // 2),
+    fi and fj the folded indices of i and j.  A folded step moves the
+    folded index by at most one (the 0 <-> -1 move stays at folded site
+    0), so an n-step path from fi to fj that climbs to m takes at least
+    (m - fi) + (m - fj) steps and never rises above (fi + fj + n) / 2.
+    Block (fj, fi) of the n-th power is therefore the same for every
+    truncation at h or deeper, and h is the smallest such window that
+    holds both sites: the finite spectral sum of the truncation is exact.
+    The discrete weight of that truncation is computed and the two-sided
+    families are summed over all four weight quadrants.
     """
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
     fj = j if j >= 0 else -j - 1
     fi = i if i >= 0 else -i - 1
-    window = max(fj, fi) + n + 2
+    window = max(fi, fj, (fi + fj + n) // 2)
     sym = find_symmetrizer(model, window + 1)
     if not sym.success:
         raise ValueError(

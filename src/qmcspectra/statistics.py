@@ -167,6 +167,11 @@ def km_block(
     The norm (Q_j, Q_j) equals the symmetrizer product pi[j]."""
     if not sym.success:
         raise ValueError("spectral sum needs a successful symmetrizer")
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
+    for site in (j, i):
+        if not polys.model.topology.contains(site):
+            raise ValueError(f"site {site} outside topology")
     q = polys.main(weights.nodes(), max(i, j))
     return np.linalg.solve(sym.pi[j], weights.moment(n, q[j], q[i]))
 

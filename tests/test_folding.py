@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qmcspectra import cli, models
+from qmcspectra import cli, folding, models
 from qmcspectra.chain_model import (
     Block,
     QmcModel,
@@ -180,6 +180,65 @@ def test_km_on_line_matches_power_oracle():
     for (j, i, n) in [(0, 0, 4), (1, -2, 5), (-1, 0, 6), (2, 1, 6), (1, 1, 6)]:
         got = km_on_line(m, j, i, n)
         assert np.abs(got - line_power_block(m, j, i, n)).max() < 1e-8
+
+
+def folded_index(site):
+    return site if site >= 0 else -site - 1
+
+
+def seeded_hopping_line(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        r, t = rng.uniform(0.15, 0.45, size=2)
+        if 1.0 - r - t >= 0.1:
+            a, b = rng.uniform(0.3, 0.5, size=2)
+            return models.uniform_hopping_line(1.0 - r - t, a, b, r, t)
+
+
+# the one-site folded window, and cross-strand or distant pairs whose
+# block vanishes (n < |fi - fj|, or n < |i - j| inside folded site 0)
+KM_GRID_EDGES = [(0, 0, 0), (0, 0, 1), (-1, -1, 0), (-1, -1, 1), (-1, 0, 0),
+                 (0, -1, 1), (2, 0, 1), (-3, 1, 0), (-1, 2, 1), (1, -3, 0)]
+
+
+@pytest.mark.parametrize("line_seed", [None, 3, 4], ids=["coin", "hopping3", "hopping4"])
+def test_km_on_line_matches_power_on_a_grid(line_seed):
+    if line_seed is None:
+        m = models.diagonal_coin_line_walk()
+    else:
+        m = seeded_hopping_line(line_seed)
+    # a fixed subsample of j, i in [-3, 2] and n in 0..6, one per chain
+    grid = [(j, i, n) for j in range(-3, 3) for i in range(-3, 3) for n in range(7)]
+    rng = np.random.default_rng([2024, line_seed or 0])
+    picks = [grid[k] for k in rng.choice(len(grid), size=20, replace=False)]
+    for (j, i, n) in KM_GRID_EDGES + picks:
+        direct = line_power_block(m, j, i, n)
+        if n < abs(folded_index(j) - folded_index(i)):
+            assert np.abs(direct).max() == 0.0
+        assert np.abs(km_on_line(m, j, i, n) - direct).max() < 1e-10
+
+
+@pytest.mark.parametrize("j, i, n", [(0, 0, 0), (-1, 0, 1), (1, -2, 3),
+                                     (-2, 0, 3), (2, 2, 5), (0, -3, 6)])
+def test_km_on_line_truncates_at_the_highest_reachable_folded_site(
+        monkeypatch, j, i, n):
+    # an n-step path from fi to fj never rises above (fi + fj + n) / 2
+    windows = []
+    original = folding.folded_discrete_weight
+
+    def recording(model, window, **kwargs):
+        windows.append(window)
+        return original(model, window, **kwargs)
+
+    monkeypatch.setattr(folding, "folded_discrete_weight", recording)
+    fi, fj = folded_index(i), folded_index(j)
+    km_on_line(models.diagonal_coin_line_walk(), j, i, n)
+    assert windows == [max(fi, fj, (fi + fj + n) // 2)]
+
+
+def test_km_on_line_rejects_negative_steps():
+    with pytest.raises(ValueError, match="step count must be nonnegative"):
+        km_on_line(models.diagonal_coin_line_walk(), 0, 0, -1)
 
 
 def test_folded_weight_quadrant_symmetry():

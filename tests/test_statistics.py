@@ -104,6 +104,36 @@ def test_km_requires_symmetrizer():
         km_block(w, PolyFamily(m), sym, 1, 1, 2)
 
 
+@pytest.fixture
+def hopping_segment_km():
+    m = models.uniform_hopping_segment(5, 0.4, 0.5, 0.45, 0.2, 0.15)
+    sym = find_symmetrizer(m, 4)
+    assert sym.success
+    return finite_spectrum_weights(m), PolyFamily(m), sym
+
+
+def test_km_block_rejects_negative_steps(hopping_segment_km):
+    # the sum at n = -1 is an inverse moment, not a transition block
+    w, pf, sym = hopping_segment_km
+    with pytest.raises(ValueError, match="step count must be nonnegative"):
+        km_block(w, pf, sym, 0, 0, -1)
+
+
+@pytest.mark.parametrize("j, i, bad", [(7, 0, 7), (0, 5, 5), (-1, 2, -1)])
+def test_km_block_rejects_sites_off_the_segment(hopping_segment_km, j, i, bad):
+    w, pf, sym = hopping_segment_km
+    with pytest.raises(ValueError, match=f"site {bad} outside topology"):
+        km_block(w, pf, sym, j, i, 2)
+
+
+def test_km_probability_inherits_the_argument_checks(hopping_segment_km, density2):
+    w, pf, sym = hopping_segment_km
+    with pytest.raises(ValueError, match="step count must be nonnegative"):
+        km_probability(w, pf, sym, 0, 0, density2, -1)
+    with pytest.raises(ValueError, match="site 7 outside topology"):
+        km_probability(w, pf, sym, 0, 7, density2, 2)
+
+
 # -- first passage ----------------------------------------------------
 
 
