@@ -183,6 +183,9 @@ def cmd_recurrence(args) -> None:
         "site": args.site,
         "verdict": cls.verdict,
         "evidence": [[z.real, t] for z, t in cls.evidence],
+        "route": cls.route,
+        "residual": cls.residual,
+        "recurrent_weight": cls.recurrent_weight,
     }
     if cls.limit is not None:
         out["limit"] = cls.limit

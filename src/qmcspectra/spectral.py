@@ -6,10 +6,12 @@ half-line or line chain that is homogeneous outside finitely many sites:
 the homogeneous fixed point closes each unbounded side and one
 block-Schur sweep covers the rest.  :func:`homogeneous_closure` is the
 one cyclic reduction of a homogeneous interior, stacked over real points
-z >= 1: on a real ladder above 1, the ladder of every recurrence verdict
+z >= 1: on a real ladder above 1, the ladder of a recurrence verdict
 and of the jump at one, it solves both closures for all rungs at once
 and the sweep runs stacked over the rungs; at z = 1 it closes the exact
-reach probabilities of ``statistics``.  Truncated corner resolvents, the bare
+reach probabilities of ``statistics`` and the first-return block
+(:meth:`StieltjesEvaluator.return_block`) that decides a recurrence
+verdict without a ladder.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
@@ -237,10 +239,11 @@ def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     The weight of a node is the residue of z -> ((z I - Phi)^{-1})_{00}
     there, extracted by trapezoid contour quadrature on a small circle
     (radius min(1e-4, gap/10)); this handles simple and double poles
-    uniformly.  Each cluster makes one ``corner_resolvent`` call with
+    uniformly.  Each cluster makes one backward :func:`schur_sweep` with
     its ``RESIDUE_POINTS`` contour points stacked, a (points, d, d)
-    array of corner blocks from one backward Schur sweep.  The weights
-    always sum to the identity, the n = 0 moment of the corner block.
+    array of corner blocks, the ``corner_resolvent`` of the segment; every
+    sweep reads one ``block_table``.  The weights always sum to the
+    identity, the n = 0 moment of the corner block.
     """
     if model.topology.kind != SEGMENT:
         raise ValueError("finite spectra need a segment model")
@@ -262,13 +265,14 @@ def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     else:
         gaps = np.array([np.inf])
 
-    depth = trunc.num_sites
+    hi = trunc.num_sites - 1
+    table = block_table(model, 0, hi)
     unit = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
     points = []
     for g, center, gap in zip(groups, centers, gaps):
         radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
         zs = center + radius * unit
-        corner = corner_resolvent(model, zs, depth)
+        corner = schur_sweep(table, 0, range(hi, -1, -1), z=zs)
         weight = np.einsum("k,kij->ij", zs - center, corner) / RESIDUE_POINTS
         node = complex(center)
         if abs(node.imag) <= TOL_GROUP:
@@ -338,6 +342,12 @@ class StieltjesEvaluator:
             res = self.evaluate(z, x0=warm)
             warm = res.warm()
             yield z, res
+
+    def return_block(self) -> tuple[Array, float] | None:
+        """The exact first-return block F at z = 1 with the residual that
+        certifies it, or None when the evaluator has no such block: then
+        recurrence is judged on its ladder."""
+        return None
 
     def __call__(self, z: complex) -> Array:
         res = self.evaluate(z)
@@ -599,9 +609,10 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
     steps, residual at most ``FP_TOL`` relative to max(1, ||Y||) and,
     above 1, spectral radius of Y A below 1, the decaying branch (it is 1
     at z = 1 on a recurrent interior).  A point that did not reduce has
-    value NaN and residual inf; z = 1 is not certified when the invariant
-    states of a trace-preserving interior drift apart.  Off the real axis
-    the reduction can reach another solvent.
+    value NaN and residual inf.  When the invariant states of a
+    trace-preserving interior drift apart no single shift applies, and
+    z = 1 is not reduced: it comes back uncertified, NaN with residual inf.
+    Off the real axis the reduction can reach another solvent.
     """
     zs, d = np.asarray(zs), a.shape[0]
     at_one, apart = zs == 1.0, False
@@ -615,13 +626,18 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
             ell = _fixed_spaces(phi)[1]
             q = at_one[..., None, None] * (ell.conj().T @ ell)
             mid, down = mid + q @ a, down - q @ c
-    hat = mid = np.ascontiguousarray(mid.swapaxes(-1, -2))
-    down, up = down.swapaxes(-1, -2), np.broadcast_to(a.T, mid.shape)
-    reduced = np.zeros(zs.shape, dtype=bool)
+    # no single shift applies to states that drift apart, so such a point
+    # at 1 is not reduced at all
+    live = ~(at_one & apart)
+    hat = mid = np.ascontiguousarray(mid[live].swapaxes(-1, -2))
+    down, up = down[live].swapaxes(-1, -2), np.broadcast_to(a.T, mid.shape)
+    reduced = np.zeros(mid.shape[:-2], dtype=bool)
     # a point keeps reducing with the others once it has settled: its
     # later steps are below rounding, so they leave its pivot as it is
     with np.errstate(all="ignore"):
         for _ in range(CR_MAX_ITER):
+            if reduced.all():
+                break
             try:
                 k = np.linalg.solve(mid, np.concatenate((down, up), axis=-1))
             except np.linalg.LinAlgError:
@@ -632,18 +648,16 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
             mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
             reduced |= (np.linalg.norm(step, axis=(-2, -1))
                         <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
-            if reduced.all():
-                break
-    y = np.full(hat.shape, np.nan, dtype=complex)
+    done = np.zeros(zs.shape, dtype=bool)
+    done[live] = reduced
+    y = np.full(zs.shape + (d, d), np.nan, dtype=complex)
     residual = np.full(zs.shape, np.inf)
     certified = np.zeros(zs.shape, dtype=bool)
-    y[reduced] = -np.linalg.inv(hat[reduced]).swapaxes(-1, -2)
-    residual[reduced] = _quadratic_residual(a, b, c, zs[reduced], y[reduced])
-    scale = np.maximum(1.0, np.linalg.norm(y[reduced], 2, axis=(-2, -1)))
-    radius = np.abs(np.linalg.eigvals(y[reduced] @ a)).max(axis=-1)
-    certified[reduced] = (residual[reduced] <= FP_TOL * scale) & (
-        (radius < 1.0) | at_one[reduced])
-    certified[at_one] &= not apart
+    y[done] = -np.linalg.inv(hat[reduced]).swapaxes(-1, -2)
+    residual[done] = _quadratic_residual(a, b, c, zs[done], y[done])
+    scale = np.maximum(1.0, np.linalg.norm(y[done], 2, axis=(-2, -1)))
+    radius = np.abs(np.linalg.eigvals(y[done] @ a)).max(axis=-1)
+    certified[done] = (residual[done] <= FP_TOL * scale) & ((radius < 1.0) | at_one[done])
     return y, residual, certified
 
 
@@ -789,6 +803,10 @@ class SiteStieltjes(StieltjesEvaluator):
     and state as :meth:`evaluate`.  A rung that a closure does not
     certify is re-solved by :meth:`evaluate`, warm-started from the rung
     before it.  Any other ladder is walked rung by rung.
+
+    :meth:`return_block` solves each closure once at z = 1, shifted when
+    the drift of the interior allows, and returns the first-return block
+    F = I - core(1) of the same pivot assembly.
     """
 
     method = "closed"
@@ -813,6 +831,7 @@ class SiteStieltjes(StieltjesEvaluator):
         self.table = block_table(model, lo, hi)
         self.lo = lo
         self.site = site
+        self.trace_vec = model.trace_vec
 
     def evaluate(self, z: complex, x0=None) -> EvalResult:
         ends = [
@@ -849,19 +868,49 @@ class SiteStieltjes(StieltjesEvaluator):
             warm = res.warm()
             yield z, res
 
-    def _pivot(self, z, closings):
-        """The inverse pivot at ``site`` and its solve residual, at one
-        point z or stacked over an array of them, from the closings of the
-        two sides (None at a bounded edge)."""
+    def return_block(self) -> tuple[Array, float] | None:
+        """First-return block F_jj(1) = I - core(1) at ``site``, with the
+        summed residual of its closures at z = 1 (0 on a segment).
+
+        Each unbounded side is closed by one :func:`homogeneous_closure`
+        call at the single point z = 1, given the trace functional so that
+        the root of a recurrent interior is shifted.  None when a closure
+        is not certified there or the sweep meets a singular pivot."""
+        closings, residual = [], 0.0
+        for fp in self.closures:
+            if fp is None:
+                closings.append(None)
+                continue
+            (y,), (r,), (certified,) = homogeneous_closure(fp.a, fp.b, fp.c, np.ones(1),
+                                                           self.trace_vec)
+            if not certified:
+                return None
+            closings.append(y)
+            residual += float(r)
+        try:
+            core = self._core(1.0, closings)
+        except np.linalg.LinAlgError:
+            return None
+        return np.eye(core.shape[-1]) - core, residual
+
+    def _core(self, z, closings):
+        """The pivot z I - B_j - (couplings of both eliminated sides) at
+        ``site``, at one point z or stacked over an array of them, from the
+        closings of the two sides (None at a bounded edge)."""
         A, B, C = self.table
         k = self.site - self.lo
-        eye = np.eye(B[k].shape[0], dtype=complex)
-        core = np.multiply.outer(z, eye) - B[k]
+        core = np.multiply.outer(z, np.eye(B[k].shape[0], dtype=complex)) - B[k]
         # the eliminated sides couple in through the blocks next to site
         for sites, closing, into, back in zip(self.sweeps, closings, (C, A), (A, C)):
             y = schur_sweep(self.table, self.lo, sites, z=z, closing=closing)
             if y is not None:
                 core = core - into[k - sites.step] @ y @ back[k]
+        return core
+
+    def _pivot(self, z, closings):
+        """The inverse pivot at ``site`` and its solve residual."""
+        core = self._core(z, closings)
+        eye = np.eye(core.shape[-1], dtype=complex)
         value = np.linalg.solve(core, np.broadcast_to(eye, core.shape))
         return value, np.linalg.norm(core @ value - eye, 2, axis=(-2, -1))
 

@@ -1,16 +1,20 @@
 """Karlin-McGregor probabilities, first-passage generating functions,
 recurrence classification and point-mass detection.
 
-Recurrence of a site is decided from the boundary behavior of the
-attached transform as z decreases to 1: the return series diverges
-exactly when the trace of the transform applied to the initial density
-does.  Divergence is decided numerically on a fixed sampling ladder by
-:func:`classify`, the one loop over that ladder: every recurrence
+Recurrence of a site is decided from the return series sum_n tr(Phi^n
+rho) at the site, the trace of its transform at z = 1.  Every recurrence
 classifier (any site of any chain here, through the exact
 ``SiteStieltjes`` route, which ``folding`` also uses on lines; bare
 homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
-and hands it to :func:`classify`.  The returned classification carries
-the raw samples so callers can re-judge.
+and hands it to :func:`classify`.  When the evaluator has the exact
+first-return block F at z = 1 (``SiteStieltjes`` does), :func:`renewal`
+decides the site for every density at once from the spectral projection
+of F onto its unit-modulus eigenvalues, the "renewal" route.  Otherwise,
+or when that block is not certified or its spectrum is ambiguous, the
+transform is sampled on the fixed ``DEFAULT_LADDER`` as z decreases to 1
+and divergence is judged from the samples, the "ladder" route; the
+classification then carries the raw samples so callers can re-judge.
+Either route reports its residual.
 
 Reach probabilities are solved once at s = 1: the side holding the source
 is swept toward the target and closed by the homogeneous closure of
@@ -22,7 +26,7 @@ absorbing window's rather than the chain's.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,13 +57,30 @@ GROWTH_RATIO = 1.5
 STABILIZE_RTOL = 1e-6
 # a jump at x = 1 whose norm is below this is no jump
 TOL_ZERO = 1e-6
+# the renewal route: an eigenvalue of the return block within UNIT_TOL of
+# modulus 1 is peripheral, one in the band below that down to
+# 1 - AMBIGUOUS_BAND is ambiguous (near a knife edge an eigenvalue 1 - delta
+# carries an error of about 1e-11, so the limit ~ 1/delta keeps the
+# ladder's 1e-6 only for delta >= 1e-5); a peripheral projector of norm
+# above PROJECTOR_MAX is ill-conditioned; a recurrent weight t P rho above
+# WEIGHT_TOL is recurrent, and one outside [-WEIGHT_TOL, 1 + WEIGHT_TOL]
+# is no weight of a density
+UNIT_TOL = 1e-10
+AMBIGUOUS_BAND = 1e-5
+PROJECTOR_MAX = 1e6
+WEIGHT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Classification:
     verdict: str
-    evidence: tuple  # ((z, trace), ...)
+    evidence: tuple  # ((z, trace), ...); empty on the renewal route
     limit: float | None = None
+    route: str = "ladder"  # or "renewal": the exact return block at z = 1
+    # the closure residual at z = 1 on the renewal route, the largest
+    # rung residual on the ladder
+    residual: float | None = None
+    recurrent_weight: float | None = None  # t P rho, renewal route only
 
 
 def _aitken(seq):
@@ -118,14 +139,79 @@ def trace_action(model_or_trace, value: Array, rho_vec: Array) -> float:
     return complex(t @ (value @ rho_vec)).real
 
 
+@dataclass(frozen=True)
+class Renewal:
+    """The return series of one site, sum_k t F^k rho, as two functionals
+    of the initial density: ``weight`` = t P, with P the spectral
+    projection of the return block F onto its eigenvalues of modulus 1,
+    and ``limit`` = t (I - F + P)^{-1} (I - P).  F does not increase the
+    trace, so t F^k rho decreases to t P rho: the series diverges exactly
+    when that weight is positive, and otherwise sums to the limit
+    (Lardizabal & Souza, J. Stat. Phys. 159, 2015).  One block therefore
+    decides every density."""
+
+    weight: Array
+    limit: Array
+    residual: float
+
+    def verdict(self, rho_vec: Array) -> Classification | None:
+        """The classification of one density, or None when its weight lies
+        outside [0, 1] by more than ``WEIGHT_TOL``."""
+        weight = complex(self.weight @ rho_vec).real
+        if not -WEIGHT_TOL <= weight <= 1.0 + WEIGHT_TOL:
+            return None
+        if weight > WEIGHT_TOL:
+            return Classification(RECURRENT, (), None, "renewal", self.residual, weight)
+        limit = complex(self.limit @ rho_vec).real
+        return Classification(TRANSIENT, (), limit, "renewal", self.residual, weight)
+
+
+def renewal(evaluator: StieltjesEvaluator, trace_vec: Array) -> Renewal | None:
+    """The renewal functionals of the evaluator's exact return block
+    (:meth:`~StieltjesEvaluator.return_block`), or None when it has none,
+    an eigenvalue lies above modulus 1 or in the ambiguous band below it,
+    or the peripheral projector is ill-conditioned.
+
+    P is built from the right eigenvectors of the peripheral eigenvalues
+    and the left ones of F, each from its own eigendecomposition, so a
+    defective eigenvalue elsewhere in F does not enter it."""
+    block = evaluator.return_block()
+    if block is None:
+        return None
+    f, residual = block
+    right, vecs = np.linalg.eig(f)
+    left, covecs = np.linalg.eig(f.conj().T)
+    size = np.abs(right)
+    unit, dual = size >= 1.0 - UNIT_TOL, np.abs(left) >= 1.0 - UNIT_TOL
+    if (size.max() > 1.0 + UNIT_TOL or np.any(size[~unit] >= 1.0 - AMBIGUOUS_BAND)
+            or unit.sum() != dual.sum()):
+        return None
+    v, w = vecs[:, unit], covecs[:, dual].conj().T
+    try:
+        proj = v @ np.linalg.solve(w @ v, w)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(proj, 2) <= PROJECTOR_MAX:
+        return None
+    eye = np.eye(len(f))
+    limit = np.linalg.solve((eye - f + proj).T, trace_vec) @ (eye - proj)
+    return Renewal(trace_vec @ proj, limit, residual)
+
+
 def classify(evaluator: StieltjesEvaluator, trace_vec: Array, rho_vec: Array) -> Classification:
-    """Verdict from Re tr(value rho) sampled down ``DEFAULT_LADDER``, whose
-    rungs the evaluator walks with its :meth:`~StieltjesEvaluator.ladder`."""
-    samples = [
-        (z, trace_action(trace_vec, res.value, rho_vec))
-        for z, res in evaluator.ladder(DEFAULT_LADDER)
-    ]
-    return classify_from_samples(samples)
+    """Verdict from the exact return block when the evaluator has one and
+    :func:`renewal` decides it, route "renewal"; else from Re tr(value rho)
+    sampled down ``DEFAULT_LADDER``, whose rungs the evaluator walks with
+    its :meth:`~StieltjesEvaluator.ladder`, route "ladder", with the
+    largest rung residual."""
+    ren = renewal(evaluator, trace_vec)
+    cls = None if ren is None else ren.verdict(rho_vec)
+    if cls is not None:
+        return cls
+    rungs = list(evaluator.ladder(DEFAULT_LADDER))
+    cls = classify_from_samples([(z, trace_action(trace_vec, res.value, rho_vec))
+                                 for z, res in rungs])
+    return replace(cls, residual=max(res.residual for _, res in rungs))
 
 
 def classify_recurrence(
@@ -134,11 +220,12 @@ def classify_recurrence(
     rho,
     stieltjes: StieltjesEvaluator | None = None,
 ) -> Classification:
-    """Classify a site from the boundary behavior of its return transform.
+    """Classify a site from its return series, through :func:`classify`.
 
     Without an evaluator the transform is the exact diagonal block of
     :class:`~qmcspectra.spectral.SiteStieltjes` at ``site``, on a
-    segment, half-line or line.  A supplied evaluator answers site 0
+    segment, half-line or line, whose first-return block at z = 1
+    decides the renewal route.  A supplied evaluator answers site 0
     only; with any other site it raises ``ValueError``.
     """
     if stieltjes is None:

@@ -161,6 +161,31 @@ def test_recurrence_verdicts(files, capsys):
     assert out["limit"] == pytest.approx(3.0, abs=1e-4)
 
 
+def test_recurrence_reports_route_and_certificate(files, capsys):
+    # the exact return block decides: no ladder samples.  The trace walks
+    # a birth-death chain (down 0.35, up 0.25) killed below 0, which
+    # returns to 0 with probability 0.4 + 0.25
+    out = run_json(capsys, ["recurrence", files["hop"], "--site", "0",
+                            "--density", files["rho"]])
+    assert (out["verdict"], out["route"], out["evidence"]) == ("transient", "renewal", [])
+    assert out["limit"] == pytest.approx(1 / 0.35, abs=1e-12)
+    assert out["residual"] <= 1e-14 and abs(out["recurrent_weight"]) <= 1e-14
+
+    out = run_json(capsys, ["recurrence", files["flip_tp"], "--site", "0",
+                            "--density", files["rho_sym"]])
+    assert (out["verdict"], out["route"]) == ("recurrent", "renewal")
+    assert out["recurrent_weight"] == pytest.approx(1.0, abs=1e-12) and "limit" not in out
+
+    # the coin line has no certified closure at 1, and an explicit
+    # evaluator has no return block: both walk the ladder
+    for argv in (["recurrence", files["diagline"], "--site", "0", "--density", files["rho10"]],
+                 ["recurrence", files["flip"], "--site", "0", "--density", files["rho_sym"],
+                  "--method", "truncated"]):
+        out = run_json(capsys, argv)
+        assert out["route"] == "ladder" and len(out["evidence"]) == 7
+        assert out["recurrent_weight"] is None and out["residual"] >= 0.0
+
+
 def test_first_passage_ladder(files, capsys):
     out = run_json(
         capsys,

@@ -318,12 +318,22 @@ def test_real_ladder_runs_one_reduction_per_side(monkeypatch, name, sides, consu
     evaluations = _count_calls(monkeypatch, HomogeneousStieltjes, "evaluate")
     reductions = _count_calls(monkeypatch, spectral, "homogeneous_closure")
     if consumer == "classify_recurrence":
-        classify_recurrence(m, 0, np.eye(2) / 2)
+        route = classify_recurrence(m, 0, np.eye(2) / 2).route
     else:
         jump_at_one(SiteStieltjes(m))
     assert evaluations == []
-    assert len(reductions) == sides
-    assert all(len(zs) == len(DEFAULT_LADDER) for *_, zs in reductions)
+    points = [list(args[3]) for args in reductions]
+    if consumer == "classify_recurrence" and name == "flip-up-corner":
+        # the renewal route: one reduction at the single point z = 1
+        assert route == "renewal" and points == [[1.0]]
+        return
+    if consumer == "classify_recurrence":
+        # the coin line's closure is not certified at 1, and the first
+        # uncertified side ends the renewal attempt
+        assert route == "ladder" and points[0] == [1.0]
+        points = points[1:]
+    assert len(points) == sides
+    assert all(zs == list(DEFAULT_LADDER) for zs in points)
 
 
 # the kernel in both orientations: (A, B, C) closes the side above a
@@ -371,9 +381,11 @@ def test_closure_at_one_is_uncertified_when_states_drift_apart():
     # in the other: no single shift applies, and z = 1 alone is dropped
     m = LINES["diagonal-coin"]
     a, b, c = (_homogeneous_matrix(m, role) for role in ROLES)
-    y, _, certified = spectral.homogeneous_closure(a, b, c, np.array([1.0, 1.01, 2.0]),
-                                                   m.trace_vec)
+    y, residual, certified = spectral.homogeneous_closure(
+        a, b, c, np.array([1.0, 1.01, 2.0]), m.trace_vec)
     assert certified.tolist() == [False, True, True]
+    # z = 1 is not reduced at all: no value, no residual
+    assert np.isnan(y[0]).all() and residual[0] == np.inf
     want, _, alone = spectral.homogeneous_closure(a, b, c, np.array([1.01, 2.0]))
     assert alone.all()
     assert np.abs(y[1:] - want).max() <= 1e-14 * np.abs(want).max()
@@ -456,6 +468,9 @@ ACCEPTANCE_RECURRENCE = [
 @pytest.mark.parametrize("name, site, rho", ACCEPTANCE_RECURRENCE)
 def test_stacked_ladder_keeps_recurrence_verdicts(monkeypatch, name, site, rho):
     m = {**HALF_LINES, **LINES}[name]
+    # withhold the exact return block, so that both verdicts come from
+    # the ladder: stacked, then walked rung by rung
+    monkeypatch.setattr(SiteStieltjes, "return_block", StieltjesEvaluator.return_block)
     got = classify_recurrence(m, site, rho)
     monkeypatch.setattr(SiteStieltjes, "ladder", StieltjesEvaluator.ladder)
     want = classify_recurrence(m, site, rho)

@@ -169,6 +169,36 @@ def test_finite_weights_match_dense_contour_oracle(model, tol):
     assert np.abs(w.weights() - expect).max() < tol
 
 
+@pytest.mark.parametrize("make", [
+    models.three_site_absorbing_oqw,
+    models.five_site_lazy_shear_chain,
+    lambda: models.uniform_hopping_segment(8, 0.4, 0.5, 0.45, 0.2, 0.15),
+])
+def test_finite_weights_read_one_block_table(monkeypatch, make):
+    # every cluster's sweep reads the same table; each weight equals the
+    # contour sum over corner_resolvent, the per-cluster route, bit for bit
+    m = make()
+    with monkeypatch.context() as mp:
+        tables = []
+        inner = spectral.block_table
+        mp.setattr(spectral, "block_table", lambda *a: tables.append(a) or inner(*a))
+        w = finite_spectrum_weights(m)
+    assert len(tables) == 1 and len(w.points) > 1
+    ev = np.linalg.eigvals(truncate(m, 0, m.topology.num_sites - 1).matrix)
+    groups = spectral._cluster_eigenvalues(ev, spectral.TOL_GROUP)
+    centers = np.array([ev[g].mean() for g in groups])
+    dist = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(dist, np.inf)
+    unit = np.exp(2j * np.pi * np.arange(spectral.RESIDUE_POINTS) / spectral.RESIDUE_POINTS)
+    want = []
+    for center, gap in zip(centers, dist.min(axis=1)):
+        zs = center + min(1e-4, gap / 10.0) * unit
+        corner = corner_resolvent(m, zs, m.topology.num_sites)
+        want.append(np.einsum("k,kij->ij", zs - center, corner) / spectral.RESIDUE_POINTS)
+    order = sorted(range(len(centers)), key=lambda k: (centers[k].real, centers[k].imag))
+    assert np.array_equal(w.weights(), np.array(want)[order])
+
+
 # -- transforms -------------------------------------------------------
 
 

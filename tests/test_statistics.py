@@ -529,6 +529,19 @@ def test_classifier_agrees_with_partial_sums():
     assert partial == pytest.approx(cls.limit, abs=1e-4)
 
 
+def test_truncated_ladder_reports_its_worst_rung_residual():
+    # the first silent case of ROADMAP item 4: window 800 on acceptance
+    # 4d's chain misses its tolerance at the last rungs (window steps 454
+    # and 4.17e3 at z - 1 = 1e-7 and 1e-8).  The verdict happens to be
+    # right, and the largest rung residual shows that nothing certifies it
+    m = models.flip_channel_half_line(0.7, 0.8, corner="up")
+    ev = TruncatedStieltjes(m, window=800)
+    cls = classify_recurrence(m, 0, np.diag([0.0, 1.0]), ev)
+    assert (cls.route, cls.verdict) == ("ladder", "recurrent")
+    assert cls.residual > 1e3 and cls.recurrent_weight is None
+    assert cls.residual == max(res.residual for _, res in ev.ladder(statistics.DEFAULT_LADDER))
+
+
 def test_explicit_evaluator_answers_site_zero_only():
     m = models.flip_channel_half_line(0.7, 0.8)
     ev = HomogeneousStieltjes.from_model(m)
