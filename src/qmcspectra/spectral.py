@@ -4,12 +4,15 @@ The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
 half-line or line chain that is homogeneous outside finitely many sites:
 the homogeneous fixed point closes each unbounded side and one
-block-Schur sweep covers the rest.  :func:`homogeneous_closure` is the
-one cyclic reduction of a homogeneous interior, stacked over real points
-z >= 1: on a real ladder above 1, the ladder of a recurrence verdict
-and of the jump at one, it solves both closures for all rungs at once
-and the sweep runs stacked over the rungs; at z = 1 it closes the exact
-reach probabilities of ``statistics`` and the first-return block
+block-Schur sweep covers the rest.  That sweep toward a site, with its
+window and the end of each side, is the one elimination
+(:class:`_Elimination`) behind the transform block, the first-return
+block and the first passage into the site that ``statistics`` reads.
+:func:`homogeneous_closure` is the one cyclic reduction of a
+homogeneous interior, stacked over real points z >= 1: on a real ladder
+above 1, the ladder of a recurrence verdict and of the jump at one, it
+closes both sides for all rungs at once; at z = 1 it closes the exact
+reach probabilities and the first-return block
 (:meth:`StieltjesEvaluator.return_block`) that decides a recurrence
 verdict without a ladder.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
@@ -783,6 +786,89 @@ class CornerStieltjes(StieltjesEvaluator):
         return EvalResult(value, residual, self.method, state=inner.warm())
 
 
+class _Elimination:
+    """Block-Schur elimination of a chain toward one site j: the kernel of
+    :class:`SiteStieltjes`, of its return block and of the first passage
+    into j (``statistics.first_passage_gf`` and the closed reach).
+
+    Each unbounded side is cut at the first site past every override, j
+    and ``source``, and closed there by its interior, the triple in
+    ``ends``: (A, B, C) above j, the mirror (C, B, A) below.  A bounded
+    side, and both sides of a given absorbing ``window`` (lo, hi), end at
+    an edge.  A source other than j keeps only its own side.  One
+    ``block_table`` serves every sweep; ``hold`` is B_j.
+    """
+
+    def __init__(self, model: QmcModel, site: int, source: int | None = None,
+                 window: tuple[int, int] | None = None):
+        topo = model.topology
+        self.site = site
+        self.source = None if source == site else source
+        self.trace_vec = model.trace_vec
+        if window is None:
+            marks = [*model.overrides, site] + ([] if source is None else [source])
+            lo = min(marks) - 1 if topo.lo is None else topo.lo
+            hi = max(marks) + 1 if topo.hi is None else topo.hi
+            closed = (topo.hi is None, topo.lo is None)
+        else:
+            (lo, hi), closed = window, (False, False)
+        free = self.source is None
+        kept = (free or self.source > site, free or self.source < site)
+        a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
+        self.ends = tuple(end if keep and shut else None
+                          for end, keep, shut in zip(((a, b, c), (c, b, a)), kept, closed))
+        # a closed side starts next to its cut site, whose inverse pivot is
+        # the closing; an unkept side is not swept
+        self.sweeps = (range(hi - closed[0], site, -1) if kept[0] else None,
+                       range(lo + closed[1], site) if kept[1] else None)
+        self.lo = lo if kept[1] else site
+        self.table = block_table(model, self.lo, hi if kept[0] else site)
+        self.hold = self.table[1][site - self.lo]
+
+    def closings_at_one(self) -> tuple[list, float] | None:
+        """The closing of each closed side at z = 1 (None elsewhere), with
+        their summed residual (0 without a closure).
+
+        One :func:`homogeneous_closure` call per closed side at the single
+        point 1, given the trace functional so that the root of a recurrent
+        interior is shifted.  None at the first side it does not certify."""
+        closings, residual = [], 0.0
+        for end in self.ends:
+            if end is None:
+                closings.append(None)
+                continue
+            (y,), (r,), (certified,) = homogeneous_closure(*end, np.ones(1), self.trace_vec)
+            if not certified:
+                return None
+            closings.append(y)
+            residual += float(r)
+        return closings, residual
+
+    def couplings(self, closings=(None, None), **points) -> list:
+        """The coupling into j of each kept side, above first: C_{j+1} Y A_j
+        and A_{j-1} Y C_j with Y the inverse pivot next to j, or, for a
+        source away from j, C_{j+1} x or A_{j-1} x with x the solution
+        there for an identity source.  Each side is one :func:`schur_sweep`
+        from its far end, started from its closing (None at an edge), at
+        the ``z=`` or ``s=`` points; a side with neither sites nor closing
+        adds nothing.  A singular pivot raises ``np.linalg.LinAlgError``."""
+        A, B, C = self.table
+        k = self.site - self.lo
+        out = []
+        for sites, closing, into, back in zip(self.sweeps, closings, (C, A), (A, C)):
+            if sites is None:
+                continue
+            if self.source is None:
+                y = schur_sweep(self.table, self.lo, sites, closing=closing, **points)
+                if y is not None:
+                    out.append(into[k - sites.step] @ y @ back[k])
+            else:
+                x = schur_sweep(self.table, self.lo, sites, source_site=self.source,
+                                source=np.eye(B[k].shape[0]), closing=closing, **points)
+                out.append(into[k - sites.step] @ x)
+        return out
+
+
 class SiteStieltjes(StieltjesEvaluator):
     """Diagonal block ((z I - Phi)^{-1})_{jj} at ``site`` of a segment,
     half-line or line model, exact for every eventually-homogeneous chain.
@@ -790,11 +876,12 @@ class SiteStieltjes(StieltjesEvaluator):
     Each unbounded side is homogeneous beyond the override sites and is
     closed there by its interior fixed point: ``HomogeneousStieltjes(A,
     B, C)`` above and the mirrored ``HomogeneousStieltjes(C, B, A)``
-    below.  :func:`schur_sweep` eliminates the sites between each closure
-    (or bounded edge) and ``site``, and the last pivot is solved at
-    ``site``.  The residual sums the defining-equation residual of each
-    fixed point and that of the last pivot solve; ``state`` carries both
-    fixed points, (above, below), for warm starts.
+    below.  The elimination toward ``site`` (:class:`_Elimination`)
+    sweeps the sites between each closure (or bounded edge) and ``site``,
+    and the last pivot is solved at ``site``.  The residual sums the
+    defining-equation residual of each fixed point and that of the last
+    pivot solve; ``state`` carries both fixed points, (above, below), for
+    warm starts.
 
     A ladder whose points are all real and above 1 runs stacked: each
     closure is solved for every rung at once by
@@ -804,7 +891,7 @@ class SiteStieltjes(StieltjesEvaluator):
     certify is re-solved by :meth:`evaluate`, warm-started from the rung
     before it.  Any other ladder is walked rung by rung.
 
-    :meth:`return_block` solves each closure once at z = 1, shifted when
+    :meth:`return_block` closes each side once at z = 1, shifted when
     the drift of the interior allows, and returns the first-return block
     F = I - core(1) of the same pivot assembly.
     """
@@ -812,26 +899,11 @@ class SiteStieltjes(StieltjesEvaluator):
     method = "closed"
 
     def __init__(self, model: QmcModel, site: int = 0):
-        topo = model.topology
-        if not topo.contains(site):
-            raise ValueError(f"site {site} outside the {topo.kind} topology")
-        a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
-        marks = [*model.overrides, site]
-        # the first homogeneous site past every override, or the edge
-        hi = max(marks) + 1 if topo.hi is None else topo.hi
-        lo = min(marks) - 1 if topo.lo is None else topo.lo
-        self.closures = (
-            None if topo.hi is not None else HomogeneousStieltjes(a, b, c),
-            None if topo.lo is not None else HomogeneousStieltjes(c, b, a),
-        )
-        self.sweeps = (
-            range(hi - (topo.hi is None), site, -1),
-            range(lo + (topo.lo is None), site),
-        )
-        self.table = block_table(model, lo, hi)
-        self.lo = lo
-        self.site = site
-        self.trace_vec = model.trace_vec
+        if not model.topology.contains(site):
+            raise ValueError(f"site {site} outside the {model.topology.kind} topology")
+        self.elimination = _Elimination(model, site)
+        self.closures = tuple(None if end is None else HomogeneousStieltjes(*end)
+                              for end in self.elimination.ends)
 
     def evaluate(self, z: complex, x0=None) -> EvalResult:
         ends = [
@@ -870,23 +942,13 @@ class SiteStieltjes(StieltjesEvaluator):
 
     def return_block(self) -> tuple[Array, float] | None:
         """First-return block F_jj(1) = I - core(1) at ``site``, with the
-        summed residual of its closures at z = 1 (0 on a segment).
-
-        Each unbounded side is closed by one :func:`homogeneous_closure`
-        call at the single point z = 1, given the trace functional so that
-        the root of a recurrent interior is shifted.  None when a closure
-        is not certified there or the sweep meets a singular pivot."""
-        closings, residual = [], 0.0
-        for fp in self.closures:
-            if fp is None:
-                closings.append(None)
-                continue
-            (y,), (r,), (certified,) = homogeneous_closure(fp.a, fp.b, fp.c, np.ones(1),
-                                                           self.trace_vec)
-            if not certified:
-                return None
-            closings.append(y)
-            residual += float(r)
+        summed residual of its closures at z = 1 (0 on a segment), from
+        :meth:`_Elimination.closings_at_one`.  None when a closure is not
+        certified there or the sweep meets a singular pivot."""
+        closed = self.elimination.closings_at_one()
+        if closed is None:
+            return None
+        closings, residual = closed
         try:
             core = self._core(1.0, closings)
         except np.linalg.LinAlgError:
@@ -897,14 +959,10 @@ class SiteStieltjes(StieltjesEvaluator):
         """The pivot z I - B_j - (couplings of both eliminated sides) at
         ``site``, at one point z or stacked over an array of them, from the
         closings of the two sides (None at a bounded edge)."""
-        A, B, C = self.table
-        k = self.site - self.lo
-        core = np.multiply.outer(z, np.eye(B[k].shape[0], dtype=complex)) - B[k]
-        # the eliminated sides couple in through the blocks next to site
-        for sites, closing, into, back in zip(self.sweeps, closings, (C, A), (A, C)):
-            y = schur_sweep(self.table, self.lo, sites, z=z, closing=closing)
-            if y is not None:
-                core = core - into[k - sites.step] @ y @ back[k]
+        hold = self.elimination.hold
+        core = np.multiply.outer(z, np.eye(hold.shape[0], dtype=complex)) - hold
+        for coupling in self.elimination.couplings(closings, z=z):
+            core = core - coupling
         return core
 
     def _pivot(self, z, closings):

@@ -16,11 +16,12 @@ and divergence is judged from the samples, the "ladder" route; the
 classification then carries the raw samples so callers can re-judge.
 Either route reports its residual.
 
-Reach probabilities are solved once at s = 1: the side holding the source
-is swept toward the target and closed by the homogeneous closure of
-``spectral`` at z = 1, whose G = C Y is the first passage one level down.
-The window ladder is a fallback, and says so when its answer is the
-absorbing window's rather than the chain's.
+Reach probabilities are solved once at s = 1 by the elimination toward
+the target of ``spectral`` (which :func:`first_passage_gf` runs on an
+absorbing window): the source side is closed by the homogeneous closure
+at z = 1, whose G = C Y is the first passage one level down.  The window
+ladder is a fallback, and says so when its answer is the absorbing
+window's rather than the chain's.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_model import (
-    LINE,
-    ROLES,
-    QmcModel,
-    _homogeneous_matrix,
-    block_table,
-    schur_sweep,
-)
+from .chain_model import LINE, QmcModel
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
@@ -45,7 +39,7 @@ from .spectral import (
     SiteStieltjes,
     StieltjesEvaluator,
     Symmetrizer,
-    homogeneous_closure,
+    _Elimination,
 )
 
 RECURRENT = "recurrent"
@@ -84,17 +78,16 @@ class Classification:
 
 
 def _aitken(seq):
-    """Geometric-sequence limit estimates from consecutive triples."""
-    out = []
-    for k in range(2, len(seq)):
-        d1 = seq[k] - seq[k - 1]
-        d0 = seq[k - 1] - seq[k - 2]
-        denom = d1 - d0
-        if abs(denom) < 1e-300:
-            out.append(seq[k])
-        else:
-            out.append(seq[k] - d1 * d1 / denom)
-    return out
+    """Geometric-sequence limit estimates from consecutive triples of a
+    sequence of numbers or of equal-shape arrays, entrywise; an entry
+    whose second difference is below 1e-300 keeps its last value."""
+    seq = np.asarray(seq)
+    last = seq[2:]
+    d1 = last - seq[1:-1]
+    denom = d1 - (seq[1:-1] - seq[:-2])
+    small = np.abs(denom) < 1e-300
+    with np.errstate(all="ignore"):
+        return np.where(small, last, last - d1 * d1 / np.where(small, 1.0, denom))
 
 
 def classify_from_samples(samples) -> Classification:
@@ -131,6 +124,9 @@ def classify_from_samples(samples) -> Classification:
 
 
 DEFAULT_LADDER = tuple(1.0 + 10.0 ** (-m) for m in range(2, 9))
+# the s-ladder 1 - 2^-m, m = 4..24, that the window fallback of
+# reach_analysis samples and extrapolates
+REACH_LADDER = tuple(1.0 - 2.0**-m for m in range(4, 25))
 
 
 def trace_action(model_or_trace, value: Array, rho_vec: Array) -> float:
@@ -311,7 +307,8 @@ def first_passage_gf(
     ``np.shape(s) + (d, d)``.  Masking row j pins x_j = delta_ij I, so
     the system splits at j into two block-tridiagonal halves; each half
     that carries the source is eliminated by one block-Schur sweep toward
-    j, with one stacked solve per site for all s, and
+    j (the elimination of ``spectral``, between absorbing edges), with one
+    stacked solve per site for all s, and
     F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
     pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
     window.  The window is [-window, window] on a line, [0, window] on a
@@ -319,24 +316,16 @@ def first_passage_gf(
     :func:`first_passage_poly` is the polynomial route
     Q_j(1/s)^{-1} Q_i(1/s); the two agree wherever both apply.
     """
-    lo, hi = _passage_window(model, i, j, window)
-    A, B, C = table = block_table(model, lo, hi)
-    d = model.block_dim
+    elimination = _Elimination(model, j, i, _passage_window(model, i, j, window))
     ss = np.reshape(s, (-1,))
-    s3 = ss[:, None, None]
-    # the half below j ends at j - 1, the half above at j + 1; with i == j
-    # the source is the coupling to x_j = I at that end.  A half without
-    # the source carries x = 0 and is not swept.
-    acc = B[j - lo] if i == j else 0.0
-    if i <= j and j > lo:
-        source = np.eye(d) if i < j else s3 * C[j - lo]
-        x = schur_sweep(table, lo, range(lo, j), s=ss, source_site=min(i, j - 1), source=source)
-        acc = acc + A[j - 1 - lo] @ x
-    if i >= j and j < hi:
-        source = np.eye(d) if i > j else s3 * A[j - lo]
-        x = schur_sweep(table, lo, range(hi, j, -1), s=ss, source_site=max(i, j + 1), source=source)
-        acc = acc + C[j + 1 - lo] @ x
-    return (s3 * acc).reshape(np.shape(s) + (d, d))
+    s3, couplings = ss[:, None, None], elimination.couplings(s=ss)
+    if i == j:
+        acc = elimination.hold
+        for coupling in couplings:
+            acc = acc + s3 * coupling
+    else:
+        (acc,) = couplings
+    return (s3 * acc).reshape(np.shape(s) + acc.shape[-2:])
 
 
 def first_passage_poly(model: QmcModel, j: int, i: int, s: complex) -> Array:
@@ -346,55 +335,6 @@ def first_passage_poly(model: QmcModel, j: int, i: int, s: complex) -> Array:
     x = 1.0 / s
     q = PolyFamily(model).main(x, j)
     return np.linalg.solve(q[j], q[i])
-
-
-def first_passage_corner(model: QmcModel, s: complex) -> Array:
-    """Adjacent-site shortcut F_10(s) = s A_0 (I - s B_0)^{-1}."""
-    d = model.block_dim
-    a0 = model.block(0, "A")
-    b0 = model.block(0, "B")
-    return s * np.linalg.solve((np.eye(d, dtype=complex) - s * b0).T, a0.T).T
-
-
-def _closed_passage(model: QmcModel, i: int, j: int, window: int) -> tuple[Array, float] | None:
-    """F_ji(1) for i != j in one solve at s = 1, with the residual of its
-    homogeneous closure (0 without one); None when the closure is not
-    certified.
-
-    A source side bounded by an edge is swept at s = 1 as in
-    :func:`first_passage_gf`.  An unbounded one is swept from the first
-    site past every override and the source, closed there by the inverse
-    pivot Y = (I - B - G A)^{-1} of the homogeneous tail at z = 1
-    (:func:`~qmcspectra.spectral.homogeneous_closure`), for which G = C Y
-    is the first passage one level down; below the target on a line the
-    mirror closure, with A and C swapped, closes it.  A singular pivot
-    raises ``np.linalg.LinAlgError``.
-    """
-    topo = model.topology
-    above = i > j
-    if (topo.hi if above else topo.lo) is not None:
-        return first_passage_gf(model, j, i, 1.0, window=window), 0.0
-    a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
-    if not above:
-        a, c = c, a
-    (closing,), (residual,), (certified,) = homogeneous_closure(a, b, c, np.ones(1),
-                                                                model.trace_vec)
-    if not certified:
-        return None
-    eye = np.eye(model.block_dim)
-    marks = [*model.overrides, i]
-    if above:
-        # the tail starts past every override and the source
-        hi = max(marks) + 1
-        table = block_table(model, j, hi)
-        x = schur_sweep(table, j, range(hi - 1, j, -1), s=1.0, source_site=i, source=eye,
-                        closing=closing)
-        return table[2][1] @ x, residual
-    lo = min(marks) - 1
-    table = block_table(model, lo, j)
-    x = schur_sweep(table, lo, range(lo + 1, j), s=1.0, source_site=i, source=eye,
-                    closing=closing)
-    return table[0][j - 1 - lo] @ x, residual
 
 
 @dataclass(frozen=True)
@@ -418,32 +358,29 @@ def reach_analysis(
     j: int,
     rho,
     *,
-    m_range=range(4, 25),
     window: int = 64,
 ) -> PassageResult:
     """Probability of ever reaching site j from a density at site i.
 
-    The closed route (:func:`_closed_passage`) gives t F_ji(1) rho in one
-    solve at s = 1, exact on every topology: no ladder, no window and no
-    extrapolation.  It falls back to the window ladder when the
-    homogeneous closure misses its certificate, the invariant states of
-    the interior drift apart, or the s = 1 sweep hits a singular pivot.
-    The ladder samples the first-passage trace on ``window`` at
-    s = 1 - 2^{-m}, all in one stacked :func:`first_passage_gf` call, and
-    applies Richardson extrapolation of order 2; when the ladder is too
-    rough to extrapolate the last sample is returned with a warning.  When
-    the source side is unbounded the ladder answers for the absorbing
-    window, not for the chain, and a warning naming the window says so.
-    ``route`` and ``residual`` of the result say which ran.  Both sites
-    must lie in the window, and fewer than three rungs raise
-    ``ValueError`` on either route.  ``gf`` of the result evaluates one s
-    on the window.
+    The closed route gives t F_ji(1) rho in one solve at s = 1, exact on
+    every topology: no ladder, no window and no extrapolation.  The
+    elimination toward j of ``spectral`` sweeps the side holding the
+    source, from the first site past every override and the source, closed
+    there by the homogeneous closure at z = 1 (G = C Y is the first
+    passage one level down), or from its edge when that side is bounded.
+    It falls back to the window ladder when the closure misses its
+    certificate, the invariant states of the interior drift apart, or the
+    s = 1 sweep hits a singular pivot.  The ladder samples the
+    first-passage trace on ``window`` at the s of ``REACH_LADDER``, all in
+    one stacked :func:`first_passage_gf` call, and applies Richardson
+    extrapolation of order 2; when the ladder is too rough to extrapolate
+    the last sample is returned with a warning.  When the source side is
+    unbounded the ladder answers for the absorbing window, not for the
+    chain, and a warning naming the window says so.  ``route`` and
+    ``residual`` of the result say which ran.  Both sites must lie in the
+    window on either route.  ``gf`` of the result evaluates one s on the
+    window.
     """
-    ladder = [1.0 - 2.0**-m for m in m_range]
-    if len(ladder) < 3:
-        raise ValueError(
-            f"order-2 Richardson extrapolation needs at least three rungs, got {len(ladder)}"
-        )
     rho_vec = model.state_vec(rho)
 
     def gf(s):
@@ -452,17 +389,21 @@ def reach_analysis(
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0, gf)
     lo, hi = _passage_window(model, i, j, window)
+    elimination = _Elimination(model, j, i)
     try:
-        closed = _closed_passage(model, i, j, window)
+        closed = elimination.closings_at_one()
+        if closed is not None:
+            closings, residual = closed
+            (block,) = elimination.couplings(closings, s=1.0)
     except np.linalg.LinAlgError:
         closed = None
     if closed is not None:
-        block, residual = closed
         prob = trace_action(model, block, rho_vec)
         samples, extrapolated, route = ((1.0, prob),), False, "closed"
     else:
-        blocks = gf(np.array(ladder))
-        samples = tuple((s, trace_action(model, f, rho_vec)) for s, f in zip(ladder, blocks))
+        blocks = gf(np.array(REACH_LADDER))
+        samples = tuple((s, trace_action(model, f, rho_vec))
+                        for s, f in zip(REACH_LADDER, blocks))
         t = [v for _, v in samples]
         r1 = [2.0 * t[k] - t[k - 1] for k in range(1, len(t))]
         r2 = [(4.0 * r1[k] - r1[k - 1]) / 3.0 for k in range(1, len(r1))]
@@ -473,8 +414,8 @@ def reach_analysis(
                 f"that of the absorbing window [{lo}, {hi}], not of the chain",
                 stacklevel=2,
             )
-        residual = abs(r2[-1] - r2[-2]) if len(r2) >= 2 else np.inf
-        if len(r2) >= 2 and residual > 1e-6 * max(1.0, abs(r2[-1])):
+        residual = abs(r2[-1] - r2[-2])
+        if residual > 1e-6 * max(1.0, abs(r2[-1])):
             warnings.warn(
                 "first-passage ladder not smooth; falling back to last sample",
                 stacklevel=2,
@@ -508,13 +449,7 @@ def jump_at_one(evaluator: StieltjesEvaluator) -> Array:
     eps_ladder = [10.0**-m for m in range(2, 9)]
     rungs = evaluator.ladder([1.0 + eps for eps in eps_ladder])
     samples = [eps * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
-    p2, p1, p0 = samples[-3], samples[-2], samples[-1]
-    d1 = p0 - p1
-    d0 = p1 - p2
-    denom = d1 - d0
-    small = np.abs(denom) < 1e-300
-    with np.errstate(invalid="ignore", divide="ignore"):
-        est = np.where(small, p0, p0 - d1 * d1 / np.where(small, 1.0, denom))
+    (est,) = _aitken(samples[-3:])
     if float(np.linalg.norm(est, 2)) < TOL_ZERO:
         return np.zeros_like(est)
     return est
