@@ -274,15 +274,13 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         self.plus = plus
         self.minus = minus
 
-    def evaluate(self, z: complex, x0=None) -> EvalResult:
-        """Split-identity value at z; ``x0`` and the returned ``state``
-        are the (plus, minus) warm states of the two halves."""
+    def evaluate(self, z: complex) -> EvalResult:
+        """Split-identity value at z."""
         ft = stieltjes_folded(
-            self.model.block(-1, "A"), self.model.block(0, "C"),
-            self.plus, self.minus, z, x0=x0,
+            self.model.block(-1, "A"), self.model.block(0, "C"), self.plus, self.minus, z
         )
         value = ft.p11 if self.site == 0 else ft.p22
-        return EvalResult(value, ft.residual, self.method, state=ft.state)
+        return EvalResult(value, ft.residual, self.method)
 
 
 def classify_recurrence_on_line(model: QmcModel, site: int, rho) -> Classification:

@@ -4,7 +4,7 @@ When the Hermitian-product certificates fail, a weight family with
 possibly complex nodes and non-Hermitian weights still exists, and the
 polynomials are one-sidedly orthogonal against it: sum_k l_k^i W_k Q_j
 vanishes for i < j.  That suffices for a row-0 spectral formula and for
-recurrence classification of homogeneous chains through the fixed-point
+recurrence classification of homogeneous chains through the homogeneous
 transform.
 """
 
@@ -126,7 +126,7 @@ def classify_recurrence_homogeneous(
 ) -> Classification:
     """Recurrence of the origin of a homogeneous chain from its transform.
 
-    Half-line chains use the fixed-point transform directly, optionally
+    Half-line chains use the homogeneous transform directly, optionally
     with corner blocks (corner_b at (0,0), corner_a below it) applied
     through the one-step corner identity.  Line chains use the documented
     homogeneous criterion, which composes the upward transform with itself:

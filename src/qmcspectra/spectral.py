@@ -3,16 +3,17 @@
 The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
 half-line or line chain that is homogeneous outside finitely many sites:
-the homogeneous fixed point closes each unbounded side and one
+the homogeneous transform closes each unbounded side and one
 block-Schur sweep covers the rest.  That sweep toward a site, with its
 window and the end of each side, is the one elimination
 (:class:`_Elimination`) behind the transform block, the first-return
 block and the first passage into the site that ``statistics`` reads.
 :func:`homogeneous_closure` is the one cyclic reduction of a
-homogeneous interior, stacked over real points z >= 1: on a real ladder
-above 1, the ladder of a recurrence verdict and of the jump at one, it
-closes both sides for all rungs at once; at z = 1 it closes the exact
-reach probabilities and the first-return block
+homogeneous interior, stacked over real points z >= 1: it is the kernel
+of :meth:`HomogeneousStieltjes.evaluate` at every real point above 1, it
+closes both sides for all rungs of a real ladder above 1 at once (the
+ladder of a recurrence verdict and of the jump at one), and at z = 1 it
+closes the exact reach probabilities and the first-return block
 (:meth:`StieltjesEvaluator.return_block`) that decides a recurrence
 verdict without a ladder.  Truncated corner resolvents, the bare
 fixed point, corner perturbations of a homogeneous interior and the split
@@ -22,10 +23,11 @@ the value, except :class:`TruncatedStieltjes`, whose residual is the step
 between its last two windows; it runs a whole ladder of points at once and
 builds the homogeneous tail of each window from glued block ports of
 runs of 2^j sites, in O(log window) stacked solves instead of one per
-site.  :meth:`StieltjesEvaluator.ladder` is the one rung
-walker of every ladder.  :func:`transform_evaluator` holds the one route
-policy; the CLI and the half-chains of a folded line chain both take
-their evaluators from it.
+site.  :meth:`StieltjesEvaluator.ladder` is the one rung walker of
+every ladder, and every evaluation takes the point z alone: no state
+passes from one point to the next.  :func:`transform_evaluator` holds
+the one route policy; the CLI and the half-chains of a folded line chain
+both take their evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -315,14 +317,6 @@ class EvalResult:
     value: Array
     residual: float
     method: str
-    # warm-start payload for a subsequent evaluation at a nearby z (the
-    # interior fixed point for corner evaluators, the value itself for
-    # plain fixed-point evaluators, a pair of them for the two closures of
-    # a site evaluator or the two halves of a folded line chain)
-    state: Array | tuple | None = None
-
-    def warm(self):
-        return self.state if self.state is not None else self.value
 
 
 class StieltjesEvaluator:
@@ -331,20 +325,16 @@ class StieltjesEvaluator:
     method = "abstract"
     tolerance = 1e-8
 
-    def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
+    def evaluate(self, z: complex) -> EvalResult:
         raise NotImplementedError
 
     def ladder(self, points):
-        """Yield (z, EvalResult) at each point in turn, every evaluation
-        warm-started from the previous one's :meth:`EvalResult.warm`.
+        """Yield (z, EvalResult) at each point in turn.
 
         The one rung walker of the recurrence ladder, the jump at one and
         the residue probe; each z is the caller's own point object."""
-        warm = None
         for z in points:
-            res = self.evaluate(z, x0=warm)
-            warm = res.warm()
-            yield z, res
+            yield z, self.evaluate(z)
 
     def return_block(self) -> tuple[Array, float] | None:
         """The exact first-return block F at z = 1 with the residual that
@@ -362,37 +352,6 @@ class StieltjesEvaluator:
                 res.residual,
             )
         return res.value
-
-    def near_axis(self, x: float, delta: float) -> Array:
-        """Boundary value at x + i*delta by continuation from far above the
-        axis, passing each converged value down as the next starting point.
-
-        Rungs whose residual misses the tolerance are geometrically
-        bisected, which keeps the branch tracking honest across the
-        spectral edges."""
-        schedule = list(np.geomspace(max(10.0 * delta, 0.5), delta, 24))
-        val = None
-        warm = None
-        d_prev = None
-        k = 0
-        ok_tol = max(self.tolerance, 1e-9)
-        while k < len(schedule):
-            dk = schedule[k]
-            res = self.evaluate(complex(x, dk), x0=warm)
-            if res.residual <= ok_tol or d_prev is None:
-                val = res.value
-                warm = res.warm()
-                d_prev = dk
-                k += 1
-                continue
-            if len(schedule) > 500 or d_prev / dk < 1.0 + 1e-9:
-                raise ConvergenceError(
-                    f"continuation to {x}+{delta}i stalled at height {dk}",
-                    res.value,
-                    res.residual,
-                )
-            schedule.insert(k, float(np.sqrt(d_prev * dk)))
-        return val
 
 
 def _port_solve(m, rhs):
@@ -515,7 +474,7 @@ class TruncatedStieltjes(StieltjesEvaluator):
         self.tolerance = tolerance
         self.max_doublings = max_doublings
 
-    def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
+    def evaluate(self, z: complex) -> EvalResult:
         ((_, res),) = self.ladder([z])
         return res
 
@@ -550,14 +509,18 @@ class TruncatedStieltjes(StieltjesEvaluator):
 def _quadratic_residual(a, b, c, z, x):
     """||x - (z I - b - c x a)^{-1}||_2 at one point z, or at each point of
     an array z with x stacked to match; inf at every point when the
-    solve fails."""
+    solve fails, and at each point where it overflows."""
     eye = np.eye(a.shape[0])
-    try:
-        target = np.linalg.solve(np.multiply.outer(z, eye) - b - c @ x @ a,
-                                 np.broadcast_to(eye, np.shape(x)))
-    except np.linalg.LinAlgError:
-        return np.full(np.shape(z), np.inf)[()]
-    return np.linalg.norm(x - target, 2, axis=(-2, -1))
+    residual = np.full(np.shape(z), np.inf)
+    with np.errstate(all="ignore"):
+        try:
+            diff = x - np.linalg.solve(np.multiply.outer(z, eye) - b - c @ x @ a,
+                                       np.broadcast_to(eye, np.shape(x)))
+        except np.linalg.LinAlgError:
+            return residual[()]
+    finite = np.isfinite(diff).all(axis=(-2, -1))
+    residual[finite] = np.linalg.norm(diff[finite], 2, axis=(-2, -1))
+    return residual[()]
 
 
 def _fixed_spaces(phi: Array) -> tuple[Array, Array]:
@@ -665,26 +628,29 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
 
 
 class HomogeneousStieltjes(StieltjesEvaluator):
-    """Fixed point of X = (z I - B - C X A)^{-1} for a homogeneous
-    interior, started from X = I/z, with Newton polishing when plain
-    iteration stalls or contracts by less than half per step.
+    """The decaying solution X of X = (z I - B - C X A)^{-1} for a
+    homogeneous interior, the transform of the genuine measure.
 
-    The iteration is a contraction for z outside the support and selects
-    the transform of the genuine measure (decaying branch), which is
-    cross-validated against truncation in the tests.
+    At a real z > 1 it is the closure :func:`homogeneous_closure` at that
+    one point.  Where that point is not certified, and off the real axis,
+    the fixed point is iterated from X = I/z, with Newton polishing when
+    plain iteration stalls or contracts by less than half per step; the
+    iteration is a contraction for z outside the support and selects the
+    decaying branch, which is cross-validated against truncation in the
+    tests.  An iterate that overflows raises :class:`ConvergenceError`
+    with the last finite one.
     """
 
     method = "homogeneous_fp"
 
-    def __init__(self, a: Array, b: Array, c: Array, *, tolerance: float = 1e-8):
+    def __init__(self, a: Array, b: Array, c: Array):
         self.a = np.asarray(a, dtype=complex)
         self.b = np.asarray(b, dtype=complex)
         self.c = np.asarray(c, dtype=complex)
-        self.tolerance = tolerance
 
     @classmethod
-    def from_model(cls, model: QmcModel, **kw) -> "HomogeneousStieltjes":
-        return cls(*(_homogeneous_matrix(model, role) for role in ROLES), **kw)
+    def from_model(cls, model: QmcModel) -> "HomogeneousStieltjes":
+        return cls(*(_homogeneous_matrix(model, role) for role in ROLES))
 
     def _newton(self, z: complex, x: Array) -> Array:
         d = self.a.shape[0]
@@ -702,42 +668,66 @@ class HomogeneousStieltjes(StieltjesEvaluator):
             x = x + h
         return x
 
-    def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
+    def evaluate(self, z: complex) -> EvalResult:
+        if np.imag(z) == 0 and np.real(z) > 1:
+            (y,), (r,), (certified,) = homogeneous_closure(
+                self.a, self.b, self.c, np.array([np.real(z)]))
+            if certified:
+                return EvalResult(y, float(r), self.method)
         d = self.a.shape[0]
         eye = np.eye(d, dtype=complex)
-        warm = None
-        if x0 is not None:
-            # inside the support the genuine branch can repel the plain
-            # iteration, so a supplied starting point goes straight to
-            # Newton, which tracks the branch regardless of stability
-            x = self._newton(z, np.asarray(x0, dtype=complex))
-            r = _quadratic_residual(self.a, self.b, self.c, z, x)
-            if r <= self.tolerance:
-                return EvalResult(x, r, self.method, state=x)
-            warm = (x, r)
         x = eye / z
         last_delta = ratio = np.inf
-        for it in range(10_000):
-            try:
-                nxt = np.linalg.solve(z * eye - self.b - self.c @ x @ self.a, eye)
-            except np.linalg.LinAlgError:
-                break  # iteration left its domain; Newton recovers
-            delta = float(np.linalg.norm(nxt - x, 2))
-            x = nxt
-            ratio, last_delta = delta / last_delta, delta
-            if delta < FP_TOL:
-                break
-            if it >= 200 and delta < 1e-3:
-                break
+        with np.errstate(all="ignore"):
+            for it in range(10_000):
+                try:
+                    nxt = np.linalg.solve(z * eye - self.b - self.c @ x @ self.a, eye)
+                except np.linalg.LinAlgError:
+                    break  # iteration left its domain; Newton recovers
+                step = nxt - x
+                if not np.isfinite(step).all():
+                    raise ConvergenceError(
+                        f"homogeneous fixed point overflowed at z={z}",
+                        x, _quadratic_residual(self.a, self.b, self.c, z, x))
+                delta = float(np.linalg.norm(step, 2))
+                x = nxt
+                ratio, last_delta = delta / last_delta, delta
+                if delta < FP_TOL:
+                    break
+                if it >= 200 and delta < 1e-3:
+                    break
         # at the observed contraction ratio q the error left after a step
         # delta is at most delta q / (1 - q), which delta bounds only for
         # q <= 1/2; a slower contraction, or none, is finished by Newton
         if not (last_delta < FP_TOL and ratio <= 0.5):
             x = self._newton(z, x)
         residual = _quadratic_residual(self.a, self.b, self.c, z, x)
-        if warm is not None and warm[1] < residual:
-            x, residual = warm
-        return EvalResult(x, residual, self.method, state=x)
+        return EvalResult(x, residual, self.method)
+
+    def near_axis(self, x: float, delta: float) -> Array:
+        """Boundary value at x + i*delta by continuation from far above the
+        axis: each rung below the first is Newton's method started from the
+        value of the rung above it, which tracks the branch where the plain
+        iteration is repelled.
+
+        Rungs whose residual misses the tolerance are geometrically
+        bisected, which keeps the branch tracking honest across the
+        spectral edges."""
+        schedule = list(np.geomspace(max(10.0 * delta, 0.5), delta, 24))
+        val, d_prev, k = self.evaluate(complex(x, schedule[0])).value, schedule[0], 1
+        while k < len(schedule):
+            z = complex(x, schedule[k])
+            nxt = self._newton(z, val)
+            residual = _quadratic_residual(self.a, self.b, self.c, z, nxt)
+            if residual <= self.tolerance:
+                val, d_prev, k = nxt, schedule[k], k + 1
+                continue
+            if len(schedule) > 500 or d_prev / schedule[k] < 1.0 + 1e-9:
+                raise ConvergenceError(
+                    f"continuation to {x}+{delta}i stalled at height {schedule[k]}",
+                    nxt, residual)
+            schedule.insert(k, float(np.sqrt(d_prev * schedule[k])))
+        return val
 
 
 class CornerStieltjes(StieltjesEvaluator):
@@ -762,8 +752,8 @@ class CornerStieltjes(StieltjesEvaluator):
         self.a0 = None if a0 is None else np.asarray(a0, dtype=complex)
         self.c = None if c is None else np.asarray(c, dtype=complex)
 
-    def evaluate(self, z: complex, x0: Array | None = None) -> EvalResult:
-        inner = self.inner.evaluate(z, x0=x0)
+    def evaluate(self, z: complex) -> EvalResult:
+        inner = self.inner.evaluate(z)
         d = self.b_corner.shape[0]
         eye = np.eye(d, dtype=complex)
         if self.a0 is not None:
@@ -783,7 +773,7 @@ class CornerStieltjes(StieltjesEvaluator):
                 f"location"
             ) from exc
         residual = float(np.linalg.norm(core @ value - eye, 2)) + inner.residual
-        return EvalResult(value, residual, self.method, state=inner.warm())
+        return EvalResult(value, residual, self.method)
 
 
 class _Elimination:
@@ -874,22 +864,20 @@ class SiteStieltjes(StieltjesEvaluator):
     half-line or line model, exact for every eventually-homogeneous chain.
 
     Each unbounded side is homogeneous beyond the override sites and is
-    closed there by its interior fixed point: ``HomogeneousStieltjes(A,
-    B, C)`` above and the mirrored ``HomogeneousStieltjes(C, B, A)``
-    below.  The elimination toward ``site`` (:class:`_Elimination`)
-    sweeps the sites between each closure (or bounded edge) and ``site``,
-    and the last pivot is solved at ``site``.  The residual sums the
-    defining-equation residual of each fixed point and that of the last
-    pivot solve; ``state`` carries both fixed points, (above, below), for
-    warm starts.
+    closed there by its interior: ``HomogeneousStieltjes(A, B, C)`` above
+    and the mirrored ``HomogeneousStieltjes(C, B, A)`` below.  The
+    elimination toward ``site`` (:class:`_Elimination`) sweeps the sites
+    between each closure (or bounded edge) and ``site``, and the last
+    pivot is solved at ``site``.  The residual sums the defining-equation
+    residual of each closure and that of the last pivot solve.
 
     A ladder whose points are all real and above 1 runs stacked: each
     closure is solved for every rung at once by
     :func:`homogeneous_closure`, then one stacked sweep per side
     and one stacked pivot solve give every rung, with the same residual
-    and state as :meth:`evaluate`.  A rung that a closure does not
-    certify is re-solved by :meth:`evaluate`, warm-started from the rung
-    before it.  Any other ladder is walked rung by rung.
+    as :meth:`evaluate`.  A rung that a closure does not certify is
+    re-solved by :meth:`evaluate`.  Any other ladder is walked rung by
+    rung.
 
     :meth:`return_block` closes each side once at z = 1, shifted when
     the drift of the interior allows, and returns the first-return block
@@ -905,15 +893,11 @@ class SiteStieltjes(StieltjesEvaluator):
         self.closures = tuple(None if end is None else HomogeneousStieltjes(*end)
                               for end in self.elimination.ends)
 
-    def evaluate(self, z: complex, x0=None) -> EvalResult:
-        ends = [
-            None if fp is None else fp.evaluate(z, x0=warm)
-            for fp, warm in zip(self.closures, x0 or (None, None))
-        ]
-        state = tuple(None if end is None else end.value for end in ends)
-        value, residual = self._pivot(z, state)
+    def evaluate(self, z: complex) -> EvalResult:
+        ends = [None if fp is None else fp.evaluate(z) for fp in self.closures]
+        value, residual = self._pivot(z, [None if end is None else end.value for end in ends])
         residual = float(residual) + sum(end.residual for end in ends if end is not None)
-        return EvalResult(value, residual, self.method, state=state)
+        return EvalResult(value, residual, self.method)
 
     def ladder(self, points):
         points = list(points)
@@ -930,15 +914,11 @@ class SiteStieltjes(StieltjesEvaluator):
         closings = [None if end is None else end[0][ok] for end in ends]
         values, residuals = self._pivot(zs[ok], closings)
         residuals += sum(end[1][ok] for end in ends if end is not None)
-        warm = None
         for z, certified, i in zip(points, ok, np.cumsum(ok) - 1):
             if certified:
-                state = tuple(None if c is None else c[i] for c in closings)
-                res = EvalResult(values[i], float(residuals[i]), self.method, state=state)
+                yield z, EvalResult(values[i], float(residuals[i]), self.method)
             else:
-                res = self.evaluate(z, x0=warm)
-            warm = res.warm()
-            yield z, res
+                yield z, self.evaluate(z)
 
     def return_block(self) -> tuple[Array, float] | None:
         """First-return block F_jj(1) = I - core(1) at ``site``, with the
@@ -1016,8 +996,6 @@ class FoldedTransform:
     p12: Array
     p21: Array
     residual: float
-    # the (plus, minus) warm states of the two half-chain evaluators
-    state: tuple
 
 
 def stieltjes_folded(
@@ -1026,8 +1004,6 @@ def stieltjes_folded(
     plus: StieltjesEvaluator,
     minus: StieltjesEvaluator,
     z: complex,
-    *,
-    x0: tuple | None = None,
 ) -> FoldedTransform:
     """Split identities expressing the line-chain transforms through the
     two half-line ones.  Operator order is load-bearing and preserved
@@ -1038,13 +1014,10 @@ def stieltjes_folded(
         P12 = P11 A_{-1} Xm,   P21 = P22 C_0 Xp
 
     where Xp/Xm are the values of ``plus`` and ``minus``, the plus/minus
-    corner transforms with their weight normalizations included.  ``x0``
-    is the (plus, minus) pair of warm starts, as in the ``state`` of a
-    previous result.
+    corner transforms with their weight normalizations included.
     """
-    xp0, xm0 = x0 or (None, None)
-    rp = plus.evaluate(z, x0=xp0)
-    rm = minus.evaluate(z, x0=xm0)
+    rp = plus.evaluate(z)
+    rm = minus.evaluate(z)
     xp, xm = rp.value, rm.value
     d = xp.shape[0]
     eye = np.eye(d, dtype=complex)
@@ -1057,9 +1030,7 @@ def stieltjes_folded(
         raise ConvergenceError(f"singular middle factor at z={z}") from exc
     p12 = p11 @ a_minus1 @ xm
     p21 = p22 @ c0 @ xp
-    return FoldedTransform(
-        p11, p22, p12, p21, rp.residual + rm.residual, (rp.warm(), rm.warm())
-    )
+    return FoldedTransform(p11, p22, p12, p21, rp.residual + rm.residual)
 
 
 def residue_probe(evaluator: StieltjesEvaluator, x0: complex) -> Array:

@@ -130,6 +130,15 @@ def test_stieltjes_on_a_line_takes_the_closed_route(files, capsys):
     assert code == 3 and "bounded from below" in err
 
 
+@pytest.mark.parametrize("z", ["0.5,0.2", "-0.3,0.001"])
+def test_stieltjes_overflowing_closure_exits_4(tmp_path, capsys, z):
+    # the fixed point closing the tilted shear line from below overflows
+    path = tmp_path / "tilted_line.json"
+    path.write_text(json.dumps(model_to_dict(models.tilted_shear_line())))
+    code, err = run_error(capsys, ["stieltjes", str(path), f"--z={z}"])
+    assert code == 4 and "error: stieltjes failed: homogeneous fixed point overflowed" in err
+
+
 def test_recurrence_verdicts(files, capsys):
     # the default method picks the evaluator from the model shape
     out = run_json(

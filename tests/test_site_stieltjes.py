@@ -3,6 +3,7 @@ truncations, the split identities of folded line chains, closed forms
 and the birth-death return limits of the hopping chains."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qmcspectra.chain_model import (
     resolvent_block,
     segment,
 )
-from qmcspectra.folding import FoldedTransformEvaluator, half_line_evaluators
+from qmcspectra.folding import FoldedTransformEvaluator
 from qmcspectra.spectral import (
     HomogeneousStieltjes,
     SiteStieltjes,
@@ -29,7 +30,7 @@ from qmcspectra.spectral import (
     residue_probe,
     transform_evaluator,
 )
-from qmcspectra.statistics import DEFAULT_LADDER, classify, classify_recurrence, jump_at_one
+from qmcspectra.statistics import DEFAULT_LADDER, classify_recurrence, jump_at_one
 
 from conftest import random_complex, random_density
 
@@ -145,51 +146,6 @@ def test_diagonal_walk_line_sites_match_closed_form():
             assert np.abs(SiteStieltjes(m, site).evaluate(z).value - want).max() < 1e-10
 
 
-class Spy(StieltjesEvaluator):
-    """Records the warm start each evaluation receives and the warm state
-    it hands back."""
-
-    method = "spy"
-
-    def __init__(self, inner):
-        self.inner, self.x0s, self.warms = inner, [], []
-
-    def evaluate(self, z, x0=None):
-        self.x0s.append(x0)
-        res = self.inner.evaluate(z, x0=x0)
-        self.warms.append(res.warm())
-        return res
-
-
-def _warm_chain(spy):
-    """Each rung after the first got the previous rung's own state."""
-    return spy.x0s[0] is None and all(
-        x0 is not None and x0 is prev for x0, prev in zip(spy.x0s[1:], spy.warms)
-    )
-
-
-def test_folded_halves_are_warm_started():
-    m = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
-    plus, minus = (Spy(ev) for ev in half_line_evaluators(m))
-    ev = FoldedTransformEvaluator(m, 0, plus=plus, minus=minus)
-    classify(ev, m.trace_vec, m.state_vec(np.eye(2) / 2))
-    assert len(plus.x0s) == len(minus.x0s) == len(DEFAULT_LADDER)
-    assert _warm_chain(plus) and _warm_chain(minus)
-
-
-@pytest.mark.parametrize("consumer", ["classify", "jump_at_one", "residue_probe"])
-def test_rung_consumers_warm_start_every_rung(consumer):
-    m = models.flip_channel_half_line(0.7, 0.8, corner="up")
-    spy = Spy(SiteStieltjes(m))
-    if consumer == "classify":
-        classify(spy, m.trace_vec, m.state_vec(np.eye(2) / 2))
-    elif consumer == "jump_at_one":
-        jump_at_one(spy)
-    else:
-        residue_probe(spy, 1.0)
-    assert len(spy.x0s) > 2 and _warm_chain(spy)
-
-
 # -- the stacked real ladder ---------------------------------------------
 
 HALF_LINES = {
@@ -216,7 +172,7 @@ CHAIN_SITES = [(name, site) for name in HALF_LINES for site in (0, 1)] + [
 
 
 def _walk(ev, points=DEFAULT_LADDER):
-    """The inherited rung-by-rung walk, warm-started evaluate calls."""
+    """The inherited rung-by-rung walk, one evaluate call per rung."""
     return list(StieltjesEvaluator.ladder(ev, points))
 
 
@@ -239,8 +195,6 @@ def test_stacked_ladder_matches_rung_walk(name, site):
         assert np.linalg.norm(got.value - want.value, 2) <= tol * size
         assert got.residual <= 1e-11
         assert got.method == want.method
-        for x, x_want in zip(got.state, want.state):
-            assert (x is None) == (x_want is None)
 
 
 def _flip_interior(p, q, z):
@@ -348,11 +302,18 @@ def _interior(name, mirrored):
 
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("name", KERNEL_CHAINS)
-def test_closure_above_one_is_the_fixed_point(name, mirrored):
+def test_closure_above_one_is_the_fixed_point(monkeypatch, name, mirrored):
     a, b, c = _interior(name, mirrored)
     zs = np.array([1.001, 1.4, 3.0])
     y, residual, certified = spectral.homogeneous_closure(a, b, c, zs)
     assert certified.all()
+    # at a real point above 1 the evaluator is the closure at that point
+    for z, got, r in zip(zs, y, residual):
+        res = HomogeneousStieltjes(a, b, c).evaluate(z)
+        assert np.array_equal(res.value, got) and res.residual == r
+    # without cyclic reduction it falls back to the fixed point, the
+    # independent reference
+    monkeypatch.setattr(spectral, "CR_MAX_ITER", 0)
     for z, got, r in zip(zs, y, residual):
         want = HomogeneousStieltjes(a, b, c).evaluate(z)
         assert np.linalg.norm(got - want.value, 2) <= 1e-12 * np.linalg.norm(want.value, 2)
@@ -391,6 +352,36 @@ def test_closure_at_one_is_uncertified_when_states_drift_apart():
     assert np.abs(y[1:] - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_real_point_equals_its_stacked_rung():
+    # one real point above 1 is closed by cyclic reduction, as a stacked
+    # ladder is: on the null-recurrent corner coin, where the transform
+    # reaches 1e4 at 1 + 1e-8, the fixed point missed it by 3.3e-8
+    m = HALF_LINES["corner-coin"]
+    z = 1.0 + 1e-8
+    for site in (0, 1):
+        ev = SiteStieltjes(m, site)
+        want = dict(ev.ladder(DEFAULT_LADDER))[z].value
+        got = ev.evaluate(z).value
+        assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.2j, -0.3 + 0.001j])
+def test_overflowing_fixed_point_raises_convergence_error(z):
+    # the closure below the tilted shear line overflows from I/z at both
+    # points: it stops at the last finite iterate, without a warning
+    m = LINES["tilted-shear-line"]
+    a, b, c = (_homogeneous_matrix(m, role) for role in ROLES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spectral.ConvergenceError) as err:
+            HomogeneousStieltjes(c, b, a).evaluate(z)
+        assert np.isfinite(err.value.value).all()
+        assert err.value.residual == spectral._quadratic_residual(c, b, a, z, err.value.value)
+        for site in range(-3, 5):
+            with pytest.raises(spectral.ConvergenceError):
+                SiteStieltjes(m, site).evaluate(z)
+
+
 def test_from_model_reads_the_interior_past_overrides():
     m = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.2)
     held = dataclasses.replace(m, overrides={1: {"B": Block(np.zeros((4, 4), dtype=complex))}})
@@ -408,13 +399,13 @@ def test_residue_probe_walks_rung_by_rung(monkeypatch):
 
 def test_uncertified_rungs_fall_back_to_evaluate(monkeypatch):
     ev = SiteStieltjes(LINES["diagonal-coin"], -1)
-    want = _walk(ev)
-    # one reduction step certifies no rung: every rung is the walk's own
+    # one reduction step certifies no rung: every rung is evaluate's own
     monkeypatch.setattr(spectral, "CR_MAX_ITER", 1)
+    want = [ev.evaluate(z) for z in DEFAULT_LADDER]
     evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
     got = list(ev.ladder(DEFAULT_LADDER))
     assert len(evaluations) == len(DEFAULT_LADDER)
-    for (_, res), (_, ref) in zip(got, want):
+    for (_, res), ref in zip(got, want):
         assert np.array_equal(res.value, ref.value) and res.residual == ref.residual
 
 
@@ -431,9 +422,9 @@ def test_one_uncertified_rung_is_resolved_from_its_neighbour(monkeypatch):
     evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
     got = list(ev.ladder(DEFAULT_LADDER))
     assert len(evaluations) == 1
-    z3, x0 = DEFAULT_LADDER[3], stacked[2][1].state
+    z3 = DEFAULT_LADDER[3]
     assert evaluations[0][1] == z3
-    want = ev.evaluate(z3, x0=x0)
+    want = ev.evaluate(z3)
     assert np.array_equal(got[3][1].value, want.value)
     for k in (0, 1, 2, 4, 5, 6):
         assert np.array_equal(got[k][1].value, stacked[k][1].value)
