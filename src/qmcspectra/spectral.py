@@ -8,26 +8,28 @@ block-Schur sweep covers the rest.  That sweep toward a site, with its
 window and the end of each side, is the one elimination
 (:class:`_Elimination`) behind the transform block, the first-return
 block and the first passage into the site that ``statistics`` reads.
-:func:`homogeneous_closure` is the one cyclic reduction of a
-homogeneous interior, stacked over real points z >= 1: it is the kernel
-of :meth:`HomogeneousStieltjes.evaluate` at every real point above 1, it
-closes both sides for all rungs of a real ladder above 1 at once (the
-ladder of a recurrence verdict and of the jump at one), and at z = 1 it
-closes the exact reach probabilities and the first-return block
-(:meth:`StieltjesEvaluator.return_block`) that decides a recurrence
-verdict without a ladder.  Truncated corner resolvents, the bare
-fixed point, corner perturbations of a homogeneous interior and the split
+:func:`homogeneous_closure` is the one cyclic reduction of a homogeneous
+interior, stacked over any points, real or complex: it closes every
+point of a ladder at once for :class:`HomogeneousStieltjes` and for
+each side of :class:`SiteStieltjes` (the ladder of a recurrence verdict,
+of the jump at one and of the residue probe, or the one point of
+``evaluate``), the fixed point serving only at the points it does not
+certify, and at z = 1 it closes the exact reach probabilities and the
+first-return block (:meth:`StieltjesEvaluator.return_block`) that
+decides a recurrence verdict without a ladder.  Truncated corner
+resolvents, corner perturbations of a homogeneous interior and the split
 identities of folded line chains remain as independent cross-checks.
 Every evaluator reports the residual of its defining equation alongside
 the value, except :class:`TruncatedStieltjes`, whose residual is the step
 between its last two windows; it runs a whole ladder of points at once and
 builds the homogeneous tail of each window from glued block ports of
 runs of 2^j sites, in O(log window) stacked solves instead of one per
-site.  :meth:`StieltjesEvaluator.ladder` is the one rung walker of
-every ladder, and every evaluation takes the point z alone: no state
-passes from one point to the next.  :func:`transform_evaluator` holds
-the one route policy; the CLI and the half-chains of a folded line chain
-both take their evaluators from it.
+site.  Every ladder goes through :meth:`StieltjesEvaluator.ladder`,
+which the closed and truncated evaluators run stacked, their
+``evaluate`` being the one-point ladder; no state passes from one point
+to the next.  :func:`transform_evaluator` holds the one route policy;
+the CLI and the half-chains of a folded line chain both take their
+evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -329,10 +331,9 @@ class StieltjesEvaluator:
         raise NotImplementedError
 
     def ladder(self, points):
-        """Yield (z, EvalResult) at each point in turn.
-
-        The one rung walker of the recurrence ladder, the jump at one and
-        the residue probe; each z is the caller's own point object."""
+        """Yield (z, EvalResult) at each point, each z the caller's own
+        point object, by :meth:`evaluate` at each in turn; the closed and
+        truncated evaluators run the whole ladder stacked."""
         for z in points:
             yield z, self.evaluate(z)
 
@@ -354,14 +355,16 @@ class StieltjesEvaluator:
         return res.value
 
 
-def _port_solve(m, rhs):
-    """Stacked solve of m x = rhs, NaN at the points where m is exactly
-    singular instead of an error for the whole stack."""
+def _port_solve(m, rhs=None):
+    """Stacked solve of m x = rhs, or inverse of m without ``rhs``, NaN at
+    the points where m is exactly singular instead of an error for the
+    whole stack."""
+    solve = np.linalg.inv if rhs is None else lambda mat: np.linalg.solve(mat, rhs)
     try:
-        return np.linalg.solve(m, rhs)
+        return solve(m)
     except np.linalg.LinAlgError:
         singular = np.linalg.det(m) == 0
-        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(m.shape[-1]), m), rhs)
+        x = solve(np.where(singular[..., None, None], np.eye(m.shape[-1]), m))
         x[singular] = np.nan
         return x
 
@@ -508,16 +511,12 @@ class TruncatedStieltjes(StieltjesEvaluator):
 
 def _quadratic_residual(a, b, c, z, x):
     """||x - (z I - b - c x a)^{-1}||_2 at one point z, or at each point of
-    an array z with x stacked to match; inf at every point when the
-    solve fails, and at each point where it overflows."""
+    an array z with x stacked to match; inf at each point where the solve
+    is singular or overflows, or x is not finite."""
     eye = np.eye(a.shape[0])
     residual = np.full(np.shape(z), np.inf)
     with np.errstate(all="ignore"):
-        try:
-            diff = x - np.linalg.solve(np.multiply.outer(z, eye) - b - c @ x @ a,
-                                       np.broadcast_to(eye, np.shape(x)))
-        except np.linalg.LinAlgError:
-            return residual[()]
+        diff = x - _port_solve(np.multiply.outer(z, eye) - b - c @ x @ a)
     finite = np.isfinite(diff).all(axis=(-2, -1))
     residual[finite] = np.linalg.norm(diff[finite], 2, axis=(-2, -1))
     return residual[()]
@@ -550,17 +549,19 @@ def _drift(a: Array, b: Array, c: Array, t: Array) -> float | None:
 
 
 def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
-    """Y = (z I - B - G A)^{-1} of a homogeneous interior at every real
-    point z >= 1 of ``zs`` at once, with its certificate.
+    """Y = (z I - B - G A)^{-1} of a homogeneous interior at every point
+    of ``zs`` at once, real or complex, with its certificate.
 
     G = C Y is the minimal solvent of z G = C + G B + G^2 A, the first
     passage one level down at s = 1/z, and Y is the decaying fixed point
     Y = (z I - B - C Y A)^{-1} of the transform.  Cyclic reduction of the
     transposed equation converges quadratically to the reduced pivot
-    (B - z + G A)^T = -Y^{-T}, one stacked solve per step over all points
-    (Bini, Latouche & Meini, *Numerical Methods for Structured Markov
-    Chains*, 2005); a point stops once its pivot has moved by at most
-    ``CR_TOL`` relative, in the Frobenius norm.
+    (B - z + G A)^T = -Y^{-T}, one stacked solve per step (Bini, Latouche
+    & Meini, *Numerical Methods for Structured Markov Chains*, 2005).  Its
+    k-th iterate is the corner of the absorbing window of 2^k sites.  A
+    point leaves the reduction, without stopping the others, at its first
+    non-finite step or once its pivot has moved by at most ``CR_TOL``
+    relative, in the Frobenius norm: two windows agree.
 
     At z = 1, given the trace functional ``t`` of a trace-preserving
     interior whose drift is at most 0, every fixed functional l of
@@ -572,13 +573,14 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
 
     Returns the values, their residuals ||Y - (z I - B - C Y A)^{-1}||
     and a mask of the certified points: reduced within ``CR_MAX_ITER``
-    steps, residual at most ``FP_TOL`` relative to max(1, ||Y||) and,
-    above 1, spectral radius of Y A below 1, the decaying branch (it is 1
-    at z = 1 on a recurrent interior).  A point that did not reduce has
-    value NaN and residual inf.  When the invariant states of a
-    trace-preserving interior drift apart no single shift applies, and
-    z = 1 is not reduced: it comes back uncertified, NaN with residual inf.
-    Off the real axis the reduction can reach another solvent.
+    steps, residual at most ``FP_TOL`` relative to max(1, ||Y||) and, on
+    the real axis away from 1, spectral radius of Y A below 1, the
+    decaying branch (it is 1 at z = 1 on a recurrent interior); off the
+    axis the stop test selects the branch, the limit of the windows.  A
+    point that did not reduce has value NaN and residual inf.  When the
+    invariant states of a trace-preserving interior drift apart no single
+    shift applies, and z = 1 is not reduced: it comes back uncertified,
+    NaN with residual inf.
     """
     zs, d = np.asarray(zs), a.shape[0]
     at_one, apart = zs == 1.0, False
@@ -594,36 +596,33 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
             mid, down = mid + q @ a, down - q @ c
     # no single shift applies to states that drift apart, so such a point
     # at 1 is not reduced at all
-    live = ~(at_one & apart)
+    live = np.flatnonzero(~(at_one & apart))
     hat = mid = np.ascontiguousarray(mid[live].swapaxes(-1, -2))
     down, up = down[live].swapaxes(-1, -2), np.broadcast_to(a.T, mid.shape)
-    reduced = np.zeros(mid.shape[:-2], dtype=bool)
-    # a point keeps reducing with the others once it has settled: its
-    # later steps are below rounding, so they leave its pivot as it is
+    pivots = np.full(zs.shape + (d, d), np.nan, dtype=complex)
     with np.errstate(all="ignore"):
         for _ in range(CR_MAX_ITER):
-            if reduced.all():
+            if not live.size:
                 break
-            try:
-                k = np.linalg.solve(mid, np.concatenate((down, up), axis=-1))
-            except np.linalg.LinAlgError:
-                break
+            k = _port_solve(mid, np.concatenate((down, up), axis=-1))
             kd, ku = k[..., :d], k[..., d:]
             step = up @ kd
             hat = hat - step
             mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
-            reduced |= (np.linalg.norm(step, axis=(-2, -1))
-                        <= CR_TOL * np.linalg.norm(hat, axis=(-2, -1)))
-    done = np.zeros(zs.shape, dtype=bool)
-    done[live] = reduced
-    y = np.full(zs.shape + (d, d), np.nan, dtype=complex)
-    residual = np.full(zs.shape, np.inf)
-    certified = np.zeros(zs.shape, dtype=bool)
-    y[done] = -np.linalg.inv(hat[reduced]).swapaxes(-1, -2)
-    residual[done] = _quadratic_residual(a, b, c, zs[done], y[done])
+            moved = np.linalg.norm(step, axis=(-2, -1))
+            size = CR_TOL * np.linalg.norm(hat, axis=(-2, -1))
+            going = (moved > size) & np.isfinite(moved)  # neither settled nor overflowed
+            if not going.all():
+                settled = (moved <= size) & np.isfinite(size)
+                pivots[live[settled]] = hat[settled]
+                live, hat, mid, down, up = (x[going] for x in (live, hat, mid, down, up))
+        y = -_port_solve(pivots).swapaxes(-1, -2)
+    residual = _quadratic_residual(a, b, c, zs, y)
+    done, certified = np.isfinite(residual), np.zeros(zs.shape, dtype=bool)
     scale = np.maximum(1.0, np.linalg.norm(y[done], 2, axis=(-2, -1)))
     radius = np.abs(np.linalg.eigvals(y[done] @ a)).max(axis=-1)
-    certified[done] = (residual[done] <= FP_TOL * scale) & ((radius < 1.0) | at_one[done])
+    branch = (radius < 1.0) | at_one[done] | (np.imag(zs[done]) != 0)
+    certified[done] = (residual[done] <= FP_TOL * scale) & branch
     return y, residual, certified
 
 
@@ -631,14 +630,13 @@ class HomogeneousStieltjes(StieltjesEvaluator):
     """The decaying solution X of X = (z I - B - C X A)^{-1} for a
     homogeneous interior, the transform of the genuine measure.
 
-    At a real z > 1 it is the closure :func:`homogeneous_closure` at that
-    one point.  Where that point is not certified, and off the real axis,
-    the fixed point is iterated from X = I/z, with Newton polishing when
-    plain iteration stalls or contracts by less than half per step; the
-    iteration is a contraction for z outside the support and selects the
-    decaying branch, which is cross-validated against truncation in the
-    tests.  An iterate that overflows raises :class:`ConvergenceError`
-    with the last finite one.
+    Every point of a ladder, real or complex, is closed by one stacked
+    :func:`homogeneous_closure`; :meth:`evaluate` is the one-point ladder.
+    Only at a point that the closure does not certify is the fixed point
+    iterated from X = I/z, with Newton polishing when plain iteration
+    stalls or contracts by less than half per step.  An iterate that
+    overflows, or a fixed point whose residual is not finite, raises
+    :class:`ConvergenceError` with the last finite iterate.
     """
 
     method = "homogeneous_fp"
@@ -669,11 +667,24 @@ class HomogeneousStieltjes(StieltjesEvaluator):
         return x
 
     def evaluate(self, z: complex) -> EvalResult:
-        if np.imag(z) == 0 and np.real(z) > 1:
-            (y,), (r,), (certified,) = homogeneous_closure(
-                self.a, self.b, self.c, np.array([np.real(z)]))
-            if certified:
-                return EvalResult(y, float(r), self.method)
+        ((_, res),) = self.ladder([z])
+        return res
+
+    def ladder(self, points):
+        points = list(points)
+        for z, value, residual in zip(points, *self.closings(points)):
+            yield z, EvalResult(value, float(residual), self.method)
+
+    def closings(self, points) -> tuple[Array, Array]:
+        """Values and residuals at every point: the stacked closure, and
+        the fixed point at each point that the closure leaves uncertified."""
+        y, residual, certified = homogeneous_closure(
+            self.a, self.b, self.c, np.array(points, dtype=complex))
+        for i in np.flatnonzero(~certified):
+            y[i], residual[i] = self._fixed_point(points[i])
+        return y, residual
+
+    def _fixed_point(self, z: complex) -> tuple[Array, float]:
         d = self.a.shape[0]
         eye = np.eye(d, dtype=complex)
         x = eye / z
@@ -702,7 +713,11 @@ class HomogeneousStieltjes(StieltjesEvaluator):
         if not (last_delta < FP_TOL and ratio <= 0.5):
             x = self._newton(z, x)
         residual = _quadratic_residual(self.a, self.b, self.c, z, x)
-        return EvalResult(x, residual, self.method)
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                f"homogeneous fixed point did not converge at z={z}: its residual is not finite",
+                x, residual)
+        return x, residual
 
     def near_axis(self, x: float, delta: float) -> Array:
         """Boundary value at x + i*delta by continuation from far above the
@@ -737,7 +752,7 @@ class CornerStieltjes(StieltjesEvaluator):
     With corner blocks (b0, a0) and interior down block c, the value is
     (z I - b0 - c X(z) a0)^{-1} where X is the interior evaluator.  When
     only the hold block changes and the interior evaluator is the
-    homogeneous fixed point, this coincides with the inverse-difference
+    homogeneous transform, this coincides with the inverse-difference
     form (X(z)^{-1} - b0)^{-1}, which is used when a0/c are omitted.
     """
 
@@ -871,13 +886,10 @@ class SiteStieltjes(StieltjesEvaluator):
     pivot is solved at ``site``.  The residual sums the defining-equation
     residual of each closure and that of the last pivot solve.
 
-    A ladder whose points are all real and above 1 runs stacked: each
-    closure is solved for every rung at once by
-    :func:`homogeneous_closure`, then one stacked sweep per side
-    and one stacked pivot solve give every rung, with the same residual
-    as :meth:`evaluate`.  A rung that a closure does not certify is
-    re-solved by :meth:`evaluate`.  Any other ladder is walked rung by
-    rung.
+    Every ladder, real or complex, runs stacked: each closure closes all
+    its points at once (:meth:`HomogeneousStieltjes.closings`), then one
+    stacked sweep per side and one stacked pivot solve give every rung;
+    :meth:`evaluate` is the one-point ladder.
 
     :meth:`return_block` closes each side once at z = 1, shifted when
     the drift of the interior allows, and returns the first-return block
@@ -894,31 +906,19 @@ class SiteStieltjes(StieltjesEvaluator):
                               for end in self.elimination.ends)
 
     def evaluate(self, z: complex) -> EvalResult:
-        ends = [None if fp is None else fp.evaluate(z) for fp in self.closures]
-        value, residual = self._pivot(z, [None if end is None else end.value for end in ends])
-        residual = float(residual) + sum(end.residual for end in ends if end is not None)
-        return EvalResult(value, residual, self.method)
+        ((_, res),) = self.ladder([z])
+        return res
 
     def ladder(self, points):
         points = list(points)
-        zs = np.array(points, dtype=complex)
-        if not (zs.size and np.all(zs.imag == 0) and np.all(zs.real > 1)):
-            yield from super().ladder(points)
-            return
-        ends = [None if fp is None else homogeneous_closure(fp.a, fp.b, fp.c, zs.real)
-                for fp in self.closures]
-        ok = np.ones(len(zs), dtype=bool)
-        for end in ends:
-            if end is not None:
-                ok &= end[2]
-        closings = [None if end is None else end[0][ok] for end in ends]
-        values, residuals = self._pivot(zs[ok], closings)
-        residuals += sum(end[1][ok] for end in ends if end is not None)
-        for z, certified, i in zip(points, ok, np.cumsum(ok) - 1):
-            if certified:
-                yield z, EvalResult(values[i], float(residuals[i]), self.method)
-            else:
-                yield z, self.evaluate(z)
+        closings, residuals = zip(*((None, 0.0) if fp is None else fp.closings(points)
+                                    for fp in self.closures))
+        core = self._core(np.array(points, dtype=complex), closings)
+        eye = np.eye(core.shape[-1], dtype=complex)
+        values = np.linalg.solve(core, np.broadcast_to(eye, core.shape))
+        residual = np.linalg.norm(core @ values - eye, 2, axis=(-2, -1)) + sum(residuals)
+        for z, value, r in zip(points, values, residual):
+            yield z, EvalResult(value, float(r), self.method)
 
     def return_block(self) -> tuple[Array, float] | None:
         """First-return block F_jj(1) = I - core(1) at ``site``, with the
@@ -945,20 +945,13 @@ class SiteStieltjes(StieltjesEvaluator):
             core = core - coupling
         return core
 
-    def _pivot(self, z, closings):
-        """The inverse pivot at ``site`` and its solve residual."""
-        core = self._core(z, closings)
-        eye = np.eye(core.shape[-1], dtype=complex)
-        value = np.linalg.solve(core, np.broadcast_to(eye, core.shape))
-        return value, np.linalg.norm(core @ value - eye, 2, axis=(-2, -1))
-
 
 def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> StieltjesEvaluator:
     """The transform evaluator of a chain, the one route policy.
 
     ``method="auto"`` gives :class:`SiteStieltjes` at site 0 for every
     model.  The explicit methods are cross-checks on chains bounded from
-    below: ``homogeneous`` (the fixed point, half-lines without
+    below: ``homogeneous`` (the homogeneous closure, half-lines without
     overrides), ``corner`` (the corner identity, half-lines whose only
     override is at site 0) and ``truncated`` (window-doubled truncation
     starting at ``window``).  Raises ``ValueError`` for a method the model

@@ -3,6 +3,7 @@ truncations, the split identities of folded line chains, closed forms
 and the birth-death return limits of the hopping chains."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -19,9 +20,11 @@ from qmcspectra.chain_model import (
     corner_resolvent,
     half_line,
     line,
+    model_to_dict,
     resolvent_block,
     segment,
 )
+from qmcspectra.cli import run
 from qmcspectra.folding import FoldedTransformEvaluator
 from qmcspectra.spectral import (
     HomogeneousStieltjes,
@@ -389,45 +392,153 @@ def test_from_model_reads_the_interior_past_overrides():
     assert np.array_equal(got, HomogeneousStieltjes.from_model(m).evaluate(1.5).value)
 
 
-def test_residue_probe_walks_rung_by_rung(monkeypatch):
-    m = HALF_LINES["flip-up-corner"]
-    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
+@pytest.mark.parametrize("name, sides", [("flip-up-corner", 1), ("diagonal-coin", 2)])
+def test_residue_probe_runs_one_reduction_per_side(monkeypatch, name, sides):
+    # the four probe points above 1 close in one stacked reduction per
+    # side, and each rung is the one-point evaluate at that point
+    ev = SiteStieltjes({**HALF_LINES, **LINES}[name])
+    probes = [1.0 + eps * 1j for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+    want = [ev.evaluate(z) for z in probes]
     reductions = _count_calls(monkeypatch, spectral, "homogeneous_closure")
-    residue_probe(SiteStieltjes(m), 1.0)
-    assert len(evaluations) == 4 and reductions == []
+    probe = residue_probe(ev, 1.0)
+    assert [list(args[3]) for args in reductions] == [probes] * sides
+    samples = [(z - 1.0) * ref.value for z, ref in zip(probes, want)]
+    estimate = samples[-1] + (samples[-1] - samples[-2]) / 9.0
+    assert np.linalg.norm(probe - estimate, 2) <= 1e-12 * max(1.0, np.linalg.norm(estimate, 2))
+    for (z, got), ref, point in zip(ev.ladder(probes), want, probes):
+        assert z == point
+        assert np.array_equal(got.value, ref.value) and got.residual == ref.residual
 
 
-def test_uncertified_rungs_fall_back_to_evaluate(monkeypatch):
+def test_uncertified_rungs_fall_back_to_the_fixed_point(monkeypatch):
     ev = SiteStieltjes(LINES["diagonal-coin"], -1)
-    # one reduction step certifies no rung: every rung is evaluate's own
+    # one reduction step certifies no rung: each closing is the fixed
+    # point at that rung, bit for bit
     monkeypatch.setattr(spectral, "CR_MAX_ITER", 1)
-    want = [ev.evaluate(z) for z in DEFAULT_LADDER]
-    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
-    got = list(ev.ladder(DEFAULT_LADDER))
-    assert len(evaluations) == len(DEFAULT_LADDER)
-    for (_, res), ref in zip(got, want):
-        assert np.array_equal(res.value, ref.value) and res.residual == ref.residual
+    for fp in ev.closures:
+        values, residuals = fp.closings(DEFAULT_LADDER)
+        for z, value, residual in zip(DEFAULT_LADDER, values, residuals):
+            want, want_residual = fp._fixed_point(z)
+            assert np.array_equal(value, want) and residual == want_residual
+    # each stacked rung is the one-point evaluate at that z
+    for z, got in ev.ladder(DEFAULT_LADDER):
+        want = ev.evaluate(z)
+        assert np.array_equal(got.value, want.value) and got.residual == want.residual
 
 
 def test_one_uncertified_rung_is_resolved_from_its_neighbour(monkeypatch):
     ev = SiteStieltjes(LINES["hopping-tilted-line"], 1)
     stacked = list(ev.ladder(DEFAULT_LADDER))
     closure = spectral.homogeneous_closure
+    z3 = DEFAULT_LADDER[3]
 
     def drop_rung_3(a, b, c, zs):
         y, residual, certified = closure(a, b, c, zs)
         return y, residual, certified & (np.arange(len(zs)) != 3)
 
     monkeypatch.setattr(spectral, "homogeneous_closure", drop_rung_3)
-    evaluations = _count_calls(monkeypatch, SiteStieltjes, "evaluate")
+    fixed = _count_calls(monkeypatch, HomogeneousStieltjes, "_fixed_point")
     got = list(ev.ladder(DEFAULT_LADDER))
-    assert len(evaluations) == 1
-    z3 = DEFAULT_LADDER[3]
-    assert evaluations[0][1] == z3
-    want = ev.evaluate(z3)
-    assert np.array_equal(got[3][1].value, want.value)
+    # only rung 3 reaches the fixed point, once per side, and its closing
+    # there is the fixed point's value bit for bit
+    assert [args[1] for args in fixed] == [z3, z3]
+    for fp in ev.closures:
+        values, residuals = fp.closings(DEFAULT_LADDER)
+        want, want_residual = fp._fixed_point(z3)
+        assert np.array_equal(values[3], want) and residuals[3] == want_residual
+    size = np.linalg.norm(stacked[3][1].value, 2)
+    assert np.linalg.norm(got[3][1].value - stacked[3][1].value, 2) <= 1e-12 * size
     for k in (0, 1, 2, 4, 5, 6):
         assert np.array_equal(got[k][1].value, stacked[k][1].value)
+
+
+# -- off the real axis ---------------------------------------------------
+
+OFF_AXIS = np.array([-0.6 + 0.2j, 0.8 + 0.01j, -0.5 + 0.2j, 0.3 + 0.05j, 1.1 + 0.5j,
+                     -1.2 + 1.0j, 0.9 - 0.3j, -0.7 + 0.01j])
+
+
+def _interior_model(a, b, c):
+    return QmcModel(topology=half_line(), dim=None, block_dim=a.shape[0], mode="abstract",
+                    blocks={"A": Block(a), "B": Block(b), "C": Block(c)},
+                    substochastic=True)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", KERNEL_CHAINS)
+def test_off_axis_closure_is_the_window_limit(name, mirrored):
+    # the k-th reduction iterate is the corner of the 2^k-site window, so
+    # a certified point is the limit of deep windows
+    a, b, c = _interior(name, mirrored)
+    y, residual, certified = spectral.homogeneous_closure(a, b, c, OFF_AXIS)
+    # below the tilted shear only the points far from its support reduce
+    assert certified.sum() >= 3
+    want = corner_resolvent(_interior_model(a, b, c), OFF_AXIS[certified], 8000)
+    err = np.linalg.norm(y[certified] - want, 2, axis=(-2, -1))
+    assert (err <= 1e-12 * np.linalg.norm(want, 2, axis=(-2, -1))).all()
+    assert (residual[certified] <= spectral.FP_TOL).all()
+    if name == "tilted-shear" and not mirrored:
+        # the window limit need not have spectral radius of Y A below 1
+        # off the axis: the branch there is the stop test's
+        for z in (-0.6 + 0.2j, 0.8 + 0.01j):
+            k = list(OFF_AXIS).index(z)
+            assert certified[k]
+            assert np.abs(np.linalg.eigvals(y[k] @ a)).max() > 1.0
+
+
+def _flip_off_axis(z, p=0.7, q=0.8):
+    """Closed form of the flip-channel interior at a complex z off its
+    cuts: three scalar chains x = 1 / (z - xi x / 4) in the basis
+    ``flip_channel_basis()``, each on its root of smaller modulus."""
+    xi = np.array([1.0, 1 - 2 * q, (1 - 2 * p) * (1 - 2 * q)])
+    root = np.sqrt(z * z - xi + 0j)
+    plus, minus = 2 * (z + root) / xi, 2 * (z - root) / xi
+    u = models.flip_channel_basis()
+    return u @ np.diag(np.where(np.abs(plus) < np.abs(minus), plus, minus)) @ u.T
+
+
+# the cuts of flip_channel_half_line(0.7, 0.8): z^2 in [0, xi] for xi = 1
+# and 0.24, and |Im z| <= sqrt(0.6) on the imaginary axis for xi = -0.6
+FLIP_GRID = [complex(x, y) for x in (-1.2, -1.0, -0.8, -0.6, -0.4, -0.2, 0.2, 0.4, 0.6, 0.8,
+                                       1.0, 1.2) for y in (-0.5, -0.05, 0.05, 0.2, 0.5, 1.0)] + [
+    complex(x, y) for x in (-1.2, -0.8, -0.6, 0.6, 1.0, 1.2) for y in (1e-3, 1e-2)]
+
+
+def test_flip_closed_form_off_the_axis():
+    ev = SiteStieltjes(models.flip_channel_half_line(0.7, 0.8))
+    rungs = list(ev.ladder(FLIP_GRID))
+    for z, got in rungs:
+        want = _flip_off_axis(z)
+        # the reduction, and the fixed point at the four points +-0.2 +-
+        # 0.05i that it leaves uncertified, are at rounding here; a fixed
+        # point stopped at a step of FP_TOL is up to 8e-14 off elsewhere
+        for value in (got.value, ev.evaluate(z).value):
+            assert np.linalg.norm(value - want, 2) <= 2e-14 * np.linalg.norm(want, 2)
+        assert got.residual <= 1e-14
+
+
+@pytest.mark.parametrize("z", [-0.4 + 1e-4j, -0.4 + 1e-5j])
+def test_unconverged_fixed_point_raises_convergence_error(tmp_path, capsys, z):
+    # inside the band of the flip channel the closure is not certified and
+    # the fixed point ends without a finite residual: every evaluator that
+    # closes the interior raises, carrying the last finite iterate
+    m = models.flip_channel_half_line(0.7, 0.8)
+    evaluators = [HomogeneousStieltjes.from_model(m), transform_evaluator(m, "corner"),
+                  SiteStieltjes(m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ev in evaluators:
+            with pytest.raises(spectral.ConvergenceError, match="did not converge") as err:
+                ev.evaluate(z)
+            assert np.isfinite(err.value.value).all() and err.value.residual == np.inf
+        with pytest.raises(spectral.ConvergenceError):
+            residue_probe(SiteStieltjes(m), -0.4)
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(model_to_dict(m)))
+    for method in ("auto", "homogeneous"):
+        code = run(["stieltjes", str(path), f"--z={z.real},{z.imag}", "--method", method])
+        err = capsys.readouterr().err
+        assert code == 4 and f"z={z}" in err and "Traceback" not in err
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,10 +571,16 @@ ACCEPTANCE_RECURRENCE = [
 def test_stacked_ladder_keeps_recurrence_verdicts(monkeypatch, name, site, rho):
     m = {**HALF_LINES, **LINES}[name]
     # withhold the exact return block, so that both verdicts come from
-    # the ladder: stacked, then walked rung by rung
+    # the ladder: stacked, then one point per closure
     monkeypatch.setattr(SiteStieltjes, "return_block", StieltjesEvaluator.return_block)
     got = classify_recurrence(m, site, rho)
-    monkeypatch.setattr(SiteStieltjes, "ladder", StieltjesEvaluator.ladder)
+    stacked = SiteStieltjes.ladder
+
+    def one_point_at_a_time(self, points):
+        for z in points:
+            yield from stacked(self, [z])
+
+    monkeypatch.setattr(SiteStieltjes, "ladder", one_point_at_a_time)
     want = classify_recurrence(m, site, rho)
     assert got.verdict == want.verdict
     if want.limit is None:
