@@ -168,8 +168,11 @@ def cmd_spectrum(args) -> None:
 def cmd_stieltjes(args) -> None:
     model = _load_model(args.model)
     z = _parse_z(args.z)
-    res = _evaluator(model, args.method, args.window).evaluate(z)
+    ev = _evaluator(model, args.method, args.window)
+    res = ev.evaluate(z)
     emit({"z": z, "value": res.value, "residual": res.residual, "method": res.method})
+    # the answer is written either way; one without a certificate exits 4
+    ev.certify(z, res)
 
 
 def cmd_recurrence(args) -> None:

@@ -219,16 +219,10 @@ def km_on_line(model: QmcModel, j: int, i: int, n: int) -> Array:
             f"line chain is not symmetrizable (site {sym.fail_index}: {sym.reason})"
         )
     weights = folded_discrete_weight(model, window, sym=sym)
-    pf = PolyFamily(model)
-    nodes = weights.nodes()
-    lo = min(i, -i - 1, j, -j - 1) - 1
-    hi = max(i, -i - 1, j, -j - 1) + 1
-    q1 = pf.two_sided(1, nodes, lo, hi)
-    q2 = pf.two_sided(2, nodes, lo, hi)
-    # the four weight quadrants at once: [Q^1; Q^2]* W [Q^1; Q^2]
-    qj = np.concatenate([q1[j], q2[j]], axis=-2)
-    qi = np.concatenate([q1[i], q2[i]], axis=-2)
-    return np.linalg.solve(sym.pi[j], weights.moment(n, qj, qi))
+    # both families in one run, so the four weight quadrants come at once:
+    # [Q^1; Q^2]* W [Q^1; Q^2]
+    q = PolyFamily(model)._line((1, 2), weights.nodes(), min(i, j), max(i, j))
+    return np.linalg.solve(sym.pi[j], weights.moment(n, q[j], q[i]))
 
 
 def folded_discrete_weight(

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import Block, QmcModel, line
+from .chain_model import Block, QmcModel, half_line, line
 from .folding import FoldedTransformEvaluator
 from .polynomials import PolyFamily
 from .quantum_core import Array, trace_functional
-from .spectral import (
-    CornerStieltjes,
-    DiscreteWeight,
-    HomogeneousStieltjes,
-    StieltjesEvaluator,
-    finite_spectrum_weights,
-)
-from .statistics import Classification, classify, trace_action
+from .spectral import DiscreteWeight, HomogeneousStieltjes, finite_spectrum_weights
+from .statistics import Classification, classify, classify_recurrence, trace_action
 
 TOL_SEMI = 1e-8
 
@@ -126,11 +120,12 @@ def classify_recurrence_homogeneous(
 ) -> Classification:
     """Recurrence of the origin of a homogeneous chain from its transform.
 
-    Half-line chains use the homogeneous transform directly, optionally
-    with corner blocks (corner_b at (0,0), corner_a below it) applied
-    through the one-step corner identity.  Line chains use the documented
-    homogeneous criterion, which composes the upward transform with itself:
-    trace of X (I - A X C X)^{-1}.
+    Half-line chains are the half-line model of the blocks, optionally
+    with corner blocks (corner_b at (0,0), corner_a the up block of site
+    0) as its site-0 override, classified by ``classify_recurrence`` on
+    the exact renewal route.  Line chains use the documented homogeneous
+    criterion, which composes the upward transform with itself: trace of
+    X (I - A X C X)^{-1}.
 
     Note: for line chains whose up and down blocks do not commute, the
     documented criterion differs from the direct return series, whose
@@ -144,23 +139,27 @@ def classify_recurrence_homogeneous(
     if trace_vec is None:
         trace_vec = trace_functional(d, "compact" if d == 3 else "full")
     rho_vec = np.asarray(rho, dtype=complex).reshape(-1)
-    base = HomogeneousStieltjes(a, b, c)
-    evaluator: StieltjesEvaluator = base
+    # Block freezes its matrix, so each gets a copy of the caller's array
     if on_line:
         # the p11 split identity with the upward transform in both halves
         # is the documented criterion X (I - A X C X)^{-1}; it reads only
-        # A_{-1} and C_0 of the line model.  Block freezes its matrix, so
-        # it gets copies of the caller's arrays.
+        # A_{-1} and C_0 of the line model
         homogeneous_line = QmcModel(
             topology=line(), dim=None, block_dim=d, mode="abstract",
             blocks={"A": Block(a.copy()), "C": Block(c.copy())},
         )
+        base = HomogeneousStieltjes(a, b, c)
         evaluator = FoldedTransformEvaluator(homogeneous_line, 0, plus=base, minus=base)
-    elif corner_b is not None or corner_a is not None:
-        evaluator = CornerStieltjes(
-            base,
-            corner_b if corner_b is not None else b,
-            a0=corner_a if corner_a is not None else a,
-            c=c,
-        )
-    return classify(evaluator, trace_vec, rho_vec)
+        return classify(evaluator, trace_vec, rho_vec)
+    corner = {
+        role: Block(np.array(blk, dtype=complex))
+        for role, blk in (("B", corner_b), ("A", corner_a))
+        if blk is not None
+    }
+    chain = QmcModel(
+        topology=half_line(), dim=None, block_dim=d, mode="abstract",
+        blocks={"A": Block(a.copy()), "B": Block(b.copy()), "C": Block(c.copy())},
+        overrides={0: corner} if corner else {},
+        trace_vec=trace_vec,
+    )
+    return classify_recurrence(chain, 0, rho_vec)

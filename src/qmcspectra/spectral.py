@@ -67,6 +67,8 @@ FP_TOL = 1e-12
 # the reduced pivot at which a point stops
 CR_MAX_ITER = 40
 CR_TOL = 1e-14
+# window doublings of a truncated transform after its first window
+TRUNC_MAX_DOUBLINGS = 3
 
 
 class SpectralError(RuntimeError):
@@ -343,9 +345,10 @@ class StieltjesEvaluator:
         recurrence is judged on its ladder."""
         return None
 
-    def __call__(self, z: complex) -> Array:
-        res = self.evaluate(z)
-        if res.residual > self.tolerance:
+    def certify(self, z: complex, res: EvalResult) -> Array:
+        """The value of ``res``, evaluated at ``z``, if its residual is
+        within ``tolerance``; else a ConvergenceError naming z."""
+        if not res.residual <= self.tolerance:
             raise ConvergenceError(
                 f"{self.method} evaluator residual {res.residual:.3e} above "
                 f"tolerance {self.tolerance:.1e} at z={z}",
@@ -353,6 +356,9 @@ class StieltjesEvaluator:
                 res.residual,
             )
         return res.value
+
+    def __call__(self, z: complex) -> Array:
+        return self.certify(z, self.evaluate(z))
 
 
 def _port_solve(m, rhs=None):
@@ -399,7 +405,8 @@ def _close(g, tail, a, c):
 def _continued_corners(model: QmcModel, zs: Array, windows):
     """Corner stacks of the absorbing truncations of a chain bounded from
     below, one per window in ``windows`` (ascending), for the points
-    ``zs``, each equal to ``corner_resolvent(model, zs, w)`` to rounding.
+    ``zs``; on a non-normal interior they drift from
+    ``corner_resolvent(model, zs, w)`` as w grows (:class:`TruncatedStieltjes`).
 
     Sites at and above h = max(overrides) + 1 hold the homogeneous B and
     A, and the C of the site above, so the inverse pivot at h after
@@ -449,20 +456,22 @@ class TruncatedStieltjes(StieltjesEvaluator):
     the value stabilizes.
 
     A point stops at its first window whose step from the previous window
-    is at most ``tolerance``, or else at the last of ``max_doublings``
-    doublings.  Its residual is that step between its last two windows,
-    not a defining-equation residual.  A ladder of points runs stacked,
-    and each doubling extends the previous window's homogeneous tail by
-    glued block ports (:func:`_continued_corners`): the same windows,
-    values equal to a fresh sweep of every window to rounding, and
-    O(log window) stacked solves per window.  A segment is swept once over
+    is at most ``tolerance``, or else at the last of
+    ``TRUNC_MAX_DOUBLINGS`` doublings.  Its residual is that step between
+    its last two windows, not a defining-equation residual.  A ladder of
+    points runs stacked, and each doubling extends the previous window's
+    homogeneous tail by glued block ports (:func:`_continued_corners`) in
+    O(log window) stacked solves per window.  On a non-normal interior the
+    glued ports drift from a fresh sweep of the same window: on
+    ``tilted_shear_half_line()`` at -0.5+0.2i they are 1.9e-15 (relative)
+    off at 20 sites, 1.7e-3 at 100 and 2.65 from 200 on, while the step
+    between windows, the residual, is 0.  A segment is swept once over
     all its sites, with residual 0.
     """
 
     method = "truncated"
 
-    def __init__(self, model: QmcModel, window: int = 800, tolerance: float = 1e-8,
-                 max_doublings: int = 3):
+    def __init__(self, model: QmcModel, window: int = 800):
         if model.topology.kind == LINE:
             raise ValueError(
                 "truncated transforms need a chain bounded from below; fold "
@@ -470,12 +479,8 @@ class TruncatedStieltjes(StieltjesEvaluator):
             )
         if window < 1:
             raise ValueError(f"truncation window must be at least 1, not {window}")
-        if max_doublings < 1:
-            raise ValueError(f"max_doublings must be at least 1, not {max_doublings}")
         self.model = model
         self.window = window
-        self.tolerance = tolerance
-        self.max_doublings = max_doublings
 
     def evaluate(self, z: complex) -> EvalResult:
         ((_, res),) = self.ladder([z])
@@ -490,7 +495,7 @@ class TruncatedStieltjes(StieltjesEvaluator):
             for z, value in zip(points, values):
                 yield z, EvalResult(value, 0.0, self.method)
             return
-        windows = [self.window * 2**k for k in range(self.max_doublings + 1)]
+        windows = [self.window * 2**k for k in range(TRUNC_MAX_DOUBLINGS + 1)]
         results = [None] * len(points)
         active = np.arange(len(points))
         sweep = _continued_corners(self.model, zs, windows)

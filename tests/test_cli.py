@@ -139,6 +139,24 @@ def test_stieltjes_overflowing_closure_exits_4(tmp_path, capsys, z):
     assert code == 4 and "error: stieltjes failed: homogeneous fixed point overflowed" in err
 
 
+@pytest.mark.parametrize("z, residual", [("0,0.5", 14.2), ("0.2,0.01", 8.2e8)])
+def test_stieltjes_uncertified_value_exits_4(files, capsys, z, residual):
+    # inside the flip channel's band the auto route ends with a finite
+    # residual far above tolerance: the JSON is written, then exit 4
+    code = run(["stieltjes", files["flip"], f"--z={z}"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 4
+    assert math.isclose(out["residual"], residual, rel_tol=0.01)
+    assert out["z"] == [float(part) for part in z.split(",")]
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: stieltjes failed: ")
+    assert "residual" in captured.err and "above tolerance" in captured.err
+    assert f"at z={complex(*map(float, z.split(',')))}" in captured.err
+    # a certified point of the same chain still exits 0
+    assert run_json(capsys, ["stieltjes", files["flip"], "--z", "1.5"])["residual"] < 1e-8
+
+
 def test_recurrence_verdicts(files, capsys):
     # the default method picks the evaluator from the model shape
     out = run_json(

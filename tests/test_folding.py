@@ -30,6 +30,7 @@ from qmcspectra.spectral import (
     stieltjes_folded,
     transform_evaluator,
 )
+from qmcspectra.polynomials import PolyFamily
 from qmcspectra.statistics import classify
 
 from conftest import random_complex
@@ -234,6 +235,21 @@ def test_km_on_line_truncates_at_the_highest_reachable_folded_site(
     fi, fj = folded_index(i), folded_index(j)
     km_on_line(models.diagonal_coin_line_walk(), j, i, n)
     assert windows == [max(fi, fj, (fi + fj + n) // 2)]
+
+
+def test_km_on_line_runs_the_recurrence_once(monkeypatch):
+    # both line families come from one run over the indices of the query
+    runs = []
+    original = PolyFamily._run
+
+    def recording(self, x, prev, cur, start, n_lo, n_hi):
+        runs.append((prev.shape[-2:], n_lo, n_hi))
+        return original(self, x, prev, cur, start, n_lo, n_hi)
+
+    monkeypatch.setattr(PolyFamily, "_run", recording)
+    m = models.diagonal_coin_line_walk()
+    km_on_line(m, 1, -2, 3)
+    assert runs == [((2 * m.block_dim, m.block_dim), -2, 1)]
 
 
 def test_km_on_line_rejects_negative_steps():

@@ -163,6 +163,8 @@ def test_classify_homogeneous_half_line_limits():
         rho = np.array([a, 0.05, 1 - a])
         cls = classify_recurrence_homogeneous(a_blk, np.zeros((3, 3)), c_blk, rho)
         assert cls.verdict == "transient"
+        # the half-line chain of the blocks is decided exactly at z = 1
+        assert cls.route == "renewal"
         assert cls.limit == pytest.approx((119 + 7 * a) / 102, abs=1e-6)
 
 
@@ -213,7 +215,7 @@ def test_corner_variant_transient_despite_trace_preservation():
         np.array([0.4, 0.07, 0.6]),
         corner_b=down.matrix,
     )
-    assert cls.verdict == "transient"
+    assert cls.verdict == "transient" and cls.route == "renewal"
     assert cls.limit == pytest.approx(partial, abs=1e-4)
 
 
@@ -221,7 +223,7 @@ def test_balanced_shift_classifications():
     # the cornerless balanced-shift chain absorbs at the boundary and is
     # transient with limit 2; the corner variant still leaks a fifth of
     # the second component's mass per corner visit, so it stays transient
-    # (the ladder limit matches the extrapolated return series)
+    # (the renewal limit matches the extrapolated return series)
     m = models.balanced_shift_half_line(corner=True)
     up = m.blocks["A"].matrix
     down = m.blocks["C"].matrix
@@ -231,7 +233,7 @@ def test_balanced_shift_classifications():
         up, np.zeros((3, 3)), down, np.array([0.5, 0.1, 0.5]),
         corner_b=b0, corner_a=a0,
     )
-    assert cls.verdict == "transient"
+    assert cls.verdict == "transient" and cls.route == "renewal"
     rho = np.array([[0.5, 0.1], [0.1, 0.5]])
     s1 = site_prob_series(m, 0, 0, rho, 2000).sum()
     s2 = site_prob_series(m, 0, 0, rho, 8000).sum()
@@ -240,7 +242,7 @@ def test_balanced_shift_classifications():
     cls0 = classify_recurrence_homogeneous(
         up, np.zeros((3, 3)), down, np.array([0.5, 0.1, 0.5])
     )
-    assert cls0.verdict == "transient"
+    assert cls0.verdict == "transient" and cls0.route == "renewal"
     assert cls0.limit == pytest.approx(2.0, abs=1e-6)
 
 

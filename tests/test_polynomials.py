@@ -153,6 +153,19 @@ def test_folded_family_blocks():
     assert recurrence_residual(fm, pf, x) < 1e-10
 
 
+@pytest.mark.parametrize("make", [models.diagonal_coin_line_walk, models.tilted_shear_line])
+def test_folded_rows_are_the_two_sided_families(make):
+    # both line families run as the rows of one stack: family 1 on top,
+    # indices n and -n-1 side by side
+    pf = PolyFamily(make())
+    for x in (0.37, -0.3 + 0.2j):
+        folded = pf.folded(x, 5)
+        q1, q2 = (pf.two_sided(alpha, x, -6, 5) for alpha in (1, 2))
+        for n in range(6):
+            want = np.block([[q1[n], q1[-n - 1]], [q2[n], q2[-n - 1]]])
+            assert np.abs(folded[n] - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
 @pytest.mark.parametrize(
     "call",
     [

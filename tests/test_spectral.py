@@ -509,7 +509,7 @@ def test_continued_corners_raise_on_non_finite_ports():
         list(TruncatedStieltjes(m, window=8).ladder([1.5 + 0.3j, 0.0]))
 
 
-def test_truncated_numerically_singular_window_raises_not_nan():
+def test_truncated_numerically_singular_window_raises_not_nan(monkeypatch):
     # inside the spectrum of this chain the truncated operator is
     # numerically singular (dense condition number 4e28 at window 800):
     # the last-first corner of a run grows like 10^(0.106 n), so the ports
@@ -517,10 +517,12 @@ def test_truncated_numerically_singular_window_raises_not_nan():
     m = models.flip_channel_half_line(0.75, 0.65)
     z = 0.2 + 0.05j
     for doublings in (1, 2, 3):
-        res = TruncatedStieltjes(m, window=800, max_doublings=doublings).evaluate(z)
+        monkeypatch.setattr(spectral, "TRUNC_MAX_DOUBLINGS", doublings)
+        res = TruncatedStieltjes(m, window=800).evaluate(z)
         assert np.isfinite(res.value).all()
         assert res.residual > 1.0
-    ev = TruncatedStieltjes(m, window=800, max_doublings=4)
+    monkeypatch.setattr(spectral, "TRUNC_MAX_DOUBLINGS", 4)
+    ev = TruncatedStieltjes(m, window=800)
     with pytest.raises(np.linalg.LinAlgError, match=r"\(0\.2\+0\.05j\)\] on window \[0, 12799\]"):
         ev.evaluate(z)
 
@@ -545,8 +547,8 @@ def test_truncated_ladder_equals_one_point_evaluations(corner):
 
 def test_truncated_point_stops_at_its_first_converged_window():
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
-    ev = TruncatedStieltjes(m, window=50, max_doublings=3)
-    windows = [50 * 2**k for k in range(4)]
+    ev = TruncatedStieltjes(m, window=50)
+    windows = [50 * 2**k for k in range(spectral.TRUNC_MAX_DOUBLINGS + 1)]
     for z in (1.5 + 0.3j, 1.0 + 1e-4):
         res = ev.evaluate(z)
         values = [v[0] for v in _continued_corners(m, np.array([z]), windows)]
@@ -571,7 +573,7 @@ def test_truncated_segment_ladder_is_one_sweep_over_all_sites():
 @pytest.mark.parametrize("window", [50, 800])
 def test_truncated_ladder_glues_logarithmically_many_ports(monkeypatch, window):
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
-    doublings = 3
+    doublings = spectral.TRUNC_MAX_DOUBLINGS
     h = max(m.overrides) + 1
     swept, glues, closes = [], [], []
 
@@ -590,7 +592,7 @@ def test_truncated_ladder_glues_logarithmically_many_ports(monkeypatch, window):
     monkeypatch.setattr(spectral, "_close", counting(closes, spectral._close))
     monkeypatch.setattr(spectral, "corner_resolvent",
                         lambda *a, **k: pytest.fail("restarted corner sweep"))
-    ev = TruncatedStieltjes(m, window=window, max_doublings=doublings)
+    ev = TruncatedStieltjes(m, window=window)
     rungs = list(ev.ladder(DEFAULT_LADDER))
     # the rungs nearest 1 never converge, so every window is built
     assert rungs[-1][1].residual > ev.tolerance
@@ -603,11 +605,34 @@ def test_truncated_ladder_glues_logarithmically_many_ports(monkeypatch, window):
     assert len(closes) <= (doublings + 1) * np.log2(last)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the glued ports drift from a fresh sweep on a non-normal "
+                          "interior (ROADMAP item 20)")
+def test_truncated_certified_value_equals_its_window():
+    # windows 400 and 800 agree, so the value stops at window 800 with
+    # residual 0.0; yet it is 2.65 (relative) off that window's corner.
+    # The closure of this interior is the limit of its windows here
+    # (test_off_axis_closure_is_the_window_limit)
+    m = models.tilted_shear_half_line()
+    z = -0.5 + 0.2j
+    ev = TruncatedStieltjes(m, window=400)
+    res = ev.evaluate(z)
+    want = corner_resolvent(m, z, 800)
+    err = np.linalg.norm(res.value - want, 2) / np.linalg.norm(want, 2)
+    assert res.residual > ev.tolerance or err <= 1e-12
+
+
+def test_truncated_takes_no_tolerance_or_doubling_keywords():
+    m = models.flip_channel_half_line(0.7, 0.8)
+    for kw in ({"tolerance": 1.0}, {"max_doublings": 1}):
+        with pytest.raises(TypeError):
+            TruncatedStieltjes(m, **kw)
+    assert TruncatedStieltjes(m).tolerance == 1e-8
+
+
 @pytest.mark.parametrize("kw, match", [
     ({"window": 0}, "window"),
     ({"window": -3}, "window"),
-    ({"max_doublings": 0}, "max_doublings"),
-    ({"max_doublings": -2}, "max_doublings"),
 ])
 def test_truncated_rejects_empty_window_and_no_doubling(kw, match):
     m = models.flip_channel_half_line(0.7, 0.8)

@@ -593,9 +593,11 @@ def test_general_site_classification_truncated():
 # -- point masses -----------------------------------------------------
 
 
-def test_jump_at_one_absent_for_transient_chain():
+def test_jump_at_one_absent_for_transient_chain(monkeypatch):
     m = models.flip_channel_half_line(0.7, 0.8)
-    ev = TruncatedStieltjes(m, window=400, tolerance=1.0, max_doublings=1)
+    monkeypatch.setattr(spectral, "TRUNC_MAX_DOUBLINGS", 1)
+    ev = TruncatedStieltjes(m, window=400)
+    monkeypatch.setattr(ev, "tolerance", 1.0)
     jump = jump_at_one(ev)
     assert np.linalg.norm(jump) == 0.0
     assert not positive_recurrent(ev, irreducible=True)
