@@ -197,10 +197,6 @@ class QmcModel:
             return np.zeros((self.block_dim, self.block_dim), dtype=complex)
         return blk.matrix
 
-    def effects(self, site: int, role: str) -> tuple[Array, ...] | None:
-        blk = self.block_object(site, role)
-        return None if blk is None else blk.effects
-
     @property
     def homogeneous(self) -> bool:
         return not self.overrides
@@ -243,9 +239,9 @@ class QmcModel:
             sites = sorted(s for s in candidates if topo.contains(s))
         return {s: self.column_defect(s) for s in sites}
 
-    def validate(self, tol: float = TOL_TP) -> dict[int, float]:
+    def validate(self) -> dict[int, float]:
         report = self.tp_report()
-        bad = {s: d for s, d in report.items() if d > tol}
+        bad = {s: d for s, d in report.items() if d > TOL_TP}
         if bad and not self.substochastic:
             worst = max(bad.values())
             raise ValueError(

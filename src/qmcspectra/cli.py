@@ -301,21 +301,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("stieltjes", cmd_stieltjes, help="transform value at one point")
     p.add_argument("--z", required=True, help="RE or RE,IM")
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "truncated", "homogeneous", "corner"],
-    )
+    p.add_argument("--method", default="auto", choices=["auto", "truncated"])
     p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("recurrence", cmd_recurrence, help="site recurrence verdict")
     p.add_argument("--site", type=int, default=0)
     p.add_argument("--density", required=True)
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "truncated", "homogeneous", "corner"],
-    )
+    p.add_argument("--method", default="auto", choices=["auto", "truncated"])
     p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("first-passage", cmd_first_passage, help="reach probability")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default numerical tolerances.  The underlying algebra is exact; doubles
-# need explicit slack.  Every check accepts an override.
+# Numerical tolerances.  The underlying algebra is exact; doubles need
+# explicit slack.
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_TP = 1e-10
@@ -162,7 +162,7 @@ def trace_functional(block_dim: int, mode: str) -> Array:
     return vec(np.eye(n))
 
 
-def check_tp_column(maps, tol: float = TOL_TP) -> tuple[bool, float]:
+def check_tp_column(maps) -> tuple[bool, float]:
     """Check that the effects of a column family sum to the identity.
 
     ``maps`` is an iterable of :class:`KrausMap` (or bare effect lists)
@@ -179,13 +179,13 @@ def check_tp_column(maps, tol: float = TOL_TP) -> tuple[bool, float]:
     if acc is None:
         raise ValueError("no maps supplied")
     defect = float(np.linalg.norm(acc - np.eye(acc.shape[0]), 2))
-    return defect <= tol, defect
+    return defect <= TOL_TP, defect
 
 
-def is_hermitian(m: Array, tol: float = TOL_HERM) -> bool:
+def is_hermitian(m: Array) -> bool:
     m = np.asarray(m)
     scale = max(1.0, np.linalg.norm(m, 2))
-    return float(np.linalg.norm(m - m.conj().T, 2)) <= tol * scale
+    return float(np.linalg.norm(m - m.conj().T, 2)) <= TOL_HERM * scale
 
 
 def hermitian_part(m: Array) -> Array:
@@ -203,30 +203,13 @@ class Density:
 
     matrix: Array
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        tol_herm: float = TOL_HERM,
-        tol_psd: float = TOL_PSD,
-        tol_trace: float = TOL_TRACE,
-    ) -> None:
+    def __init__(self, matrix) -> None:
         m = as_square(matrix, "density")
-        if not is_hermitian(m, tol_herm):
+        if not is_hermitian(m):
             raise ValueError("density is not Hermitian within tolerance")
-        if min_eigenvalue(m) < -tol_psd:
-            raise ValueError("density has an eigenvalue below -tol_psd")
-        if abs(np.trace(m) - 1.0) > tol_trace:
+        if min_eigenvalue(m) < -TOL_PSD:
+            raise ValueError("density has an eigenvalue below -TOL_PSD")
+        if abs(np.trace(m) - 1.0) > TOL_TRACE:
             raise ValueError("density trace differs from 1 beyond tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def vec(self) -> Array:
-        return vec(self.matrix)
-
-    def compact(self) -> Array:
-        return compact_vec(self.matrix)

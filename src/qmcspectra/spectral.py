@@ -17,8 +17,10 @@ of the jump at one and of the residue probe, or the one point of
 certify, and at z = 1 it closes the exact reach probabilities and the
 first-return block (:meth:`StieltjesEvaluator.return_block`) that
 decides a recurrence verdict without a ladder.  Truncated corner
-resolvents, corner perturbations of a homogeneous interior and the split
-identities of folded line chains remain as independent cross-checks.
+resolvents and the split identities of folded line chains remain as
+independent cross-checks; the homogeneous transform of a cornerless
+half-line and the corner identity around it (:class:`CornerStieltjes`)
+are library references that equal the auto route.
 Every evaluator reports the residual of its defining equation alongside
 the value, except :class:`TruncatedStieltjes`, whose residual is the step
 between its last two windows; it runs a whole ladder of points at once and
@@ -27,9 +29,9 @@ runs of 2^j sites, in O(log window) stacked solves instead of one per
 site.  Every ladder goes through :meth:`StieltjesEvaluator.ladder`,
 which the closed and truncated evaluators run stacked, their
 ``evaluate`` being the one-point ladder; no state passes from one point
-to the next.  :func:`transform_evaluator` holds the one route policy;
-the CLI and the half-chains of a folded line chain both take their
-evaluators from it.
+to the next.  :func:`transform_evaluator` holds the one route policy,
+``auto`` or ``truncated``; the CLI and the half-chains of a folded line
+chain both take their evaluators from it.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_model import (
-    HALF_LINE,
     LINE,
     ROLES,
     SEGMENT,
@@ -752,13 +753,16 @@ class HomogeneousStieltjes(StieltjesEvaluator):
 
 class CornerStieltjes(StieltjesEvaluator):
     """Transform of a chain whose corner blocks differ from a homogeneous
-    interior.
+    interior: the reference for the corner identity.
 
     With corner blocks (b0, a0) and interior down block c, the value is
     (z I - b0 - c X(z) a0)^{-1} where X is the interior evaluator.  When
     only the hold block changes and the interior evaluator is the
     homogeneous transform, this coincides with the inverse-difference
     form (X(z)^{-1} - b0)^{-1}, which is used when a0/c are omitted.
+    Around ``HomogeneousStieltjes.from_model`` of a half-line whose only
+    override is at site 0, it equals the auto route, ``SiteStieltjes`` at
+    site 0, bit for bit.
     """
 
     method = "corner"
@@ -955,30 +959,13 @@ def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> Stie
     """The transform evaluator of a chain, the one route policy.
 
     ``method="auto"`` gives :class:`SiteStieltjes` at site 0 for every
-    model.  The explicit methods are cross-checks on chains bounded from
-    below: ``homogeneous`` (the homogeneous closure, half-lines without
-    overrides), ``corner`` (the corner identity, half-lines whose only
-    override is at site 0) and ``truncated`` (window-doubled truncation
-    starting at ``window``).  Raises ``ValueError`` for a method the model
-    does not admit.
+    model.  ``method="truncated"`` gives the window-doubled truncation
+    starting at ``window``, a cross-check on chains bounded from below.
+    Raises ``ValueError`` for any other method or a model the route does
+    not admit.
     """
     if method == "auto":
         return SiteStieltjes(model)
-    if method in ("homogeneous", "corner") and model.topology.kind != HALF_LINE:
-        raise ValueError(f"{method} method needs a half-line model")
-    if method == "homogeneous":
-        if not model.homogeneous:
-            raise ValueError("homogeneous method needs a model without overrides")
-        return HomogeneousStieltjes.from_model(model)
-    if method == "corner":
-        if model.overrides and set(model.overrides) != {0}:
-            raise ValueError("corner method supports overrides at site 0 only")
-        return CornerStieltjes(
-            HomogeneousStieltjes.from_model(model),
-            model.block(0, "B"),
-            a0=model.block(0, "A"),
-            c=model.block(1, "C"),
-        )
     if method == "truncated":
         return TruncatedStieltjes(model, window=window)
     raise ValueError(f"unknown method {method!r}")

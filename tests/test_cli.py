@@ -10,7 +10,14 @@ import pytest
 
 import qmcspectra
 from qmcspectra import cli, models, spectral
-from qmcspectra.chain_model import Block, QmcModel, build_model, model_to_dict, site_prob_series
+from qmcspectra.chain_model import (
+    Block,
+    QmcModel,
+    build_model,
+    model_to_dict,
+    segment,
+    site_prob_series,
+)
 from qmcspectra.cli import run
 
 
@@ -103,10 +110,8 @@ def test_spectrum_roundtrip_and_flag(files, capsys):
 
 
 def test_stieltjes_value_schema(files, capsys):
-    out = run_json(
-        capsys, ["stieltjes", files["flip"], "--z", "1.5", "--method", "homogeneous"]
-    )
-    assert out["method"] == "homogeneous_fp"
+    out = run_json(capsys, ["stieltjes", files["flip"], "--z", "1.5", "--method", "auto"])
+    assert out["method"] == "closed"
     assert out["residual"] < 1e-8
     assert out["z"] == [1.5, 0.0]
     got = np.array([[complex(e[0], e[1]) for e in row] for row in out["value"]])
@@ -171,10 +176,12 @@ def test_recurrence_verdicts(files, capsys):
     )
     assert out["verdict"] == "recurrent"
 
+    # an explicit method walks the ladder; windows from 6400 sites resolve
+    # the square-root edge of the flip channel at z = 1
     out = run_json(
         capsys,
-        ["recurrence", files["flip"], "--site", "0",
-         "--density", files["rho_sym"], "--method", "homogeneous"],
+        ["recurrence", files["flip"], "--site", "0", "--density", files["rho_sym"],
+         "--method", "truncated", "--window", "6400"],
     )
     assert out["verdict"] == "transient"
     assert "limit" in out and out["limit"] < 10
@@ -313,11 +320,11 @@ def test_segment_recurrence_reports_segment_limit(files, capsys, tmp_path):
     argv = ["recurrence", str(path), "--site", "0", "--density", files["rho_sym"]]
     out = run_json(capsys, argv)
     rho = np.array([[0.3, 0.1], [0.1, 0.7]])
-    assert out["limit"] == pytest.approx(site_prob_series(seg, 0, 0, rho, 4000).sum(), abs=1e-9)
-    # the half-line fixed point does not describe a segment
-    for method in ("homogeneous", "corner"):
-        code, err = run_error(capsys, [*argv, "--method", method])
-        assert code == 3 and "half-line" in err
+    want = site_prob_series(seg, 0, 0, rho, 4000).sum()
+    assert out["limit"] == pytest.approx(want, abs=1e-9)
+    # the truncated route sweeps the whole segment at every rung
+    out = run_json(capsys, [*argv, "--method", "truncated"])
+    assert out["limit"] == pytest.approx(want, abs=1e-9)
 
 
 def test_exit_codes(files, capsys, tmp_path):
@@ -336,8 +343,6 @@ def test_exit_codes(files, capsys, tmp_path):
                 "--density", files["rho_sym"]]) == 3
     capsys.readouterr()
     # numerical failure: a chain whose forward pivot is singular
-    from qmcspectra.chain_model import Block, QmcModel, segment
-
     deg = QmcModel(
         topology=segment(3),
         dim=None,
@@ -356,8 +361,18 @@ def test_exit_codes(files, capsys, tmp_path):
     capsys.readouterr()
     # compact model with a complex density is a schema error
     assert run(["recurrence", files["flip"], "--site", "0",
-                "--density", files["rho"], "--method", "homogeneous"]) == 3
+                "--density", files["rho"], "--method", "truncated"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["stieltjes", "recurrence"])
+@pytest.mark.parametrize("method", ["homogeneous", "corner"])
+def test_methods_outside_the_two_routes_are_usage_errors(files, capsys, command, method):
+    # the transform has two routes, auto and truncated; anything else is
+    # refused by the parser before a model is read
+    query = {"stieltjes": ["--z", "1.5"], "recurrence": ["--density", files["rho_sym"]]}
+    code, err = run_error(capsys, [command, files["flip"], *query[command], "--method", method])
+    assert code == 2 and "invalid choice" in err and "Traceback" not in err
 
 
 def run_error(capsys, argv):
@@ -371,6 +386,21 @@ def test_truncated_empty_window_is_schema_error(files, capsys, window):
     code, err = run_error(capsys, ["stieltjes", files["flip"], "--z", "1.5",
                                    "--method", "truncated", "--window", window])
     assert code == 3 and "window must be at least 1" in err
+
+
+def test_first_passage_probability_above_one_is_numerical_failure(files, capsys, tmp_path):
+    # an abstract two-site segment whose up block A0 = 1.5 I carries more
+    # mass than it receives: the reach 0 -> 1 is 1.5
+    zero = Block(np.zeros((4, 4), dtype=complex))
+    over = QmcModel(topology=segment(2), dim=None, block_dim=4, mode="abstract",
+                    blocks={"A": Block(1.5 * np.eye(4, dtype=complex)), "B": zero, "C": zero},
+                    substochastic=True)
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(model_to_dict(over)))
+    code, err = run_error(capsys, ["first-passage", str(path), "--from", "0", "--to", "1",
+                                   "--density", files["rho10"]])
+    assert code == 4 and "Traceback" not in err
+    assert err.startswith("error: first-passage failed: closed passage probability 1.5 outside")
 
 
 def test_first_passage_site_outside_window_is_schema_error(files, capsys):
@@ -412,10 +442,10 @@ def test_recurrence_on_a_line_at_any_site(files, capsys):
 @pytest.mark.parametrize(
     "model, site, method",
     [
-        ("seg", "1", "homogeneous"),
+        ("seg", "1", "truncated"),
         ("hop", "1", "truncated"),
         ("diagline", "0", "truncated"),
-        ("diagline", "2", "corner"),
+        ("diagline", "2", "truncated"),
     ],
 )
 def test_recurrence_explicit_method_is_never_ignored(files, capsys, tmp_path, model, site, method):

@@ -27,6 +27,7 @@ from qmcspectra.chain_model import (
 from qmcspectra.cli import run
 from qmcspectra.folding import FoldedTransformEvaluator
 from qmcspectra.spectral import (
+    CornerStieltjes,
     HomogeneousStieltjes,
     SiteStieltjes,
     StieltjesEvaluator,
@@ -109,9 +110,51 @@ def test_auto_route_on_segment_is_the_segment_resolvent():
     z = 1.5 + 0.2j
     got = transform_evaluator(seg, "auto").evaluate(z).value
     assert np.abs(got - corner_resolvent(seg, z, 4)).max() < 1e-12
+    # auto and truncated are the only routes
     for method in ("homogeneous", "corner"):
-        with pytest.raises(ValueError, match="half-line"):
+        with pytest.raises(ValueError, match="unknown method"):
             transform_evaluator(seg, method)
+
+
+CROSS_CHECK_POINTS = [1.5, 1.01, 0.8 + 0.3j, -0.5 + 0.2j, 1.2 + 0.05j]
+
+
+def _corner_identity(m):
+    """The corner identity (z - B0 - C1 X A0)^{-1} around the homogeneous
+    transform X of the interior of a half-line."""
+    return CornerStieltjes(HomogeneousStieltjes.from_model(m), m.block(0, "B"),
+                           a0=m.block(0, "A"), c=m.block(1, "C"))
+
+
+@pytest.mark.parametrize("model", [
+    models.flip_channel_half_line(0.7, 0.6, corner="up"),
+    models.tilted_shear_half_line(corner=True),
+    models.balanced_shift_half_line(corner=True),
+    models.corner_coin_oqw(0.7),
+], ids=["flip-up-corner", "tilted-corner", "shift-corner", "corner-coin"])
+def test_corner_identity_is_the_auto_route(model):
+    # on a half-line whose only override is at site 0, SiteStieltjes
+    # evaluates (z - B0 - C1 X A0)^{-1} around the same closure X
+    assert set(model.overrides) == {0}
+    ref = _corner_identity(model)
+    auto = transform_evaluator(model, "auto")
+    for z in CROSS_CHECK_POINTS:
+        want, got = ref.evaluate(z), auto.evaluate(z)
+        assert np.array_equal(got.value, want.value) and got.residual == want.residual
+
+
+@pytest.mark.parametrize("model", [
+    models.flip_channel_half_line(0.7, 0.8),
+    models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25),
+    models.tilted_shear_half_line(),
+], ids=["flip", "hopping", "tilted"])
+def test_homogeneous_transform_is_the_auto_route(model):
+    assert model.homogeneous
+    ref = HomogeneousStieltjes.from_model(model)
+    auto = transform_evaluator(model, "auto")
+    for z in CROSS_CHECK_POINTS:
+        want, got = ref.evaluate(z).value, auto.evaluate(z).value
+        assert np.linalg.norm(got - want, 2) <= 1e-15 * np.linalg.norm(want, 2)
 
 
 @pytest.mark.parametrize("r, t", [(0.4, 0.2), (0.2, 0.4), (0.45, 0.25)])
@@ -523,8 +566,7 @@ def test_unconverged_fixed_point_raises_convergence_error(tmp_path, capsys, z):
     # the fixed point ends without a finite residual: every evaluator that
     # closes the interior raises, carrying the last finite iterate
     m = models.flip_channel_half_line(0.7, 0.8)
-    evaluators = [HomogeneousStieltjes.from_model(m), transform_evaluator(m, "corner"),
-                  SiteStieltjes(m)]
+    evaluators = [HomogeneousStieltjes.from_model(m), _corner_identity(m), SiteStieltjes(m)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for ev in evaluators:
@@ -535,10 +577,9 @@ def test_unconverged_fixed_point_raises_convergence_error(tmp_path, capsys, z):
             residue_probe(SiteStieltjes(m), -0.4)
     path = tmp_path / "flip.json"
     path.write_text(json.dumps(model_to_dict(m)))
-    for method in ("auto", "homogeneous"):
-        code = run(["stieltjes", str(path), f"--z={z.real},{z.imag}", "--method", method])
-        err = capsys.readouterr().err
-        assert code == 4 and f"z={z}" in err and "Traceback" not in err
+    code = run(["stieltjes", str(path), f"--z={z.real},{z.imag}"])
+    err = capsys.readouterr().err
+    assert code == 4 and f"z={z}" in err and "Traceback" not in err
 
 
 @settings(max_examples=30, deadline=None)

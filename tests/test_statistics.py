@@ -453,6 +453,20 @@ def test_reach_falls_back_to_window_ladder():
     assert res.ladder[0] == (1.0 - 2.0**-4, pytest.approx(res.ladder[0][1]))
 
 
+def test_reach_on_a_rough_ladder_returns_its_last_sample(monkeypatch):
+    # on a ladder this coarse Richardson's last two estimates differ by
+    # far more than the smoothness bound, so the last sample is returned
+    monkeypatch.setattr(statistics, "REACH_LADDER", (0.5, 0.6, 0.7, 0.8))
+    m = models.diagonal_coin_line_walk()
+    with pytest.warns(UserWarning) as record:
+        res = reach_analysis(m, 3, 0, np.array([[0.7, 0.2], [0.2, 0.3]]))
+    assert [str(w.message) for w in record][-1] == (
+        "first-passage ladder not smooth; falling back to last sample")
+    assert res.route == "window" and not res.extrapolated
+    assert [s for s, _ in res.ladder] == [0.5, 0.6, 0.7, 0.8]
+    assert res.probability == res.ladder[-1][1] and res.residual > 1e-6
+
+
 def test_drift_of_the_corrected_acceptance_chains():
     # 4d: both flip channels carry sum K*K = I/2, so the walk is balanced
     mc = models.flip_channel_half_line(0.7, 0.8, corner="up")
@@ -499,6 +513,11 @@ def test_classifier_on_synthetic_ladders():
     assert cls.verdict == "transient"
     assert cls.limit == pytest.approx(5.0, abs=1e-6)
     assert len(cls.evidence) == len(ladder)
+    # no Aitken sweep settles on these oscillating traces, but the last
+    # increment is below STABILIZE_RTOL: the last sample is the limit
+    settling = list(zip(ladder, [1.0, 2.0, 1.5, 1.8, 1.6, 1.7, 1.7000001]))
+    cls = classify_from_samples(settling)
+    assert (cls.verdict, cls.limit) == ("transient", 1.7000001)
 
 
 def test_flip_channel_transient_every_density(rng):
