@@ -43,18 +43,15 @@ from .spectral import (
     Symmetrizer,
     TruncatedStieltjes,
     WeightPoint,
-    double_root_weight,
     find_symmetrizer,
     finite_spectrum_weights,
     residue_probe,
-    stieltjes_folded,
 )
 from .statistics import (
     Classification,
     PassageResult,
     classify_recurrence,
     first_passage_gf,
-    first_passage_poly,
     jump_at_one,
     km_block,
     km_probability,
@@ -62,12 +59,10 @@ from .statistics import (
     reach_analysis,
 )
 from .folding import (
-    FoldedModel,
     FoldedTransformEvaluator,
     classify_recurrence_on_line,
     fold_model,
     folded_discrete_weight,
-    half_line_evaluators,
     km_on_line,
     minus_model,
     plus_model,

@@ -20,6 +20,7 @@ import numpy as np
 from .quantum_core import (
     TOL_TP,
     Array,
+    Density,
     KrausMap,
     as_square,
     check_tp_column,
@@ -415,10 +416,12 @@ def load_model(path) -> QmcModel:
 
 
 def load_density_matrix(path) -> Array:
-    """The square, finite matrix of a density file ``{"matrix": ...}``."""
+    """The matrix of a density file ``{"matrix": ...}``, validated as a
+    :class:`~qmcspectra.quantum_core.Density`: square, finite, Hermitian,
+    positive semidefinite and of unit trace."""
     with open(path) as fh:
         data = json.load(fh)
-    return as_square(decode_matrix(data["matrix"]), "density matrix")
+    return Density(decode_matrix(data["matrix"])).matrix
 
 
 # ---------------------------------------------------------------------

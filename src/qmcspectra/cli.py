@@ -216,20 +216,20 @@ def cmd_first_passage(args) -> None:
 
 def cmd_fold(args) -> None:
     model = _load_model(args.model)
-    fm = folding.fold_model(model)
-    data = model_to_dict(fm.folded)
-    data["block_dim"] = fm.folded.block_dim
-    data["trace"] = [[v.real, v.imag] for v in fm.folded.trace_vec]
+    folded = folding.fold_model(model)
+    data = model_to_dict(folded)
+    data["block_dim"] = folded.block_dim
+    data["trace"] = [[v.real, v.imag] for v in folded.trace_vec]
     with open(args.output, "w") as fh:
         json.dump(encode_value(data), fh, indent=1)
-    depth = max([0] + list(fm.folded.overrides))
+    depth = max([0] + list(folded.overrides))
     sidecar = {
         "pairs": {str(n): [n, -n - 1] for n in range(depth + 3)},
         "note": "folded site n carries original sites n and -n-1",
     }
     with open(args.output + ".map.json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
-    emit({"written": args.output, "block_dim": fm.folded.block_dim})
+    emit({"written": args.output, "block_dim": folded.block_dim})
 
 
 def cmd_poly(args) -> None:

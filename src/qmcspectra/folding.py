@@ -9,15 +9,13 @@ line through the two-sided polynomial families.
 
 Recurrence of a line site, any site, is classified on the exact
 ``SiteStieltjes`` route shared with every other topology.  The split
-identities of :class:`FoldedTransformEvaluator`, which assemble the
-transforms at sites 0 and -1 from the two half-chains, are kept as its
-independent cross-check and as the documented homogeneous-line
-criterion of ``nonsymmetric``.
+identities, which assemble the transforms at sites 0 and -1 from the two
+half-chains, live here alone, in :class:`FoldedTransformEvaluator`: they
+are kept as an independent cross-check of that route and as the
+documented homogeneous-line criterion of ``nonsymmetric``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .chain_model import (
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
+    ConvergenceError,
     DiscreteWeight,
     EvalResult,
     StieltjesEvaluator,
@@ -39,23 +38,11 @@ from .spectral import (
     WeightPoint,
     find_symmetrizer,
     finite_spectrum_weights,
-    stieltjes_folded,
     transform_evaluator,
 )
 from .statistics import Classification, classify_recurrence
 
 QUADRANTS = {(1, 1): (0, 0), (1, 2): (0, 1), (2, 1): (1, 0), (2, 2): (1, 1)}
-
-
-@dataclass(frozen=True)
-class FoldedModel:
-    """A line chain rewritten on the half-line with 2d-dimensional blocks."""
-
-    source: QmcModel
-    folded: QmcModel
-
-    def pair(self, folded_site: int) -> tuple[int, int]:
-        return folded_site, -folded_site - 1
 
 
 def _diag2(top: Array, bottom: Array) -> Array:
@@ -66,8 +53,9 @@ def _diag2(top: Array, bottom: Array) -> Array:
     return out
 
 
-def fold_model(model: QmcModel) -> FoldedModel:
-    """Fold a line chain at the origin.
+def fold_model(model: QmcModel) -> QmcModel:
+    """Fold a line chain at the origin: a half-line chain with 2d-dimensional
+    blocks whose site n carries the pair (n, -n-1).
 
     The folded hold block at 0 couples the two strands through the
     original blocks A_{-1} (upper right) and C_0 (lower left); every other
@@ -110,7 +98,7 @@ def fold_model(model: QmcModel) -> FoldedModel:
         overrides[site] = ov
 
     trace_vec = np.concatenate([model.trace_vec, model.trace_vec])
-    folded = QmcModel(
+    return QmcModel(
         topology=half_line(),
         dim=None,
         block_dim=2 * d,
@@ -120,7 +108,6 @@ def fold_model(model: QmcModel) -> FoldedModel:
         substochastic=model.substochastic,
         trace_vec=trace_vec,
     )
-    return FoldedModel(model, folded)
 
 
 def unfold_block(block: Array, quadrant: tuple[int, int]) -> Array:
@@ -176,22 +163,6 @@ def minus_model(model: QmcModel) -> QmcModel:
     return _half_chain(model, blocks, overrides)
 
 
-def half_line_evaluators(
-    model: QmcModel,
-) -> tuple[StieltjesEvaluator, StieltjesEvaluator]:
-    """Transform evaluators for the two half-chains of a line model.
-
-    Each half takes the automatic route of
-    :func:`~qmcspectra.spectral.transform_evaluator`, the exact
-    :class:`~qmcspectra.spectral.SiteStieltjes` at its site 0 (original
-    site 0 or -1).
-    """
-    return (
-        transform_evaluator(plus_model(model), "auto"),
-        transform_evaluator(minus_model(model), "auto"),
-    )
-
-
 def km_on_line(model: QmcModel, j: int, i: int, n: int) -> Array:
     """n-step block (j, i) of a line chain through the spectral sum of its
     folded truncation.
@@ -237,8 +208,7 @@ def folded_discrete_weight(
     """
     if sym is None:
         sym = find_symmetrizer(model, window + 1)
-    folded = fold_model(model).folded
-    seg = segment_window(folded, 0, window)
+    seg = segment_window(fold_model(model), 0, window)
     raw = finite_spectrum_weights(seg)
     anchor = _diag2(sym.pi[0], sym.pi[-1])
     points = tuple(
@@ -250,7 +220,12 @@ def folded_discrete_weight(
 
 class FoldedTransformEvaluator(StieltjesEvaluator):
     """Return-transform evaluator for site 0 or -1 of a line chain,
-    assembled on demand from the two half-chain evaluators."""
+    assembled on demand from the two half-chain evaluators.
+
+    By default each half takes the automatic route of
+    :func:`~qmcspectra.spectral.transform_evaluator`, the exact
+    :class:`~qmcspectra.spectral.SiteStieltjes` at its site 0 (original
+    site 0 or -1)."""
 
     method = "folded"
 
@@ -259,22 +234,32 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
                  minus: StieltjesEvaluator | None = None):
         if site not in (0, -1):
             raise ValueError("folded transforms are anchored at sites 0 and -1")
-        if plus is None or minus is None:
-            auto_plus, auto_minus = half_line_evaluators(model)
-            plus = plus or auto_plus
-            minus = minus or auto_minus
         self.model = model
         self.site = site
-        self.plus = plus
-        self.minus = minus
+        self.plus = plus or transform_evaluator(plus_model(model), "auto")
+        self.minus = minus or transform_evaluator(minus_model(model), "auto")
 
     def evaluate(self, z: complex) -> EvalResult:
-        """Split-identity value at z."""
-        ft = stieltjes_folded(
-            self.model.block(-1, "A"), self.model.block(0, "C"), self.plus, self.minus, z
-        )
-        value = ft.p11 if self.site == 0 else ft.p22
-        return EvalResult(value, ft.residual, self.method)
+        """Split-identity value at z.  With Xp and Xm the values of the
+        plus and minus evaluators, weight normalizations included, the
+        transform products at sites 0 and -1 are
+
+            P11 = Xp (I - A_{-1} Xm C_0 Xp)^{-1}
+            P22 = Xm (I - C_0 Xp A_{-1} Xm)^{-1}
+
+        Operator order is load-bearing: P22 is P11 with the two halves,
+        and A_{-1} with C_0, exchanged."""
+        rp, rm = self.plus.evaluate(z), self.minus.evaluate(z)
+        x, y = rp.value, rm.value
+        a, c = self.model.block(-1, "A"), self.model.block(0, "C")
+        if self.site == -1:
+            x, y, a, c = y, x, c, a
+        mid = np.eye(x.shape[0], dtype=complex) - a @ y @ c @ x
+        try:
+            value = np.linalg.solve(mid.T, x.T).T
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular middle factor at z={z}") from exc
+        return EvalResult(value, rp.residual + rm.residual, self.method)
 
 
 def classify_recurrence_on_line(model: QmcModel, site: int, rho) -> Classification:

@@ -312,9 +312,9 @@ def first_passage_gf(
     F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
     pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
     window.  The window is [-window, window] on a line, [0, window] on a
-    half-line and the whole of a segment.  For i < j,
-    :func:`first_passage_poly` is the polynomial route
-    Q_j(1/s)^{-1} Q_i(1/s); the two agree wherever both apply.
+    half-line and the whole of a segment.  For i < j the polynomial route
+    Q_j(1/s)^{-1} Q_i(1/s), ``first_passage_poly`` in the tests, agrees
+    with it wherever both apply.
     """
     elimination = _Elimination(model, j, i, _passage_window(model, i, j, window))
     ss = np.reshape(s, (-1,))
@@ -326,15 +326,6 @@ def first_passage_gf(
     else:
         (acc,) = couplings
     return (s3 * acc).reshape(np.shape(s) + acc.shape[-2:])
-
-
-def first_passage_poly(model: QmcModel, j: int, i: int, s: complex) -> Array:
-    """Polynomial route F_ji(s) = Q_j(1/s)^{-1} Q_i(1/s), valid for i < j."""
-    if not i < j:
-        raise ValueError("polynomial route needs i < j")
-    x = 1.0 / s
-    q = PolyFamily(model).main(x, j)
-    return np.linalg.solve(q[j], q[i])
 
 
 @dataclass(frozen=True)

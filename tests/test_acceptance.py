@@ -16,9 +16,9 @@ import pytest
 from qmcspectra import models
 from qmcspectra.chain_model import site_prob, truncate
 from qmcspectra.folding import (
+    FoldedTransformEvaluator,
     classify_recurrence_on_line,
     fold_model,
-    half_line_evaluators,
     unfold_block,
 )
 from qmcspectra.nonsymmetric import (
@@ -35,7 +35,6 @@ from qmcspectra.spectral import (
     TruncatedStieltjes,
     find_symmetrizer,
     finite_spectrum_weights,
-    stieltjes_folded,
 )
 from qmcspectra.statistics import (
     classify_recurrence,
@@ -499,9 +498,8 @@ def test_criterion_10d_fold_roundtrip():
     worst = 0.0
     for _ in range(3):
         m = random_line_model(rng)
-        fm = fold_model(m)
         d = m.block_dim
-        tf = truncate(fm.folded, 0, 12)
+        tf = truncate(fold_model(m), 0, 12)
         for n in range(9):
             pf = np.linalg.matrix_power(tf.matrix, n)
             for (fj, fi) in [(0, 0), (1, 0), (2, 1)]:
@@ -543,15 +541,14 @@ def test_criterion_10e_evaluator_cross_consistency():
         worst = max(worst, np.abs(co.evaluate(z).value - trc.evaluate(z).value).max())
     # split line identities vs a deep line truncation
     m = models.diagonal_coin_line_walk()
-    plus, minus = half_line_evaluators(m)
     z = 1.1
-    ft = stieltjes_folded(m.block(-1, "A"), m.block(0, "C"), plus, minus, z)
+    p11 = FoldedTransformEvaluator(m, 0).evaluate(z).value
     L = 400
     t = truncate(m, -L, L)
     S = t.matrix.shape[0]
     rhs = np.zeros((S, 4))
     rhs[L * 4 : (L + 1) * 4] = np.eye(4)
     sol = np.linalg.solve(z * np.eye(S) - t.matrix, rhs)
-    worst = max(worst, np.abs(ft.p11 - sol[L * 4 : (L + 1) * 4]).max())
+    worst = max(worst, np.abs(p11 - sol[L * 4 : (L + 1) * 4]).max())
     assert check("10e transform evaluators mutually consistent", worst < 1e-6,
                  f"worst {worst:.2e}")

@@ -164,8 +164,12 @@ def test_build_model_reads_trace_entries_like_matrix_entries():
         ([[[0.5, float("inf")], 0], [0, 0.5]], "non-finite"),
         ([[1, 0, 0], [0, 1, 0]], "square"),
         ([], "2-D"),
+        ([[2, 0], [0, 0]], "trace"),
+        ([[1.5, 0], [0, -0.5]], "eigenvalue"),
+        ([[0.5, 0.9], [0.1, 0.5]], "Hermitian"),
     ],
-    ids=["nan", "inf-imaginary", "rectangular", "empty"],
+    ids=["nan", "inf-imaginary", "rectangular", "empty", "trace-two",
+         "negative-eigenvalue", "non-hermitian"],
 )
 def test_load_density_matrix_rejects_bad_matrices(tmp_path, matrix, match):
     path = tmp_path / "rho.json"

@@ -342,6 +342,13 @@ def test_exit_codes(files, capsys, tmp_path):
     assert run(["prob", str(bad), "--from", "0", "--to", "0", "--steps", "1",
                 "--density", files["rho_sym"]]) == 3
     capsys.readouterr()
+    # a density of trace two would double every probability
+    rho2 = tmp_path / "rho2.json"
+    rho2.write_text(json.dumps({"matrix": [[2, 0], [0, 0]]}))
+    code, err = run_error(capsys, ["prob", files["shear"], "--from", "2", "--to", "0",
+                                   "--steps", "4", "--density", str(rho2)])
+    assert code == 3 and err.startswith("error: bad density file: ")
+    assert "trace" in err and "Traceback" not in err
     # numerical failure: a chain whose forward pivot is singular
     deg = QmcModel(
         topology=segment(3),

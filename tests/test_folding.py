@@ -17,7 +17,6 @@ from qmcspectra.folding import (
     classify_recurrence_on_line,
     fold_model,
     folded_discrete_weight,
-    half_line_evaluators,
     km_on_line,
     minus_model,
     plus_model,
@@ -27,7 +26,6 @@ from qmcspectra.spectral import (
     SiteStieltjes,
     TruncatedStieltjes,
     find_symmetrizer,
-    stieltjes_folded,
     transform_evaluator,
 )
 from qmcspectra.polynomials import PolyFamily
@@ -65,22 +63,21 @@ def test_fold_block_structure():
     m = models.diagonal_coin_line_walk()
     fm = fold_model(m)
     d = m.block_dim
-    g0 = fm.folded.block(0, "B")
+    g0 = fm.block(0, "B")
     assert np.abs(g0[:d, :d] - m.block(0, "B")).max() == 0.0
     assert np.abs(g0[:d, d:] - m.block(-1, "A")).max() == 0.0
     assert np.abs(g0[d:, :d] - m.block(0, "C")).max() == 0.0
     assert np.abs(g0[d:, d:] - m.block(-1, "B")).max() == 0.0
-    m0 = fm.folded.block(0, "A")
+    m0 = fm.block(0, "A")
     assert np.abs(m0[:d, :d] - m.block(0, "A")).max() == 0.0
     assert np.abs(m0[d:, d:] - m.block(-1, "C")).max() == 0.0
     for n in (1, 3):
-        gn = fm.folded.block(n, "B")
+        gn = fm.block(n, "B")
         assert np.abs(gn[:d, :d] - m.block(n, "B")).max() == 0.0
         assert np.abs(gn[:d, d:]).max() == 0.0
-        nn = fm.folded.block(n, "C")
+        nn = fm.block(n, "C")
         assert np.abs(nn[:d, :d] - m.block(n, "C")).max() == 0.0
         assert np.abs(nn[d:, d:] - m.block(-n - 1, "A")).max() == 0.0
-    assert fm.pair(2) == (2, -3)
 
 
 def test_fold_rejects_non_line():
@@ -91,7 +88,7 @@ def test_fold_rejects_non_line():
 def test_fold_preserves_trace_preservation():
     m = models.diagonal_coin_line_walk()
     fm = fold_model(m)
-    report = fm.folded.tp_report()
+    report = fm.tp_report()
     assert max(report.values()) < 1e-12
 
 
@@ -100,7 +97,7 @@ def test_fold_power_unfold_roundtrip(rng):
         m = random_line_model(rng)
         fm = fold_model(m)
         d = m.block_dim
-        tf = truncate(fm.folded, 0, 12)
+        tf = truncate(fm, 0, 12)
         for n in range(9):
             pf = np.linalg.matrix_power(tf.matrix, n)
             for (fj, fi) in [(0, 0), (1, 0), (2, 1)]:
@@ -120,7 +117,7 @@ def test_unfold_identity_and_locality():
     m = models.diagonal_coin_line_walk()
     fm = fold_model(m)
     d = m.block_dim
-    tf = truncate(fm.folded, 0, 10)
+    tf = truncate(fm, 0, 10)
     eye_block = np.eye(tf.matrix.shape[0])[0 : 2 * d, 0 : 2 * d]
     assert np.abs(unfold_block(eye_block, (1, 1)) - np.eye(d)).max() == 0.0
     assert np.abs(unfold_block(eye_block, (1, 2))).max() == 0.0
@@ -161,7 +158,7 @@ def test_folded_symmetrizer_block_structure():
     ):
         sym = find_symmetrizer(m, 6)
         assert sym.success
-        fm = fold_model(m).folded
+        fm = fold_model(m)
         d = m.block_dim
         pi_breve = {0: np.zeros((2 * d, 2 * d), dtype=complex)}
         pi_breve[0][:d, :d] = sym.pi[0]
@@ -311,13 +308,18 @@ def test_hopping_line_recurrent_iff_balanced():
 
 def test_folded_transform_evaluator_matches_split_identity():
     m = models.diagonal_coin_line_walk()
-    plus, minus = half_line_evaluators(m)
-    ev = FoldedTransformEvaluator(m, 0, plus=plus, minus=minus)
+    plus = transform_evaluator(plus_model(m), "auto")
+    minus = transform_evaluator(minus_model(m), "auto")
     z = 1.25
-    ft = stieltjes_folded(m.block(-1, "A"), m.block(0, "C"), plus, minus, z)
-    res = ev.evaluate(z)
-    assert np.abs(res.value - ft.p11).max() == 0.0
-    assert res.residual < 1e-8
+    xp, xm = plus.evaluate(z).value, minus.evaluate(z).value
+    a, c = m.block(-1, "A"), m.block(0, "C")
+    eye = np.eye(m.block_dim, dtype=complex)
+    # P11 = Xp (I - A_{-1} Xm C_0 Xp)^{-1} and P22 = Xm (I - C_0 Xp A_{-1} Xm)^{-1}
+    for site, x, mid in ((0, xp, eye - a @ xm @ c @ xp), (-1, xm, eye - c @ xp @ a @ xm)):
+        want = np.linalg.solve(mid.T, x.T).T
+        res = FoldedTransformEvaluator(m, site, plus=plus, minus=minus).evaluate(z)
+        assert np.abs(res.value - want).max() == 0.0
+        assert res.residual < 1e-8
 
 
 HOLD0 = block_from_kraus(models.exchange_hold_block(0.5, 0.6, -0.3))
@@ -335,19 +337,19 @@ def test_cli_and_half_chains_share_one_route_policy(site):
         half, full = with_hold_at(half, site), with_hold_at(full, site)
     assert transform_evaluator(half, "auto", 800).method == "closed"
     assert cli._evaluator(half, "auto", 800).method == "closed"
-    plus, minus = half_line_evaluators(full)
-    assert plus.method == transform_evaluator(plus_model(full), "auto", 800).method == "closed"
-    assert minus.method == "closed"
+    ev = FoldedTransformEvaluator(full, 0)
+    assert ev.plus.method == transform_evaluator(plus_model(full), "auto", 800).method == "closed"
+    assert ev.minus.method == "closed"
     if site is not None:
         # the mirrored override lands on the minus half
-        plus, minus = half_line_evaluators(with_hold_at(full, -site - 1))
-        assert (plus.method, minus.method) == ("closed", "closed")
+        ev = FoldedTransformEvaluator(with_hold_at(full, -site - 1), 0)
+        assert (ev.plus.method, ev.minus.method) == ("closed", "closed")
 
 
 def test_line_with_site0_hold_runs_corner_route_to_series_limit():
     m = with_hold_at(models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3), 0)
     m.validate()
-    assert half_line_evaluators(m)[0].method == "closed"
+    assert FoldedTransformEvaluator(m, 0).plus.method == "closed"
     rho = np.array([[0.6, 0.1 - 0.05j], [0.1 + 0.05j, 0.4]])
     cls = classify_recurrence_on_line(m, 0, rho)
     assert cls.verdict == "transient"
@@ -371,9 +373,9 @@ def test_fold_handles_line_overrides(rng):
         trace_vec=np.ones(2),
     )
     fm = fold_model(m)
-    assert np.abs(fm.folded.block(1, "B")[2:, 2:] - special.matrix).max() == 0.0
-    assert np.abs(fm.folded.block(1, "B")[:2, :2] - special.matrix).max() == 0.0
-    tf = truncate(fm.folded, 0, 10)
+    assert np.abs(fm.block(1, "B")[2:, 2:] - special.matrix).max() == 0.0
+    assert np.abs(fm.block(1, "B")[:2, :2] - special.matrix).max() == 0.0
+    tf = truncate(fm, 0, 10)
     for n in (3, 6):
         pf = np.linalg.matrix_power(tf.matrix, n)
         blk = pf[0:4, 4:8]

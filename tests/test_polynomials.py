@@ -148,7 +148,7 @@ def test_folded_family_blocks():
     for n in (1, 4, 8):
         assert np.abs(folded[n][:4, :4] - q1[n]).max() < 1e-14
 
-    fm = fold_model(m).folded
+    fm = fold_model(m)
     pf = dict(enumerate(folded))
     assert recurrence_residual(fm, pf, x) < 1e-10
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,11 @@ from qmcspectra.spectral import (
     SpectralError,
     TruncatedStieltjes,
     _continued_corners,
-    double_root_weight,
     find_symmetrizer,
     finite_spectrum_weights,
     residue_probe,
-    stieltjes_folded,
 )
+from qmcspectra.folding import FoldedTransformEvaluator, plus_model
 from qmcspectra.statistics import DEFAULT_LADDER
 
 
@@ -121,6 +122,24 @@ def test_grouping_refusal_band():
     )
     with pytest.raises(SpectralError, match="ambiguous"):
         finite_spectrum_weights(m)
+
+
+def double_root_weight(model, node):
+    """Derivative-form residue for a double node: the derivative of
+    -(node - z)^2 ((Phi - z I)^{-1})_{00} at the node, by central
+    difference with step 1e-5, a cross-check on the contour route."""
+    mat = truncate(model, 0, model.topology.num_sites - 1).matrix
+    d = model.block_dim
+    S = mat.shape[0]
+    rhs = np.zeros((S, d), dtype=complex)
+    rhs[:d] = np.eye(d)
+
+    def g(z):
+        corner = np.linalg.solve(mat - z * np.eye(S), rhs)[:d]
+        return -((node - z) ** 2) * corner
+
+    h = 1e-5
+    return (g(node + h) - g(node - h)) / (2.0 * h)
 
 
 def test_double_root_derivative_cross_check():
@@ -303,28 +322,27 @@ def test_corner_point_mass_probe():
 
 def test_folded_decoupled_reduces_to_plus():
     m = models.diagonal_coin_line_walk()
-    from qmcspectra.folding import half_line_evaluators
-
-    plus, minus = half_line_evaluators(m)
+    assert not m.overrides
+    # a zero C_0 cuts the move from site 0 to -1
+    zero = Block(np.zeros((4, 4), dtype=complex))
+    decoupled = dataclasses.replace(m, overrides={0: {"C": zero}}, substochastic=True)
+    plus = spectral.transform_evaluator(plus_model(m), "auto")
     z = 1.3
-    ft = stieltjes_folded(m.block(-1, "A"), np.zeros((4, 4)), plus, minus, z)
-    assert np.abs(ft.p11 - plus(z)).max() < 1e-10
+    p11 = FoldedTransformEvaluator(decoupled, 0).evaluate(z).value
+    assert np.abs(p11 - plus(z)).max() < 1e-10
 
 
 def test_folded_closed_form_diagonal_walk():
     m = models.diagonal_coin_line_walk()
-    from qmcspectra.folding import half_line_evaluators
-
-    plus, minus = half_line_evaluators(m)
     z = 1.05
-    ft = stieltjes_folded(m.block(-1, "A"), m.block(0, "C"), plus, minus, z)
+    p11 = FoldedTransformEvaluator(m, 0).evaluate(z).value
     r = np.array([1 / 3, 1 / np.sqrt(6), 1 / np.sqrt(6), 0.5])
     l = np.array([2 / 3, 1 / np.sqrt(3), 1 / np.sqrt(3), 0.5])
     expect = np.diag(1.0 / np.sqrt(z * z - 4 * r * l))
-    assert np.abs(ft.p11 - expect).max() < 1e-7
+    assert np.abs(p11 - expect).max() < 1e-7
     # the trace against diag(a, 1-a) splits into the two scalar terms
     a = 0.35
-    trace = a * ft.p11[0, 0].real + (1 - a) * ft.p11[3, 3].real
+    trace = a * p11[0, 0].real + (1 - a) * p11[3, 3].real
     assert trace == pytest.approx(
         a / np.sqrt(z * z - 8 / 9) + (1 - a) / np.sqrt(z * z - 1), abs=1e-7
     )
@@ -336,28 +354,23 @@ def test_folded_hopping_chain_shape():
     r = ((1 - 2 * k) - np.sqrt(1 - 4 * k)) / 2
     t = 1 - s - r
     m = models.uniform_hopping_line(s, 0.5, 0.5, r, t)
-    from qmcspectra.folding import half_line_evaluators
-
-    plus, minus = half_line_evaluators(m)
     z = 1.2
-    ft = stieltjes_folded(m.block(-1, "A"), m.block(0, "C"), plus, minus, z)
+    p11 = FoldedTransformEvaluator(m, 0).evaluate(z).value
     # in the hold-block eigenbasis the s = 2k component is 1/sqrt(z(z-4k))
     evals, vecs = np.linalg.eigh(m.block(0, "B").real)
-    diag = np.diag(vecs.T @ ft.p11.real @ vecs)
+    diag = np.diag(vecs.T @ p11.real @ vecs)
     expect = 1.0 / np.sqrt(z * (z - 4 * k))
     for ev, got in zip(evals, diag):
         if abs(ev - s) < 1e-12:
             assert got == pytest.approx(expect, abs=1e-7)
     # cross-check the whole block against a deep line truncation
-    from qmcspectra.chain_model import truncate
-
     L = 300
     tl = truncate(m, -L, L)
     S = tl.matrix.shape[0]
     rhs = np.zeros((S, 4))
     rhs[L * 4 : (L + 1) * 4] = np.eye(4)
     sol = np.linalg.solve(z * np.eye(S) - tl.matrix, rhs)
-    assert np.abs(ft.p11 - sol[L * 4 : (L + 1) * 4]).max() < 1e-7
+    assert np.abs(p11 - sol[L * 4 : (L + 1) * 4]).max() < 1e-7
 
 
 def test_boundary_density_recovery():
@@ -371,6 +384,19 @@ def test_boundary_density_recovery():
         dens = -np.diag(U.T @ val.imag @ U) / np.pi
         expect = np.where(xi > x * x, 2 * np.sqrt(np.abs(xi - x * x)) / (np.pi * xi), 0.0)
         assert np.abs(dens - expect).max() < 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the continuation certifies only the residual, so on a "
+                          "non-symmetrizable interior it lands on another branch "
+                          "(ROADMAP item 12)")
+def test_near_axis_follows_the_transform_on_a_nonsymmetrizable_interior():
+    m = models.tilted_shear_half_line()
+    ev = HomogeneousStieltjes.from_model(m)
+    for x, delta in ((0.2, 1e-2), (-0.6, 1e-3)):
+        window = corner_resolvent(m, complex(x, delta), 4000)
+        gap = np.linalg.norm(ev.near_axis(x, delta) - window, 2)
+        assert gap <= 1e-6 * max(1.0, np.linalg.norm(window, 2))
 
 
 def test_evaluator_call_enforces_tolerance(monkeypatch):

@@ -25,7 +25,6 @@ from qmcspectra.statistics import (
     classify_from_samples,
     classify_recurrence,
     first_passage_gf,
-    first_passage_poly,
     jump_at_one,
     km_block,
     km_probability,
@@ -37,6 +36,15 @@ from qmcspectra.statistics import (
 from conftest import random_density
 
 SQ2 = np.sqrt(2.0)
+
+
+def first_passage_poly(model, j, i, s):
+    """Polynomial route F_ji(s) = Q_j(1/s)^{-1} Q_i(1/s), valid for i < j."""
+    if not i < j:
+        raise ValueError("polynomial route needs i < j")
+    x = 1.0 / s
+    q = PolyFamily(model).main(x, j)
+    return np.linalg.solve(q[j], q[i])
 
 
 # -- spectral probabilities -------------------------------------------
