@@ -133,22 +133,37 @@ class QmcModel:
 
     ``blocks[role]`` is the homogeneous block (or None for zero);
     ``overrides[site][role]`` replaces it at a single site.  ``block_dim``
-    is the representation dimension: N^2 in full mode, 3 in compact mode,
-    arbitrary for abstract block models (e.g. folded chains).
+    is the size of the blocks, which must all agree, and ``dim`` is N for
+    full-mode blocks of size N^2, 2 for compact-mode blocks of size 3 and
+    None for abstract blocks (e.g. folded chains) of any size.
     """
 
     topology: Topology
-    dim: int | None
-    block_dim: int
     mode: str
     blocks: dict = field(default_factory=dict)
     overrides: dict = field(default_factory=dict)
     substochastic: bool = False
     trace_vec: Array | None = None
+    block_dim: int = field(init=False)
+    dim: int | None = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("full", "compact", "abstract"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        overridden = [b for ov in self.overrides.values() for b in ov.values()]
+        sizes = {b.dim for b in [*self.blocks.values(), *overridden] if b is not None}
+        if not sizes:
+            raise ValueError("model defines no blocks")
+        if len(sizes) > 1:
+            raise ValueError("inconsistent block dimensions")
+        (block_dim,) = sizes
+        dim = {"full": round(block_dim**0.5), "compact": 2}.get(self.mode)
+        if self.mode == "full" and dim * dim != block_dim:
+            raise ValueError("full-mode blocks must be N^2-dimensional")
+        if self.mode == "compact" and block_dim != 3:
+            raise ValueError("compact-mode blocks must be 3x3")
+        object.__setattr__(self, "block_dim", block_dim)
+        object.__setattr__(self, "dim", dim)
         tv = self.trace_vec
         if tv is None:
             if self.mode == "abstract":
@@ -162,11 +177,6 @@ class QmcModel:
             raise ValueError("trace vector has wrong length")
         tv.setflags(write=False)
         object.__setattr__(self, "trace_vec", tv)
-        for blk in list(self.blocks.values()) + [
-            b for ov in self.overrides.values() for b in ov.values()
-        ]:
-            if blk is not None and blk.dim != self.block_dim:
-                raise ValueError("inconsistent block dimensions")
 
     # -- block lookup -------------------------------------------------
 
@@ -197,10 +207,6 @@ class QmcModel:
         if blk is None:
             return np.zeros((self.block_dim, self.block_dim), dtype=complex)
         return blk.matrix
-
-    @property
-    def homogeneous(self) -> bool:
-        return not self.overrides
 
     # -- validation ---------------------------------------------------
 
@@ -290,7 +296,6 @@ def build_model(spec: dict) -> QmcModel:
     """
     try:
         kind = spec["topology"]
-        dim = spec.get("dim")
         mode = spec.get("mode", "full")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model spec missing field: {exc}") from exc
@@ -326,39 +331,20 @@ def build_model(spec: dict) -> QmcModel:
             role: parse_block(entry[role]) for role in ROLES if role in entry
         }
 
-    some = [b for b in blocks.values()] + [
-        b for ov in overrides.values() for b in ov.values()
-    ]
-    if not some:
-        raise ValueError("model defines no blocks")
-    block_dim = some[0].dim
     trace_vec = None
-    if mode == "full":
-        n = dim if dim is not None else round(block_dim**0.5)
-        if n * n != block_dim:
-            raise ValueError("full-mode blocks must be N^2-dimensional")
-        dim = n
-    elif mode == "compact":
-        if block_dim != 3:
-            raise ValueError("compact-mode blocks must be 3x3")
-        dim = 2
-    else:  # abstract: explicit block dimension and trace functional
-        if spec.get("block_dim") not in (None, block_dim):
-            raise ValueError("block_dim disagrees with the supplied blocks")
-        if "trace" in spec:
-            trace_vec = np.array([_decode_entry(e) for e in spec["trace"]])
-        dim = None
-
+    if mode == "abstract" and "trace" in spec:
+        trace_vec = np.array([_decode_entry(e) for e in spec["trace"]])
     model = QmcModel(
         topology=topo,
-        dim=dim,
-        block_dim=block_dim,
         mode=mode,
         blocks=blocks,
         overrides=overrides,
         substochastic=substochastic,
         trace_vec=trace_vec,
     )
+    for key in ("dim", "block_dim"):
+        if spec.get(key) not in (None, getattr(model, key)):
+            raise ValueError(f"{key} disagrees with the supplied blocks")
     model.validate()
     return model
 
@@ -479,8 +465,6 @@ def segment_window(model: QmcModel, lo: int, hi: int) -> QmcModel:
         trunc_blocks[k - lo] = ov
     return QmcModel(
         topology=segment(hi - lo + 1),
-        dim=model.dim,
-        block_dim=model.block_dim,
         mode=model.mode,
         blocks={},
         overrides=trunc_blocks,

@@ -100,8 +100,6 @@ def fold_model(model: QmcModel) -> QmcModel:
     trace_vec = np.concatenate([model.trace_vec, model.trace_vec])
     return QmcModel(
         topology=half_line(),
-        dim=None,
-        block_dim=2 * d,
         mode="abstract",
         blocks=blocks,
         overrides=overrides,
@@ -130,8 +128,6 @@ def _half_chain(model: QmcModel, blocks: dict, overrides: dict) -> QmcModel:
         raise ValueError("needs a line model")
     return QmcModel(
         topology=half_line(),
-        dim=model.dim,
-        block_dim=model.block_dim,
         mode=model.mode,
         blocks=blocks,
         overrides=overrides,

@@ -23,22 +23,9 @@ SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
 
 
-def _model(topology, mode, blocks, overrides=None, substochastic=False, dim=None):
-    some = list(blocks.values()) + [
-        b for ov in (overrides or {}).values() for b in ov.values()
-    ]
-    block_dim = some[0].dim
-    if dim is None:
-        dim = 2 if mode == "compact" else round(block_dim**0.5)
-    m = QmcModel(
-        topology=topology,
-        dim=dim,
-        block_dim=block_dim,
-        mode=mode,
-        blocks=blocks,
-        overrides=overrides or {},
-        substochastic=substochastic,
-    )
+def _model(topology, mode, blocks, overrides=None, substochastic=False):
+    m = QmcModel(topology=topology, mode=mode, blocks=blocks,
+                 overrides=overrides or {}, substochastic=substochastic)
     m.validate()
     return m
 
@@ -322,8 +309,6 @@ def random_symmetrizable_segment(
             overrides[n + 1]["C"] = block_from_matrix(c_blocks[n])
         model = QmcModel(
             topology=segment(num_sites),
-            dim=None,
-            block_dim=d,
             mode="abstract",
             blocks={},
             overrides=overrides,

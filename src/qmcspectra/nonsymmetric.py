@@ -26,19 +26,18 @@ TOL_SEMI = 1e-8
 
 @dataclass(frozen=True)
 class SemiOrthogonalSystem:
-    """Discrete weight family of a finite chain plus its one-sided
-    orthogonality residuals.
+    """Discrete weight family of a finite chain, whose polynomials are
+    one-sidedly orthogonal against it.
 
-    ``residuals[(i, j)]`` holds || sum_k l_k^i W_k Q_j(l_k) || for i < j up
-    to the top polynomial index of the chain; the contract is that these
-    vanish.  ``gram(i, j, n)`` exposes the two-sided star products, which
-    do not vanish in general (full orthogonality fails for these chains,
-    which is exactly why the two-index spectral formula breaks down).
+    The contract is that the residuals of :func:`semiorth_residual`
+    vanish for i < j.  ``gram(i, j, n)`` exposes the two-sided star
+    products, which do not vanish in general (full orthogonality fails
+    for these chains, which is exactly why the two-index spectral formula
+    breaks down).
     """
 
     model: QmcModel
     weight: DiscreteWeight
-    residuals: dict
 
     @property
     def max_index(self) -> int:
@@ -50,40 +49,18 @@ class SemiOrthogonalSystem:
         return self.weight.moment(n, q[i], q[j])
 
 
-def _semiorth_norm(weight: DiscreteWeight, i: int, q_j: Array) -> float:
-    return float(np.linalg.norm(weight.moment(i, right=q_j), 2))
-
-
-def semiorth_residual_of(
-    weight: DiscreteWeight, polys: PolyFamily, i: int, j: int
-) -> float:
-    return _semiorth_norm(weight, i, polys.main(weight.nodes(), max(j, 1))[j])
-
-
 def nonsym_finite_weights(model: QmcModel) -> SemiOrthogonalSystem:
     """Weight family of a finite chain by corner residues, complex nodes
-    allowed, with the one-sided orthogonality residual table attached for
-    every i < j up to the top site of the chain.
-
-    One evaluation of the polynomial family at the nodes serves the
-    whole table."""
-    weight = finite_spectrum_weights(model)
-    top = model.topology.num_sites - 1
-    residuals = {}
-    if top >= 1:
-        q = PolyFamily(model).main(weight.nodes(), top)
-        for j in range(1, top + 1):
-            for i in range(0, j):
-                residuals[(i, j)] = _semiorth_norm(weight, i, q[j])
-    return SemiOrthogonalSystem(model, weight, residuals)
+    allowed."""
+    return SemiOrthogonalSystem(model, finite_spectrum_weights(model))
 
 
 def semiorth_residual(system: SemiOrthogonalSystem, i: int, j: int) -> float:
     """|| sum_k l_k^i W_k Q_j(l_k) ||; below tol for i < j, unconstrained
     otherwise."""
-    if (i, j) in system.residuals:
-        return system.residuals[(i, j)]
-    return semiorth_residual_of(system.weight, PolyFamily(system.model), i, j)
+    weight = system.weight
+    q = PolyFamily(system.model).main(weight.nodes(), max(j, 1))[j]
+    return float(np.linalg.norm(weight.moment(i, right=q), 2))
 
 
 def km_row0(system: SemiOrthogonalSystem, i: int, n: int) -> Array:
@@ -145,7 +122,7 @@ def classify_recurrence_homogeneous(
         # is the documented criterion X (I - A X C X)^{-1}; it reads only
         # A_{-1} and C_0 of the line model
         homogeneous_line = QmcModel(
-            topology=line(), dim=None, block_dim=d, mode="abstract",
+            topology=line(), mode="abstract",
             blocks={"A": Block(a.copy()), "C": Block(c.copy())},
         )
         base = HomogeneousStieltjes(a, b, c)
@@ -157,7 +134,7 @@ def classify_recurrence_homogeneous(
         if blk is not None
     }
     chain = QmcModel(
-        topology=half_line(), dim=None, block_dim=d, mode="abstract",
+        topology=half_line(), mode="abstract",
         blocks={"A": Block(a.copy()), "B": Block(b.copy()), "C": Block(c.copy())},
         overrides={0: corner} if corner else {},
         trace_vec=trace_vec,

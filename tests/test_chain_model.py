@@ -17,6 +17,7 @@ from qmcspectra.chain_model import (
     model_to_dict,
     resolvent_block,
     schur_sweep,
+    segment_window,
     site_prob,
     site_prob_series,
     step,
@@ -24,6 +25,7 @@ from qmcspectra.chain_model import (
     segment,
     truncate,
 )
+from qmcspectra.folding import fold_model, minus_model, plus_model
 from qmcspectra.quantum_core import min_eigenvalue
 
 
@@ -187,6 +189,108 @@ def test_model_json_roundtrip(tmp_path):
         for role in "ABC":
             assert np.abs(m.block(site, role) - m2.block(site, role)).max() < 1e-15
     assert m2.substochastic == m.substochastic
+
+
+# dim, block_dim and trace functional of every bundled model and of the
+# chains derived from a line, as read off their blocks
+FULL_TRACE, COMPACT_TRACE = [1, 0, 0, 1], [1, 0, 1]
+BUNDLED = {
+    "three-site-oqw": (models.three_site_absorbing_oqw, 2, 4, FULL_TRACE),
+    "corner-coin": (lambda: models.corner_coin_oqw(0.3), 2, 4, FULL_TRACE),
+    "hopping-segment": (lambda: models.uniform_hopping_segment(4, 0.4, 0.5, 0.5, 0.3, 0.3),
+                        2, 4, FULL_TRACE),
+    "hopping-half-line": (lambda: models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.3),
+                          2, 4, FULL_TRACE),
+    "hopping-line": (lambda: models.uniform_hopping_line(0.4, 0.5, 0.5, 0.3, 0.3),
+                     2, 4, FULL_TRACE),
+    "flip": (lambda: models.flip_channel_half_line(0.7, 0.8), 2, 3, COMPACT_TRACE),
+    "flip-full": (lambda: models.flip_channel_half_line(0.7, 0.8, corner="up", mode="full"),
+                  2, 4, FULL_TRACE),
+    "coin-line": (models.diagonal_coin_line_walk, 2, 4, FULL_TRACE),
+    "shear": (models.shear_coin_segment, 2, 4, FULL_TRACE),
+    "shear-compact": (lambda: models.shear_coin_segment(4, "compact"), 2, 3, COMPACT_TRACE),
+    "lazy-shear": (models.five_site_lazy_shear_chain, 2, 3, COMPACT_TRACE),
+    "tilted": (models.tilted_shear_half_line, 2, 3, COMPACT_TRACE),
+    "tilted-corner": (lambda: models.tilted_shear_half_line(corner=True), 2, 3, COMPACT_TRACE),
+    "tilted-line": (models.tilted_shear_line, 2, 3, COMPACT_TRACE),
+    "balanced": (lambda: models.balanced_shift_half_line(corner=True), 2, 3, COMPACT_TRACE),
+    "random": (lambda: models.random_symmetrizable_segment(np.random.default_rng(0), block_dim=3),
+               None, 3, [1, 1, 1]),
+}
+DERIVED = {
+    "fold": (lambda: fold_model(models.tilted_shear_line()), None, 6, COMPACT_TRACE * 2),
+    "fold-coin": (lambda: fold_model(models.diagonal_coin_line_walk()), None, 8, FULL_TRACE * 2),
+    "plus": (lambda: plus_model(models.tilted_shear_line()), 2, 3, COMPACT_TRACE),
+    "minus": (lambda: minus_model(models.tilted_shear_line()), 2, 3, COMPACT_TRACE),
+    "window": (lambda: segment_window(models.tilted_shear_line(), -2, 2), 2, 3, COMPACT_TRACE),
+    "folded-window": (lambda: segment_window(fold_model(models.diagonal_coin_line_walk()), 0, 4),
+                      None, 8, FULL_TRACE * 2),
+}
+
+
+@pytest.mark.parametrize("make, dim, block_dim, trace", [*BUNDLED.values(), *DERIVED.values()],
+                         ids=[*BUNDLED, *DERIVED])
+def test_dimensions_read_off_the_blocks(make, dim, block_dim, trace):
+    m = make()
+    assert (m.dim, m.block_dim) == (dim, block_dim)
+    assert m.trace_vec.tolist() == trace
+
+
+@pytest.mark.parametrize("make, dim", [(make, dim) for make, dim, _, _ in BUNDLED.values()],
+                         ids=list(BUNDLED))
+def test_model_to_dict_survives_a_reload(make, dim):
+    data = model_to_dict(make())
+    assert data["dim"] == dim and "block_dim" not in data
+    assert model_to_dict(build_model(json.loads(json.dumps(data)))) == data
+
+
+def _block(n):
+    return Block(np.eye(n, dtype=complex) / 2)
+
+
+@pytest.mark.parametrize(
+    "mode, blocks, overrides, match",
+    [
+        ("full", {"B": _block(3)}, {}, r"full-mode blocks must be N\^2-dimensional"),
+        ("compact", {"B": _block(4)}, {}, "compact-mode blocks must be 3x3"),
+        ("abstract", {}, {}, "model defines no blocks"),
+        ("abstract", {"A": None}, {0: {}}, "model defines no blocks"),
+        ("abstract", {"B": _block(2)}, {1: {"A": _block(3)}}, "inconsistent block dimensions"),
+    ],
+    ids=["full-3x3", "compact-4x4", "no-blocks", "only-none", "mixed-sizes"],
+)
+def test_model_rejects_blocks_its_mode_does_not_allow(mode, blocks, overrides, match):
+    with pytest.raises(ValueError, match=match):
+        QmcModel(topology=segment(3), mode=mode, blocks=blocks, overrides=overrides)
+
+
+def test_model_takes_no_dimensions():
+    with pytest.raises(TypeError):
+        QmcModel(topology=segment(2), dim=3, mode="full", blocks={"B": _block(4)})
+    with pytest.raises(TypeError):
+        QmcModel(topology=segment(2), block_dim=4, mode="full", blocks={"B": _block(4)})
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({**model_to_dict(models.tilted_shear_half_line()), "dim": 7}, "dim disagrees"),
+        ({**HALF_LINE_SPEC, "dim": 2}, "dim disagrees"),
+        ({**model_to_dict(models.three_site_absorbing_oqw()), "dim": 3}, "dim disagrees"),
+        ({**HALF_LINE_SPEC, "block_dim": 5}, "block_dim disagrees"),
+    ],
+    ids=["compact-dim-7", "abstract-dim-2", "full-dim-3", "abstract-block-dim-5"],
+)
+def test_build_model_rejects_dimensions_the_blocks_contradict(spec, match):
+    with pytest.raises(ValueError, match=rf"^{match} with the supplied blocks$"):
+        build_model(spec)
+
+
+def test_build_model_accepts_dimensions_the_blocks_agree_with():
+    m = build_model({**model_to_dict(models.three_site_absorbing_oqw()), "block_dim": 4})
+    assert (m.dim, m.block_dim) == (2, 4)
+    m = build_model({**HALF_LINE_SPEC, "dim": None, "block_dim": 1})
+    assert (m.dim, m.block_dim) == (None, 1)
 
 
 def test_truncate_segment_matches_full():
@@ -368,7 +472,7 @@ def test_corner_resolvent_singular_pivot_names_site():
     # site 2 only holds, so z I - B_2, the first pivot, vanishes at z = 1
     hop = Block(np.eye(2, dtype=complex) / 2)
     hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
-    m = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+    m = QmcModel(topology=segment(3), mode="abstract",
                  blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
     with pytest.raises(np.linalg.LinAlgError, match=r"site 2 for z in \[1\.0\] on window \[0, 2\]"):
         corner_resolvent(m, np.array([2.0, 1.0]), 3)

@@ -352,8 +352,6 @@ def test_exit_codes(files, capsys, tmp_path):
     # numerical failure: a chain whose forward pivot is singular
     deg = QmcModel(
         topology=segment(3),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks={
             "A": Block(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),
@@ -399,7 +397,7 @@ def test_first_passage_probability_above_one_is_numerical_failure(files, capsys,
     # an abstract two-site segment whose up block A0 = 1.5 I carries more
     # mass than it receives: the reach 0 -> 1 is 1.5
     zero = Block(np.zeros((4, 4), dtype=complex))
-    over = QmcModel(topology=segment(2), dim=None, block_dim=4, mode="abstract",
+    over = QmcModel(topology=segment(2), mode="abstract",
                     blocks={"A": Block(1.5 * np.eye(4, dtype=complex)), "B": zero, "C": zero},
                     substochastic=True)
     path = tmp_path / "over.json"
@@ -511,7 +509,7 @@ def test_malformed_input_is_schema_error(files, capsys, tmp_path, argv, message)
     # the shear segment with its blocks stripped of their Kraus effects
     shear = models.shear_coin_segment()
     bare = QmcModel(
-        topology=shear.topology, dim=shear.dim, block_dim=shear.block_dim, mode=shear.mode,
+        topology=shear.topology, mode=shear.mode,
         blocks={r: Block(b.matrix) for r, b in shear.blocks.items()}, substochastic=True,
     )
     paths["no_kraus"] = str(tmp_path / "no_kraus.json")

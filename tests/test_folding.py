@@ -43,8 +43,6 @@ def random_line_model(rng, d=2, scale=0.45, with_hold=True):
         blocks["B"] = Block(scale * random_complex(rng, (d, d)))
     return QmcModel(
         topology=line(),
-        dim=None,
-        block_dim=d,
         mode="abstract",
         blocks=blocks,
         substochastic=True,
@@ -268,7 +266,7 @@ def test_folded_weight_quadrant_symmetry():
 def test_km_on_line_requires_symmetrizer():
     up, down = models.tilted_shear_blocks()
     m = QmcModel(
-        topology=line(), dim=2, block_dim=3, mode="compact",
+        topology=line(), mode="compact",
         blocks={"A": up, "C": down}, substochastic=False,
     )
     with pytest.raises(ValueError, match="symmetrizable"):
@@ -364,8 +362,6 @@ def test_fold_handles_line_overrides(rng):
     special = Block(0.4 * random_complex(rng, (2, 2)))
     m = QmcModel(
         topology=line(),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks=dict(m.blocks),
         overrides={-2: {"B": special}, 1: {"B": special}},

@@ -198,8 +198,6 @@ def test_singular_pivot_names_site():
     }
     m = QmcModel(
         topology=segment(4),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks=blocks,
         substochastic=True,
@@ -211,8 +209,6 @@ def test_singular_pivot_names_site():
 
     ml = QmcModel(
         topology=line(),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks={"A": Block(np.eye(2, dtype=complex)), "B": blocks["B"], "C": blocks["A"]},
         substochastic=True,

@@ -100,7 +100,7 @@ def _split_enclosures():
     the corner reflects the first and kills the second."""
     h = 1 / np.sqrt(2)
     return QmcModel(
-        topology=half_line(), dim=2, block_dim=4, mode="full",
+        topology=half_line(), mode="full",
         blocks={"A": block_from_kraus([h * np.eye(2)]),
                 "C": block_from_kraus([np.diag([h, -h])])},
         overrides={0: {"B": block_from_kraus([np.diag([h, 0.0])])}},

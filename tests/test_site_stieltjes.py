@@ -64,7 +64,7 @@ def chains(draw, kind):
             roles = draw(st.sets(st.sampled_from("ABC"), min_size=1))
             overrides[site] = {role: _block(rng, d) for role in sorted(roles)}
     return QmcModel(
-        topology=topo, dim=None, block_dim=d, mode="abstract",
+        topology=topo, mode="abstract",
         blocks={role: _block(rng, d) for role in "ABC"},
         overrides=overrides, substochastic=True,
     )
@@ -149,7 +149,7 @@ def test_corner_identity_is_the_auto_route(model):
     models.tilted_shear_half_line(),
 ], ids=["flip", "hopping", "tilted"])
 def test_homogeneous_transform_is_the_auto_route(model):
-    assert model.homogeneous
+    assert not model.overrides
     ref = HomogeneousStieltjes.from_model(model)
     auto = transform_evaluator(model, "auto")
     for z in CROSS_CHECK_POINTS:
@@ -502,7 +502,7 @@ OFF_AXIS = np.array([-0.6 + 0.2j, 0.8 + 0.01j, -0.5 + 0.2j, 0.3 + 0.05j, 1.1 + 0
 
 
 def _interior_model(a, b, c):
-    return QmcModel(topology=half_line(), dim=None, block_dim=a.shape[0], mode="abstract",
+    return QmcModel(topology=half_line(), mode="abstract",
                     blocks={"A": Block(a), "B": Block(b), "C": Block(c)},
                     substochastic=True)
 

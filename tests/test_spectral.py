@@ -38,8 +38,6 @@ def scalar_chain(a, c, b=0.0, topology=None):
 
     return QmcModel(
         topology=topology or half_line(),
-        dim=None,
-        block_dim=1,
         mode="abstract",
         blocks=blocks,
         substochastic=True,
@@ -114,8 +112,6 @@ def test_grouping_refusal_band():
     b = Block(np.diag([0.3, 0.3 + 5e-8]).astype(complex))
     m = QmcModel(
         topology=segment(1),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks={"B": b},
         substochastic=True,
@@ -225,8 +221,6 @@ def test_truncated_single_site_is_inverse_z():
     b = Block(np.zeros((2, 2), dtype=complex))
     m = QmcModel(
         topology=segment(1),
-        dim=None,
-        block_dim=2,
         mode="abstract",
         blocks={"B": b},
         substochastic=True,
@@ -422,7 +416,7 @@ def _override_above_first_window():
         return Block(0.25 * m / np.linalg.norm(m, 2))
 
     return QmcModel(
-        topology=half_line(), dim=None, block_dim=2, mode="abstract",
+        topology=half_line(), mode="abstract",
         blocks={role: blk() for role in "ABC"},
         overrides={12: {"B": blk(), "C": blk()}}, substochastic=True,
     )

@@ -89,7 +89,7 @@ def test_km_scalar_chain_matches_classical_formula():
         "C": Block(np.array([[q_down]], dtype=complex)),
     }
     m = QmcModel(
-        topology=segment(6), dim=None, block_dim=1, mode="abstract",
+        topology=segment(6), mode="abstract",
         blocks=blocks, substochastic=True, trace_vec=np.array([1.0]),
     )
     sym = find_symmetrizer(m, 5)
@@ -270,7 +270,7 @@ def test_first_passage_singular_pivot_names_site_s_and_window():
     # site 2 only holds, trace preserving, so I - s B_2 vanishes at s = 1
     hop = Block(np.eye(2, dtype=complex) / 2)
     hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
-    m = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+    m = QmcModel(topology=segment(3), mode="abstract",
                  blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
     with pytest.raises(np.linalg.LinAlgError, match=r"site 2 for s in \[1\.0\] on window \[0, 2\]"):
         first_passage_gf(m, 0, 1, np.array([0.5, 1.0]))
@@ -372,6 +372,7 @@ def test_balanced_reach_is_one_at_every_window():
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the coin line's invariant states drift apart (ROADMAP item 15), "
                           "so the reach answers for the absorbing window")
+@pytest.mark.filterwarnings("ignore:no certified passage closure")
 def test_coin_line_reach_is_certain():
     # the coins are diagonal, so each basis state walks a classical chain,
     # down 2/3 against up 1/3 or symmetric: both reach 0 from 3 surely.
@@ -451,7 +452,7 @@ def test_reach_falls_back_to_window_ladder():
     # a trace-preserving hold at site 2 makes the s = 1 pivot singular
     hop = Block(np.eye(2, dtype=complex) / 2)
     hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
-    seg = QmcModel(topology=segment(3), dim=None, block_dim=2, mode="abstract",
+    seg = QmcModel(topology=segment(3), mode="abstract",
                    blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
     # on a segment the window is the whole chain, so nothing is said
     with warnings.catch_warnings():
@@ -636,8 +637,6 @@ def test_jump_at_one_matches_discrete_node():
     up, down = models.flip_channel_blocks(0.7, 0.6)
     m = QmcModel(
         topology=segment(4),
-        dim=2,
-        block_dim=3,
         mode="compact",
         blocks={"A": up, "C": down},
         overrides={0: {"B": down}, 3: {"B": up}},

@@ -34,8 +34,6 @@ def ping_pong_model():
     eye = np.eye(2)
     return QmcModel(
         topology=segment(2),
-        dim=2,
-        block_dim=4,
         mode="full",
         blocks={},
         overrides={
@@ -131,8 +129,6 @@ def test_superoperator_only_blocks_rejected():
     mat = superop_of([np.eye(2) / np.sqrt(2)])
     m = QmcModel(
         topology=segment(2),
-        dim=2,
-        block_dim=4,
         mode="full",
         blocks={},
         overrides={0: {"A": block_from_matrix(mat)}, 1: {"C": block_from_matrix(mat)}},
