@@ -384,6 +384,8 @@ def model_to_dict(model: QmcModel) -> dict:
     }
     if model.topology.kind == SEGMENT:
         out["num_sites"] = model.topology.num_sites
+    if model.mode == "abstract":
+        out["trace"] = [[v.real, v.imag] for v in model.trace_vec]
     if model.blocks:
         out["homogeneous"] = {
             role: encode_block(b) for role, b in model.blocks.items()
@@ -650,6 +652,21 @@ def block_table(model: QmcModel, lo: int, hi: int) -> tuple[list, list, list]:
     return tuple(table)
 
 
+def _block_product(left: Array | None, stack: Array, right: Array | None) -> Array:
+    """``left @ stack @ right`` for a stack of blocks over any leading axes
+    and one block on each side, as two 2-D GEMMs in matmul's order: the
+    transposed rows times ``left.T``, then the rows times ``right``, where
+    stacked matmul makes one small product per point.  ``None`` omits a
+    factor."""
+    lead, n = stack.shape[:-2], stack.shape[-1]
+    if left is not None:
+        rows = stack.swapaxes(-1, -2).reshape(-1, stack.shape[-2]) @ left.T
+        stack = rows.reshape(lead + (n, -1)).swapaxes(-1, -2)
+    if right is not None:
+        stack = (stack.reshape(-1, n) @ right).reshape(lead + (stack.shape[-2], -1))
+    return stack
+
+
 def schur_sweep(
     table: tuple,
     lo: int,
@@ -669,10 +686,12 @@ def schur_sweep(
     ``sites`` runs in elimination order, ascending or descending.  The
     points ``z`` or ``s`` are one value or an array; the sweep runs once
     for all of them, with one stacked solve per site, and the result has
-    shape ``np.shape(points) + (d, d)``.  Without a source the result is
+    shape ``np.shape(points) + (d, d)``.  The coupling to the eliminated
+    neighbour and the source's path are 2-D GEMMs over the point stack
+    (:func:`_block_product`).  Without a source the result is
     the inverse of the last pivot, the diagonal block of the restricted
-    inverse at the last site.  With ``source``, the right-hand side at
-    ``source_site`` (zero elsewhere), it is the solution at the last site.
+    inverse at the last site.  With ``source``, the right-hand-side block
+    at ``source_site`` (zero elsewhere), it is the solution at the last site.
     The sweep starts from an absorbing edge unless ``closing`` is given:
     the inverse pivot of the already-eliminated neighbour before the
     first site, which must lie in the table.  An empty ``sites`` returns
@@ -698,7 +717,7 @@ def schur_sweep(
     for k in sites:
         m = diag - (B[k - lo] if hop is None else hop * B[k - lo])
         if Y is not None:
-            c = into[k - step - lo] @ Y @ back[k - lo]
+            c = _block_product(into[k - step - lo], Y, back[k - lo])
             m = m - (c if hop is None else (hop * hop) * c)
         try:
             Y = np.linalg.solve(m, rhs)
@@ -710,9 +729,9 @@ def schur_sweep(
                 f"on window [{lo}, {lo + len(B) - 1}]"
             ) from None
         if k == source_site:
-            x = Y @ source
+            x = _block_product(None, Y, source)
         elif x is not None:
-            c = into[k - step - lo] @ x
+            c = _block_product(into[k - step - lo], x, None)
             x = Y @ (c if hop is None else hop * c)
     return Y if source is None else x
 

@@ -217,11 +217,8 @@ def cmd_first_passage(args) -> None:
 def cmd_fold(args) -> None:
     model = _load_model(args.model)
     folded = folding.fold_model(model)
-    data = model_to_dict(folded)
-    data["block_dim"] = folded.block_dim
-    data["trace"] = [[v.real, v.imag] for v in folded.trace_vec]
     with open(args.output, "w") as fh:
-        json.dump(encode_value(data), fh, indent=1)
+        json.dump(encode_value(model_to_dict(folded)), fh, indent=1)
     depth = max([0] + list(folded.overrides))
     sidecar = {
         "pairs": {str(n): [n, -n - 1] for n in range(depth + 3)},

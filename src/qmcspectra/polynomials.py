@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel
+from .chain_model import LINE, QmcModel, _block_product
 from .quantum_core import Array
 
 MAX_CONDITION = 1e12
@@ -22,14 +22,15 @@ MAX_CONDITION = 1e12
 
 def _solve_right(num: Array, mat: Array, index: int, direction: str) -> Array:
     """num @ mat^{-1} with a condition guard naming the offending block;
-    ``num`` may be a stack of blocks sharing the pivot ``mat``."""
+    ``num`` may be a stack of blocks sharing the pivot ``mat``, factored
+    once: the stack's rows are the right-hand sides of one solve."""
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise np.linalg.LinAlgError(
             f"{direction} recurrence pivot at site {index} is singular "
             f"(cond {cond:.3e})"
         )
-    return np.linalg.solve(mat.T, num.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.linalg.solve(mat.T, num.reshape(-1, mat.shape[0]).T).T.reshape(num.shape)
 
 
 def _check_range(n_lo: int, n_hi: int) -> None:
@@ -62,11 +63,13 @@ class PolyFamily:
         table = {start - 1: prev, start: cur}
         for n in range(start, n_hi):
             a, b, c = (self.model.block(n, k) for k in "ABC")
-            num = x * table[n] - table[n] @ b - table[n - 1] @ c
+            num = (x * table[n] - _block_product(None, table[n], b)
+                   - _block_product(None, table[n - 1], c))
             table[n + 1] = _solve_right(num, a, n, "forward")
         for n in range(start - 1, n_lo, -1):
             a, b, c = (self.model.block(n, k) for k in "ABC")
-            num = x * table[n] - table[n + 1] @ a - table[n] @ b
+            num = (x * table[n] - _block_product(None, table[n + 1], a)
+                   - _block_product(None, table[n], b))
             table[n - 1] = _solve_right(num, c, n, "backward")
         return {n: table[n] for n in range(n_lo, n_hi + 1)}
 

@@ -51,6 +51,7 @@ from .chain_model import (
     ROLES,
     SEGMENT,
     QmcModel,
+    _block_product,
     _homogeneous_matrix,
     block_table,
     corner_resolvent,
@@ -503,9 +504,9 @@ def _quadratic_residual(a, b, c, z, x):
     eye = np.eye(a.shape[0])
     residual = np.full(np.shape(z), np.inf)
     with np.errstate(all="ignore"):
-        diff = x - _port_solve(np.multiply.outer(z, eye) - b - c @ x @ a)
+        diff = x - _port_solve(np.multiply.outer(z, eye) - b - _block_product(c, x, a))
     finite = np.isfinite(diff).all(axis=(-2, -1))
-    residual[finite] = np.linalg.norm(diff[finite], 2, axis=(-2, -1))
+    residual[finite] = np.linalg.svd(diff[finite], compute_uv=False)[..., 0]
     return residual[()]
 
 
@@ -518,13 +519,14 @@ def _fixed_spaces(phi: Array) -> tuple[Array, Array]:
     return vh[fixed].conj().T, u[:, fixed].conj().T
 
 
-def _drift(a: Array, b: Array, c: Array, t: Array) -> float | None:
+def _drift(a: Array, b: Array, c: Array, t: Array, v: Array | None = None) -> float | None:
     """Mean drift m = t (A - C) v per step of a trace-preserving interior
     in its invariant states v, t v = 1 (Carbone & Pautrat, Ann. Henri
     Poincare 17, 2016): positive upward.  None when the invariant states
     do not all drift alike, as in a reducible interior whose enclosures
-    move differently."""
-    v, _ = _fixed_spaces(a + b + c)
+    move differently.  ``v`` holds the fixed vectors of A + B + C
+    (:func:`_fixed_spaces`) when the caller has them."""
+    v = _fixed_spaces(a + b + c)[0] if v is None else v
     mass, drift = t @ v, t @ (a - c) @ v
     norm = float(np.vdot(mass, mass).real)
     if norm <= FP_TOL:
@@ -568,6 +570,10 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
     invariant states of a trace-preserving interior drift apart no single
     shift applies, and z = 1 is not reduced: it comes back uncertified,
     NaN with residual inf.
+
+    One SVD gives the fixed spaces of A + B + C, for the drift and for Q.
+    Every norm is computed directly over the stack, and the residual's
+    C Y A is one :func:`~qmcspectra.chain_model._block_product`.
     """
     zs, d = np.asarray(zs), a.shape[0]
     at_one, apart = zs == 1.0, False
@@ -575,10 +581,10 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
     phi = a + b + c
     if t is not None and at_one.any() and (
             np.linalg.norm(t @ phi - t) <= FP_TOL * np.linalg.norm(t)):
-        m = _drift(a, b, c, t)
+        v, ell = _fixed_spaces(phi)
+        m = _drift(a, b, c, t, v)
         apart = m is None
         if not apart and m <= FP_TOL:
-            ell = _fixed_spaces(phi)[1]
             q = at_one[..., None, None] * (ell.conj().T @ ell)
             mid, down = mid + q @ a, down - q @ c
     # no single shift applies to states that drift apart, so such a point
@@ -596,8 +602,8 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
             step = up @ kd
             hat = hat - step
             mid, down, up = mid - step - down @ ku, -down @ kd, -up @ ku
-            moved = np.linalg.norm(step, axis=(-2, -1))
-            size = CR_TOL * np.linalg.norm(hat, axis=(-2, -1))
+            moved = np.sqrt(np.sum((step.conj() * step).real, axis=(-2, -1)))
+            size = CR_TOL * np.sqrt(np.sum((hat.conj() * hat).real, axis=(-2, -1)))
             going = (moved > size) & np.isfinite(moved)  # neither settled nor overflowed
             if not going.all():
                 settled = (moved <= size) & np.isfinite(size)
@@ -606,7 +612,7 @@ def homogeneous_closure(a, b, c, zs, t=None) -> tuple[Array, Array, Array]:
         y = -_port_solve(pivots).swapaxes(-1, -2)
     residual = _quadratic_residual(a, b, c, zs, y)
     done, certified = np.isfinite(residual), np.zeros(zs.shape, dtype=bool)
-    scale = np.maximum(1.0, np.linalg.norm(y[done], 2, axis=(-2, -1)))
+    scale = np.maximum(1.0, np.linalg.svd(y[done], compute_uv=False)[..., 0])
     radius = np.abs(np.linalg.eigvals(y[done] @ a)).max(axis=-1)
     branch = (radius < 1.0) | at_one[done] | (np.imag(zs[done]) != 0)
     certified[done] = (residual[done] <= FP_TOL * scale) & branch
@@ -862,11 +868,11 @@ class _Elimination:
             if self.source is None:
                 y = schur_sweep(self.table, self.lo, sites, closing=closing, **points)
                 if y is not None:
-                    out.append(into[k - sites.step] @ y @ back[k])
+                    out.append(_block_product(into[k - sites.step], y, back[k]))
             else:
                 x = schur_sweep(self.table, self.lo, sites, source_site=self.source,
                                 source=np.eye(B[k].shape[0]), closing=closing, **points)
-                out.append(into[k - sites.step] @ x)
+                out.append(_block_product(into[k - sites.step], x, None))
         return out
 
 
