@@ -1,7 +1,8 @@
 """The stacked block kernels against dense references: the block-Schur
 sweep against ``truncate`` plus ``np.linalg.solve``, the shared-pivot
-solve of the polynomial recurrence against one solve per point, and the
-GEMM form of a block product against stacked matmul.
+solve of the polynomial recurrence against one solve per point, the
+GEMM form of a block product against stacked matmul, and the half
+contour of the residue weights of a real table against the full one.
 
 The GEMM path's rounding can depend on the BLAS thread count, so CI runs
 this file a second time with ``OPENBLAS_NUM_THREADS=1``.
@@ -10,12 +11,13 @@ this file a second time with ``OPENBLAS_NUM_THREADS=1``.
 import numpy as np
 import pytest
 
-from qmcspectra import models
+from qmcspectra import folding, models, spectral
 from qmcspectra.chain_model import (
     Block,
     QmcModel,
     _block_product,
     block_table,
+    corner_resolvent,
     schur_sweep,
     segment,
     truncate,
@@ -182,3 +184,85 @@ def test_residue_weight_moments_are_matrix_powers(make):
     mat, d = truncate(m, 0, m.topology.num_sites - 1).matrix, m.block_dim
     for n in range(7):
         assert np.abs(w.moment(n) - np.linalg.matrix_power(mat, n)[:d, :d]).max() < 1e-12
+
+
+def _folded_window():
+    # the folded segment whose weights km_on_line sums
+    seen, inner = [], folding.finite_spectrum_weights
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folding, "finite_spectrum_weights", lambda seg: seen.append(seg) or inner(seg))
+        folding.km_on_line(models.uniform_hopping_line(0.4, 0.5, 0.5, 0.3, 0.3), 1, -2, 6)
+    return seen[0]
+
+
+SEGMENTS = {
+    **BUNDLED_SEGMENTS,
+    "hopping-S24": lambda: models.uniform_hopping_segment(24, 0.4, 0.6, 0.5, 0.25, 0.2),
+    "shear-4": lambda: models.shear_coin_segment(4),
+    "shear-4-compact": lambda: models.shear_coin_segment(4, "compact"),
+    "folded-window": _folded_window,
+}
+REAL_SEGMENTS = [name for name in SEGMENTS if name != "random"]
+
+
+def _real_table(m):
+    return not any(np.any(b.imag) for row in block_table(m, 0, m.topology.num_sites - 1)
+                   for b in row)
+
+
+@pytest.mark.parametrize("name", REAL_SEGMENTS)
+def test_corner_resolvent_of_a_real_table_mirrors_conjugate_points(name):
+    # the identity the half sweep rests on, bit for bit: points on small
+    # circles around every eigenvalue, where the residue contours lie, and
+    # points scattered over both half-planes
+    m = SEGMENTS[name]()
+    assert _real_table(m)
+    sites = m.topology.num_sites
+    ev = np.linalg.eigvals(truncate(m, 0, sites - 1).matrix)
+    rng = np.random.default_rng(7)
+    zs = np.concatenate([ev + 1e-4 * np.exp(2j * np.pi * rng.random(ev.size)),
+                         0.5 * rng.normal(size=32) + 0.5j * rng.normal(size=32)])
+    assert np.array_equal(corner_resolvent(m, zs.conj(), sites),
+                          corner_resolvent(m, zs, sites).conj())
+
+
+def _full_sweep_weights(m):
+    # every cluster swept on all 64 roots of unity around its mean eigenvalue
+    sites = m.topology.num_sites
+    ev = np.linalg.eigvals(truncate(m, 0, sites - 1).matrix)
+    groups = spectral._cluster_eigenvalues(ev, spectral.TOL_GROUP)
+    centers = np.array([ev[g].mean() for g in groups])
+    dist = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(dist, np.inf)
+    unit = np.exp(2j * np.pi * np.arange(spectral.RESIDUE_POINTS) / spectral.RESIDUE_POINTS)
+    points = []
+    for center, gap in zip(centers, dist.min(axis=1)):
+        zs = center + min(1e-4, gap / 10.0) * unit
+        weight = np.einsum("k,kij->ij", zs - center, corner_resolvent(m, zs, sites))
+        node = complex(center.real, 0.0) if abs(center.imag) <= spectral.TOL_GROUP else center
+        points.append((node, weight / spectral.RESIDUE_POINTS))
+    points.sort(key=lambda p: (p[0].real, p[0].imag))
+    return np.array([p[0] for p in points]), np.array([p[1] for p in points])
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_half_sweep_matches_the_full_sweep(name):
+    m = SEGMENTS[name]()
+    w = finite_spectrum_weights(m)
+    nodes, weights = _full_sweep_weights(m)
+    assert np.array_equal(w.nodes(), nodes)
+    assert np.abs(w.weights() - weights).max() <= 1e-12 * np.abs(weights).max()
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_only_real_centres_of_real_tables_sweep_half_the_contour(monkeypatch, name):
+    m = SEGMENTS[name]()
+    sizes, inner = [], spectral.schur_sweep
+    monkeypatch.setattr(spectral, "schur_sweep",
+                        lambda *a, z, **kw: sizes.append(np.size(z)) or inner(*a, z=z, **kw))
+    nodes = finite_spectrum_weights(m).nodes()
+    real = int(np.sum(nodes.imag == 0)) if _real_table(m) else 0
+    assert sorted(sizes) == [33] * real + [64] * (nodes.size - real)
+    if name == "random":
+        # complex blocks: even its real nodes sweep the whole contour
+        assert not _real_table(m) and np.all(nodes.imag == 0) and set(sizes) == {64}

@@ -191,7 +191,9 @@ def test_finite_weights_match_dense_contour_oracle(model, tol):
 ])
 def test_finite_weights_read_one_block_table(monkeypatch, make):
     # every cluster's sweep reads the same table; each weight equals the
-    # contour sum over corner_resolvent, the per-cluster route, bit for bit
+    # contour sum over corner_resolvent, the per-cluster route, bit for bit,
+    # on the conjugation-symmetric contour, around the snapped centre for a
+    # real node of a real table
     m = make()
     with monkeypatch.context() as mp:
         tables = []
@@ -204,9 +206,15 @@ def test_finite_weights_read_one_block_table(monkeypatch, make):
     centers = np.array([ev[g].mean() for g in groups])
     dist = np.abs(centers[:, None] - centers[None, :])
     np.fill_diagonal(dist, np.inf)
-    unit = np.exp(2j * np.pi * np.arange(spectral.RESIDUE_POINTS) / spectral.RESIDUE_POINTS)
+    half = spectral.RESIDUE_POINTS // 2
+    unit = np.exp(2j * np.pi * np.arange(half + 1) / spectral.RESIDUE_POINTS)
+    unit = np.concatenate([unit, unit[half - 1 : 0 : -1].conj()])
+    real_table = all(np.isreal(m.block(k, role)).all()
+                     for k in range(m.topology.num_sites) for role in "ABC")
     want = []
     for center, gap in zip(centers, dist.min(axis=1)):
+        if real_table and abs(center.imag) <= spectral.TOL_GROUP:
+            center = complex(center.real, 0.0)
         zs = center + min(1e-4, gap / 10.0) * unit
         corner = corner_resolvent(m, zs, m.topology.num_sites)
         want.append(np.einsum("k,kij->ij", zs - center, corner) / spectral.RESIDUE_POINTS)
