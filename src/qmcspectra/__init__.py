@@ -70,7 +70,6 @@ from .folding import (
 )
 from .nonsymmetric import (
     SemiOrthogonalSystem,
-    classify_recurrence_homogeneous,
     km_row0,
     km_row0_probability,
     nonsym_finite_weights,

@@ -581,6 +581,10 @@ def site_prob(model: QmcModel, i: int, j: int, rho, n: int) -> float:
 
 def site_prob_series(model: QmcModel, i: int, j: int, rho, n_max: int) -> Array:
     """p_{ji}(n) for n = 0..n_max in one sweep."""
+    if not model.topology.contains(i) or not model.topology.contains(j):
+        raise ValueError("site outside topology")
+    if n_max < 0:
+        raise ValueError("step count must be nonnegative")
     state = LatticeState.from_density(model, i, rho)
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):

@@ -11,8 +11,9 @@ Recurrence of a line site, any site, is classified on the exact
 ``SiteStieltjes`` route shared with every other topology.  The split
 identities, which assemble the transforms at sites 0 and -1 from the two
 half-chains, live here alone, in :class:`FoldedTransformEvaluator`: they
-are kept as an independent cross-check of that route and as the
-documented homogeneous-line criterion of ``nonsymmetric``.
+are kept as an independent cross-check of that route and, with the
+upward transform in both halves, give the documented homogeneous-line
+criterion X (I - A X C X)^{-1}.
 """
 
 from __future__ import annotations

@@ -3,9 +3,7 @@
 When the Hermitian-product certificates fail, a weight family with
 possibly complex nodes and non-Hermitian weights still exists, and the
 polynomials are one-sidedly orthogonal against it: sum_k l_k^i W_k Q_j
-vanishes for i < j.  That suffices for a row-0 spectral formula and for
-recurrence classification of homogeneous chains through the homogeneous
-transform.
+vanishes for i < j.  That suffices for a row-0 spectral formula.
 """
 
 from __future__ import annotations
@@ -14,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import Block, QmcModel, half_line, line
-from .folding import FoldedTransformEvaluator
+from .chain_model import QmcModel
 from .polynomials import PolyFamily
-from .quantum_core import Array, trace_functional
-from .spectral import DiscreteWeight, HomogeneousStieltjes, finite_spectrum_weights
-from .statistics import Classification, classify, classify_recurrence, trace_action
-
-TOL_SEMI = 1e-8
+from .quantum_core import Array
+from .spectral import DiscreteWeight, finite_spectrum_weights
+from .statistics import trace_action
 
 
 @dataclass(frozen=True)
@@ -82,61 +77,3 @@ def km_row0_probability(system: SemiOrthogonalSystem, i: int, n: int, rho) -> fl
     model = system.model
     block = km_row0(system, i, n)
     return trace_action(model, block, model.state_vec(rho))
-
-
-def classify_recurrence_homogeneous(
-    a: Array,
-    b: Array,
-    c: Array,
-    rho,
-    *,
-    corner_b: Array | None = None,
-    corner_a: Array | None = None,
-    on_line: bool = False,
-    trace_vec: Array | None = None,
-) -> Classification:
-    """Recurrence of the origin of a homogeneous chain from its transform.
-
-    Half-line chains are the half-line model of the blocks, optionally
-    with corner blocks (corner_b at (0,0), corner_a the up block of site
-    0) as its site-0 override, classified by ``classify_recurrence`` on
-    the exact renewal route.  Line chains use the documented homogeneous
-    criterion, which composes the upward transform with itself: trace of
-    X (I - A X C X)^{-1}.
-
-    Note: for line chains whose up and down blocks do not commute, the
-    documented criterion differs from the direct return series, whose
-    exact value needs the downward transform in the middle slot (see the
-    split identities in the folding module).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    d = a.shape[0]
-    if trace_vec is None:
-        trace_vec = trace_functional(d, "compact" if d == 3 else "full")
-    rho_vec = np.asarray(rho, dtype=complex).reshape(-1)
-    # Block freezes its matrix, so each gets a copy of the caller's array
-    if on_line:
-        # the p11 split identity with the upward transform in both halves
-        # is the documented criterion X (I - A X C X)^{-1}; it reads only
-        # A_{-1} and C_0 of the line model
-        homogeneous_line = QmcModel(
-            topology=line(), mode="abstract",
-            blocks={"A": Block(a.copy()), "C": Block(c.copy())},
-        )
-        base = HomogeneousStieltjes(a, b, c)
-        evaluator = FoldedTransformEvaluator(homogeneous_line, 0, plus=base, minus=base)
-        return classify(evaluator, trace_vec, rho_vec)
-    corner = {
-        role: Block(np.array(blk, dtype=complex))
-        for role, blk in (("B", corner_b), ("A", corner_a))
-        if blk is not None
-    }
-    chain = QmcModel(
-        topology=half_line(), mode="abstract",
-        blocks={"A": Block(a.copy()), "B": Block(b.copy()), "C": Block(c.copy())},
-        overrides={0: corner} if corner else {},
-        trace_vec=trace_vec,
-    )
-    return classify_recurrence(chain, 0, rho_vec)

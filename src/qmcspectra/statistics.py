@@ -3,10 +3,9 @@ recurrence classification and point-mass detection.
 
 Recurrence of a site is decided from the return series sum_n tr(Phi^n
 rho) at the site, the trace of its transform at z = 1.  Every recurrence
-classifier (any site of any chain here, through the exact
-``SiteStieltjes`` route, which ``folding`` also uses on lines; bare
-homogeneous blocks in ``nonsymmetric``) chooses a transform evaluator
-and hands it to :func:`classify`.  When the evaluator has the exact
+classifier (any site of any chain, through the exact ``SiteStieltjes``
+route, which ``folding`` also uses on lines) chooses a transform
+evaluator and hands it to :func:`classify`.  When the evaluator has the exact
 first-return block F at z = 1 (``SiteStieltjes`` does), :func:`renewal`
 decides the site for every density at once from the spectral projection
 of F onto its unit-modulus eigenvalues, the "renewal" route.  Otherwise,
@@ -377,9 +376,9 @@ def reach_analysis(
     def gf(s):
         return first_passage_gf(model, j, i, s, window=window)
 
+    lo, hi = _passage_window(model, i, j, window)
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0, gf)
-    lo, hi = _passage_window(model, i, j, window)
     elimination = _Elimination(model, j, i)
     try:
         closed = elimination.closings_at_one()

@@ -19,10 +19,10 @@ from qmcspectra.folding import (
     FoldedTransformEvaluator,
     classify_recurrence_on_line,
     fold_model,
+    plus_model,
     unfold_block,
 )
 from qmcspectra.nonsymmetric import (
-    classify_recurrence_homogeneous,
     km_row0,
     km_row0_probability,
     nonsym_finite_weights,
@@ -37,6 +37,7 @@ from qmcspectra.spectral import (
     finite_spectrum_weights,
 )
 from qmcspectra.statistics import (
+    classify,
     classify_recurrence,
     first_passage_gf,
     km_block,
@@ -378,22 +379,25 @@ def test_criterion_08_stated_block_and_probability():
 
 
 def test_criterion_09_tilted_shear_limits():
-    up, down = models.tilted_shear_blocks()
-    a_blk, c_blk = up.matrix, down.matrix
-    zero = np.zeros((3, 3))
+    half = models.tilted_shear_half_line()
     ok = True
     for a in (0.0, 0.5, 1.0):
         rho = np.array([a, 0.05, 1 - a])
-        cls = classify_recurrence_homogeneous(a_blk, zero, c_blk, rho)
+        cls = classify_recurrence(half, 0, rho)
         good = cls.verdict == "transient" and abs(cls.limit - (119 + 7 * a) / 102) < 1e-4
         ok &= check(
             f"9a half-line transient limit (119+7a)/102 at a={a}",
             good,
             f"limit {cls.limit}",
         )
+    # the documented line criterion X (I - A X C X)^{-1}: the split
+    # identity at site 0 with the upward transform in both halves
+    full = models.tilted_shear_line()
+    base = HomogeneousStieltjes.from_model(plus_model(full))
+    documented = FoldedTransformEvaluator(full, 0, plus=base, minus=base)
     for a in (0.0, 1.0):
         rho = np.array([a, 0.05, 1 - a])
-        cls = classify_recurrence_homogeneous(a_blk, zero, c_blk, rho, on_line=True)
+        cls = classify(documented, full.trace_vec, full.state_vec(rho))
         good = cls.verdict == "transient" and abs(cls.limit - (182 * a + 595) / 425) < 1e-4
         ok &= check(
             f"9b line-criterion limit (182a+595)/425 at a={a}",
@@ -409,11 +413,8 @@ def test_criterion_09_stated_corner_recurrence():
     # state and site the walk steps up with probability >= 4/7 and down
     # with probability <= 3/7: it drifts away and is transient whatever
     # the corner block.  The direct return series is finite; see NOTES.md.
-    up, down = models.tilted_shear_blocks()
     rho = np.array([0.4, 0.05, 0.6])
-    corner = classify_recurrence_homogeneous(
-        up.matrix, np.zeros((3, 3)), down.matrix, rho, corner_b=down.matrix,
-    )
+    corner = classify_recurrence(models.tilted_shear_half_line(corner=True), 0, rho)
     k_up, k_down = tilted_shear_effects()
     series = kraus_return_series(
         k_up, k_down, k_down, np.array([[0.4, 0.05], [0.05, 0.6]]), 200

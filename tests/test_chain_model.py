@@ -387,6 +387,21 @@ def test_shear_walk_probability_values():
     assert series[4] == pytest.approx(1 / 27, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "i, j, n_max, message",
+    [
+        (5, 0, 3, "site outside topology"),
+        (0, 5, 3, "site outside topology"),
+        (0, 2, -1, "step count must be nonnegative"),
+    ],
+)
+def test_site_prob_series_checks_its_arguments(density2, i, j, n_max, message):
+    # the same contract as site_prob and evolve: a target off the segment
+    # is an error, not a series of zeros
+    with pytest.raises(ValueError, match=message):
+        site_prob_series(models.shear_coin_segment(), i, j, density2, n_max)
+
+
 def test_substochastic_sums_below_one(density2):
     m = models.shear_coin_segment()
     total = sum(site_prob(m, 1, j, density2, 5) for j in range(3))

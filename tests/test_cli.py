@@ -419,6 +419,18 @@ def test_first_passage_site_outside_window_is_schema_error(files, capsys):
     assert "Traceback" not in err
 
 
+def test_first_passage_to_the_source_outside_window_is_schema_error(files, capsys):
+    # from a site to itself is probability 1 only for a site of the chain
+    code, err = run_error(
+        capsys,
+        ["first-passage", files["hop"], "--from", "-5", "--to", "-5",
+         "--density", files["rho"]],
+    )
+    assert code == 3
+    assert err.startswith("error: bad first-passage query:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "model, extra",
     [

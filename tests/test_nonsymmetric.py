@@ -3,13 +3,15 @@ import pytest
 
 from qmcspectra import models
 from qmcspectra.chain_model import site_prob_series, truncate
+from qmcspectra.folding import FoldedTransformEvaluator, plus_model
 from qmcspectra.nonsymmetric import (
-    classify_recurrence_homogeneous,
     km_row0,
     km_row0_probability,
     nonsym_finite_weights,
     semiorth_residual,
 )
+from qmcspectra.spectral import HomogeneousStieltjes
+from qmcspectra.statistics import classify, classify_recurrence
 
 from conftest import FIVE_SITE_LAZY_SHEAR, fraction_compact_block
 
@@ -154,12 +156,20 @@ def test_two_index_formula_counterexample(shear_system):
     assert np.linalg.norm(lhs - true_block) > 0.1
 
 
+def documented_line_criterion(m, rho):
+    """The documented homogeneous-line criterion X (I - A X C X)^{-1}:
+    the split identity at site 0 with the upward transform in both
+    halves."""
+    base = HomogeneousStieltjes.from_model(plus_model(m))
+    evaluator = FoldedTransformEvaluator(m, 0, plus=base, minus=base)
+    return classify(evaluator, m.trace_vec, m.state_vec(rho))
+
+
 def test_classify_homogeneous_half_line_limits():
-    up, down = models.tilted_shear_blocks()
-    a_blk, c_blk = up.matrix, down.matrix
+    m = models.tilted_shear_half_line()
     for a in (0.0, 0.5, 1.0):
         rho = np.array([a, 0.05, 1 - a])
-        cls = classify_recurrence_homogeneous(a_blk, np.zeros((3, 3)), c_blk, rho)
+        cls = classify_recurrence(m, 0, rho)
         assert cls.verdict == "transient"
         # the half-line chain of the blocks is decided exactly at z = 1
         assert cls.route == "renewal"
@@ -167,13 +177,10 @@ def test_classify_homogeneous_half_line_limits():
 
 
 def test_classify_homogeneous_line_formula():
-    up, down = models.tilted_shear_blocks()
-    a_blk, c_blk = up.matrix, down.matrix
+    m = models.tilted_shear_line()
     for a in (0.0, 0.5, 1.0):
         rho = np.array([a, 0.05, 1 - a])
-        cls = classify_recurrence_homogeneous(
-            a_blk, np.zeros((3, 3)), c_blk, rho, on_line=True
-        )
+        cls = documented_line_criterion(m, rho)
         assert cls.verdict == "transient"
         assert cls.limit == pytest.approx((182 * a + 595) / 425, abs=1e-6)
 
@@ -193,9 +200,7 @@ def test_documented_line_formula_vs_direct_series():
     exact = classify_recurrence_on_line(m, 0, rho_c)
     assert exact.verdict == "transient"
     assert exact.limit == pytest.approx((280 * a + 595) / 425, abs=1e-6)
-    documented = classify_recurrence_homogeneous(
-        m.block(0, "A"), m.block(0, "B"), m.block(0, "C"), rho_c, on_line=True
-    )
+    documented = documented_line_criterion(m, rho_c)
     assert documented.limit == pytest.approx((182 * a + 595) / 425, abs=1e-6)
 
 
@@ -205,14 +210,7 @@ def test_corner_variant_transient_despite_trace_preservation():
     m = models.tilted_shear_half_line(corner=True)
     rho_m = np.array([[0.4, 0.07], [0.07, 0.6]])
     partial = site_prob_series(m, 0, 0, rho_m, 4000).sum()
-    up, down = models.tilted_shear_blocks()
-    cls = classify_recurrence_homogeneous(
-        up.matrix,
-        np.zeros((3, 3)),
-        down.matrix,
-        np.array([0.4, 0.07, 0.6]),
-        corner_b=down.matrix,
-    )
+    cls = classify_recurrence(m, 0, np.array([0.4, 0.07, 0.6]))
     assert cls.verdict == "transient" and cls.route == "renewal"
     assert cls.limit == pytest.approx(partial, abs=1e-4)
 
@@ -223,22 +221,15 @@ def test_balanced_shift_classifications():
     # the second component's mass per corner visit, so it stays transient
     # (the renewal limit matches the extrapolated return series)
     m = models.balanced_shift_half_line(corner=True)
-    up = m.blocks["A"].matrix
-    down = m.blocks["C"].matrix
-    b0 = m.overrides[0]["B"].matrix
-    a0 = m.overrides[0]["A"].matrix
-    cls = classify_recurrence_homogeneous(
-        up, np.zeros((3, 3)), down, np.array([0.5, 0.1, 0.5]),
-        corner_b=b0, corner_a=a0,
-    )
+    cls = classify_recurrence(m, 0, np.array([0.5, 0.1, 0.5]))
     assert cls.verdict == "transient" and cls.route == "renewal"
     rho = np.array([[0.5, 0.1], [0.1, 0.5]])
     s1 = site_prob_series(m, 0, 0, rho, 2000).sum()
     s2 = site_prob_series(m, 0, 0, rho, 8000).sum()
     assert cls.limit == pytest.approx(2 * s2 - s1, abs=2e-3)
 
-    cls0 = classify_recurrence_homogeneous(
-        up, np.zeros((3, 3)), down, np.array([0.5, 0.1, 0.5])
+    cls0 = classify_recurrence(
+        models.balanced_shift_half_line(), 0, np.array([0.5, 0.1, 0.5])
     )
     assert cls0.verdict == "transient" and cls0.route == "renewal"
     assert cls0.limit == pytest.approx(2.0, abs=1e-6)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from qmcspectra import models, statistics
-from qmcspectra.chain_model import QmcModel, block_from_kraus, half_line, resolvent_block
+from qmcspectra.chain_model import (
+    Block,
+    QmcModel,
+    block_from_kraus,
+    half_line,
+    resolvent_block,
+)
 from qmcspectra.spectral import SiteStieltjes, StieltjesEvaluator
 from qmcspectra.statistics import classify_recurrence, renewal
 
@@ -49,6 +55,36 @@ def test_cornerless_flip_limit_is_two(rho):
     cls = classify_recurrence(models.flip_channel_half_line(0.7, 0.8), 0, rho)
     assert (cls.route, cls.verdict) == ("renewal", "transient")
     assert cls.limit == pytest.approx(2.0, abs=1e-12)
+
+
+def test_abstract_two_by_two_blocks_are_decided():
+    # the model alone fixes the representation, so abstract 2 x 2 blocks
+    # need no square size; with hop and hold 0.3 the all-ones trace walks
+    # a scalar walk whose return transform solves 0.09 X^2 - 0.7 X + 1 = 0
+    half = 0.3 * np.eye(2)
+    m = QmcModel(topology=half_line(), mode="abstract",
+                 blocks={role: Block(half.copy()) for role in "ABC"})
+    cls = classify_recurrence(m, 0, [1, 0])
+    assert (cls.route, cls.verdict) == ("renewal", "transient")
+    assert cls.limit == pytest.approx((0.7 - np.sqrt(0.13)) / 0.18, abs=1e-12)
+
+
+@pytest.mark.parametrize("corner", [None, "up"])
+@pytest.mark.parametrize("p, q", [(0.7, 0.8), (0.6, 0.9), (0.85, 0.65)])
+def test_flip_channel_verdict_is_the_same_in_both_modes(p, q, corner):
+    # the flip channel exists in the full and the compact representation;
+    # the verdict is the chain's, not the representation's
+    rho = np.array([[0.3, 0.2], [0.2, 0.7]])
+    full, compact = (
+        classify_recurrence(models.flip_channel_half_line(p, q, corner, mode=mode), 0, rho)
+        for mode in ("full", "compact")
+    )
+    assert (full.verdict, full.route) == (compact.verdict, compact.route)
+    assert full.recurrent_weight == pytest.approx(compact.recurrent_weight, abs=1e-12)
+    if corner is None:
+        assert full.limit == pytest.approx(compact.limit, abs=1e-12)
+    else:
+        assert full.limit is None and compact.limit is None
 
 
 @pytest.mark.parametrize("r, t", [(0.2, 0.4), (0.4, 0.2)])

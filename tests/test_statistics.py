@@ -341,6 +341,13 @@ def test_reach_probability_values():
     assert res.probability == 1.0
 
 
+def test_reach_to_the_source_site_checks_the_site():
+    # the source is its own target, but it must still be a site of the
+    # window, as for any other pair
+    with pytest.raises(ValueError, match="outside window"):
+        reach_analysis(models.three_site_absorbing_oqw(), 7, 7, np.eye(2) / 2)
+
+
 def test_reach_probability_certain_capture():
     for g in (0.3, 1.0, 2.0):
         m = models.corner_coin_oqw(g)
