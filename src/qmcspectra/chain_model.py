@@ -25,6 +25,7 @@ from .quantum_core import (
     as_square,
     check_tp_column,
     compact_form,
+    compact_unvec,
     compact_vec,
     superop_of,
     trace_functional,
@@ -278,10 +279,7 @@ class QmcModel:
         return v
 
     def state_matrix(self, v) -> Array:
-        if self.mode == "compact":
-            v = np.asarray(v).reshape(-1)
-            return np.array([[v[0], v[1]], [v[1], v[2]]])
-        return unvec(v)
+        return compact_unvec(v) if self.mode == "compact" else unvec(v)
 
     def trace_of(self, v) -> float:
         return complex(self.trace_vec @ np.asarray(v).reshape(-1)).real

@@ -121,25 +121,19 @@ def flip_channel_half_line(p: float, q: float, corner=None, mode: str = "compact
 
     Without a corner block the first column leaks half its mass per step
     (substochastic).  ``corner="up"`` reuses the up block at (0, 0), which
-    restores trace preservation; any matrix of block size is accepted too.
-    All effects are real and symmetric, so the chain exists in both the
-    compact 3-dimensional and the full 4-dimensional representation.
+    restores trace preservation; any other corner raises.  All effects
+    are real and symmetric, so the chain exists in both the compact
+    3-dimensional and the full 4-dimensional representation.
     """
+    if corner is not None and not (isinstance(corner, str) and corner == "up"):
+        raise ValueError(f"corner must be None or 'up', not {corner!r}")
     up, down = flip_channel_blocks(p, q, mode)
-    overrides = {}
-    subst = True
-    if corner is not None:
-        if isinstance(corner, str) and corner == "up":
-            overrides[0] = {"B": up}
-            subst = False
-        else:
-            overrides[0] = {"B": block_from_matrix(np.asarray(corner, dtype=complex))}
     return _model(
         half_line(),
         mode,
         {"A": up, "C": down},
-        overrides=overrides,
-        substochastic=subst,
+        overrides={0: {"B": up}} if corner else {},
+        substochastic=corner is None,
     )
 
 
@@ -254,12 +248,16 @@ def balanced_shift_half_line(corner: bool = False) -> QmcModel:
     )
 
 
+# norm of the up blocks of a random symmetrizable segment, and the least
+# distance between two of its eigenvalues
+RANDOM_SCALE = 0.45
+RANDOM_MIN_GAP = 5e-3
+
+
 def random_symmetrizable_segment(
     rng: np.random.Generator,
     num_sites: int = 4,
     block_dim: int = 4,
-    scale: float = 0.45,
-    min_gap: float = 5e-3,
 ) -> QmcModel:
     """A random segment model guaranteed to admit a symmetrizer.
 
@@ -286,7 +284,7 @@ def random_symmetrizable_segment(
         a_blocks = []
         for _ in range(num_sites - 1):
             w = well_conditioned(d)
-            a_blocks.append(scale * w / np.linalg.norm(w, 2))
+            a_blocks.append(RANDOM_SCALE * w / np.linalg.norm(w, 2))
         c_blocks = []
         for n in range(num_sites - 1):
             unitary, _ = np.linalg.qr(rand((d, d)))
@@ -299,7 +297,7 @@ def random_symmetrizable_segment(
             r = np.linalg.cholesky(pis[n]).conj().T
             e = rand((d, d))
             e = e + e.conj().T
-            e = 0.6 * scale * e / np.linalg.norm(e, 2)
+            e = 0.6 * RANDOM_SCALE * e / np.linalg.norm(e, 2)
             b_blocks.append(np.linalg.solve(r, e @ r))
         overrides = {
             n: {"B": block_from_matrix(b_blocks[n])} for n in range(num_sites)
@@ -319,6 +317,6 @@ def random_symmetrizable_segment(
         ev = np.linalg.eigvals(truncate(model, 0, num_sites - 1).matrix)
         dist = np.abs(ev[:, None] - ev[None, :])
         np.fill_diagonal(dist, np.inf)
-        if dist.min() > min_gap:
+        if dist.min() > RANDOM_MIN_GAP:
             return model
     raise RuntimeError("could not draw a well-separated random model")

@@ -40,7 +40,7 @@ class SemiOrthogonalSystem:
 
     def gram(self, i: int, j: int, n: int = 0) -> Array:
         """sum_k l_k^n Q_i*(l_k) W_k Q_j(l_k)."""
-        q = PolyFamily(self.model).main(self.weight.nodes(), max(i, j, 1))
+        q = PolyFamily(self.model).main(self.weight.nodes(), max(i, j))
         return self.weight.moment(n, q[i], q[j])
 
 
@@ -54,7 +54,7 @@ def semiorth_residual(system: SemiOrthogonalSystem, i: int, j: int) -> float:
     """|| sum_k l_k^i W_k Q_j(l_k) ||; below tol for i < j, unconstrained
     otherwise."""
     weight = system.weight
-    q = PolyFamily(system.model).main(weight.nodes(), max(j, 1))[j]
+    q = PolyFamily(system.model).main(weight.nodes(), j)[j]
     return float(np.linalg.norm(weight.moment(i, right=q), 2))
 
 
@@ -69,7 +69,7 @@ def km_row0(system: SemiOrthogonalSystem, i: int, n: int) -> Array:
     if not system.model.topology.contains(i):
         raise ValueError(f"site {i} outside topology")
     weight = system.weight
-    q = PolyFamily(system.model).main(weight.nodes(), max(i, 1))[i]
+    q = PolyFamily(system.model).main(weight.nodes(), i)[i]
     return np.linalg.solve(weight.total(), weight.moment(n, right=q))
 
 

@@ -60,6 +60,9 @@ class PolyFamily:
     def _run(self, x, prev, cur, start, n_lo, n_hi) -> dict[int, Array]:
         """Q_{n_lo} .. Q_{n_hi} from Q_{start-1} = prev, Q_start = cur;
         forward steps invert A_n, backward steps invert C_n."""
+        last = self.model.topology.hi
+        if last is not None and n_hi > last:
+            raise ValueError(f"index {n_hi} lies past the last site {last}")
         table = {start - 1: prev, start: cur}
         for n in range(start, n_hi):
             a, b, c = (self.model.block(n, k) for k in "ABC")

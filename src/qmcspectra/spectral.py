@@ -58,7 +58,7 @@ from .chain_model import (
     schur_sweep,
     truncate,
 )
-from .quantum_core import TOL_HERM, Array, hermitian_part
+from .quantum_core import Array, hermitian_part, is_hermitian, min_eigenvalue
 
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
@@ -95,34 +95,19 @@ class ConvergenceError(SpectralError):
 
 @dataclass(frozen=True)
 class Symmetrizer:
-    """Sequence certificates for the existence of a positive weight family.
+    """Verdict of the symmetrizer search, with the products it tested.
 
-    pi[n] are the Hermitian positive products, r[n] their Cholesky factors
-    (pi = r* r), and e[n] = r B r^{-1} the Hermitian witnesses.  On failure
-    ``fail_index`` names the first site whose certificate breaks and
-    ``defect`` quantifies the violation.
+    ``pi[n]`` are the products of :func:`find_symmetrizer` at every site
+    it built.  ``success`` says whether every certificate held; on
+    failure ``fail_index`` names the first site whose certificate breaks,
+    ``reason`` says which check broke and ``defect`` measures by how much.
     """
 
     pi: dict
-    r: dict
-    e: dict
     success: bool
     fail_index: int | None = None
     defect: float | None = None
     reason: str = ""
-
-
-def _cholesky_factor(pi: Array) -> Array | None:
-    anti = float(np.linalg.norm(pi - pi.conj().T, 2))
-    scale = max(1.0, float(np.linalg.norm(pi, 2)))
-    if anti > TOL_HERM * scale:
-        return None
-    sym = hermitian_part(pi)
-    try:
-        low = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return None
-    return low.conj().T
 
 
 def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
@@ -130,13 +115,16 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
 
     pi[0] = I and pi[n+1] = (A_n*)^{-1} pi[n] C_{n+1}.  On line models the
     negative side is anchored through pi[-1] C_0 = A_{-1}* pi[0] and
-    continued downward.  Success requires every pi[n] Hermitian positive
-    definite and every r B r^{-1} Hermitian.
+    continued downward.  The certificate checks the sites in order of
+    |n|, three checks each: pi[n] is Hermitian (``is_hermitian``; the
+    defect is the 2-norm of pi - pi*), pi[n] is positive definite (a
+    Cholesky factor r with pi = r* r exists; the defect is minus the least
+    eigenvalue), and the witness r B_n r^{-1} is Hermitian within
+    ``TOL_SYM`` (the defect is the 2-norm of its anti-Hermitian part).
+    The result holds the products and the verdict.
     """
     d = model.block_dim
     pi: dict[int, Array] = {0: np.eye(d, dtype=complex)}
-    r: dict[int, Array] = {}
-    e: dict[int, Array] = {}
     sites = [0]
     topo = model.topology
     hi = n_max if topo.hi is None else min(n_max, topo.hi)
@@ -159,27 +147,21 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
             sites.append(-n - 1)
 
     for n in sorted(sites, key=abs):
-        factor = _cholesky_factor(pi[n])
-        if factor is None:
+        if not is_hermitian(pi[n]):
             defect = float(np.linalg.norm(pi[n] - pi[n].conj().T, 2))
-            if defect <= TOL_HERM * max(1.0, float(np.linalg.norm(pi[n], 2))):
-                defect = float(-np.linalg.eigvalsh(hermitian_part(pi[n])).min())
-                reason = f"pi[{n}] is not positive definite"
-            else:
-                reason = f"pi[{n}] is not Hermitian"
-            return Symmetrizer(pi, r, e, False, n, defect, reason)
-        r[n] = factor
-        b = model.block(n, "B")
-        witness = factor @ b @ np.linalg.inv(factor)
+            return Symmetrizer(pi, False, n, defect, f"pi[{n}] is not Hermitian")
+        try:
+            factor = np.linalg.cholesky(hermitian_part(pi[n])).conj().T
+        except np.linalg.LinAlgError:
+            return Symmetrizer(pi, False, n, -min_eigenvalue(pi[n]),
+                               f"pi[{n}] is not positive definite")
+        witness = factor @ model.block(n, "B") @ np.linalg.inv(factor)
         herm_defect = float(np.linalg.norm(witness - witness.conj().T, 2))
         scale = max(1.0, float(np.linalg.norm(witness, 2)))
         if herm_defect > TOL_SYM * scale:
-            return Symmetrizer(
-                pi, r, e, False, n, herm_defect,
-                f"r B r^{{-1}} at site {n} is not Hermitian",
-            )
-        e[n] = witness
-    return Symmetrizer(pi, r, e, True)
+            return Symmetrizer(pi, False, n, herm_defect,
+                               f"r B r^{{-1}} at site {n} is not Hermitian")
+    return Symmetrizer(pi, True)
 
 
 # ---------------------------------------------------------------------

@@ -336,10 +336,6 @@ class PassageResult:
     extrapolated: bool
     route: str  # "closed" (one solve at s = 1) or "window" (the ladder)
     residual: float  # closure residual, or the last Richardson step
-    gf: object = None  # s -> first-passage block on the window
-
-    def block(self, s: complex) -> Array:
-        return self.gf(s)
 
 
 def reach_analysis(
@@ -368,17 +364,12 @@ def reach_analysis(
     unbounded the ladder answers for the absorbing window, not for the
     chain, and a warning naming the window says so.  ``route`` and
     ``residual`` of the result say which ran.  Both sites must lie in the
-    window on either route.  ``gf`` of the result evaluates one s on the
-    window.
+    window on either route.
     """
     rho_vec = model.state_vec(rho)
-
-    def gf(s):
-        return first_passage_gf(model, j, i, s, window=window)
-
     lo, hi = _passage_window(model, i, j, window)
     if i == j:
-        return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0, gf)
+        return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0)
     elimination = _Elimination(model, j, i)
     try:
         closed = elimination.closings_at_one()
@@ -391,7 +382,7 @@ def reach_analysis(
         prob = trace_action(model, block, rho_vec)
         samples, extrapolated, route = ((1.0, prob),), False, "closed"
     else:
-        blocks = gf(np.array(REACH_LADDER))
+        blocks = first_passage_gf(model, j, i, REACH_LADDER, window=window)
         samples = tuple((s, trace_action(model, f, rho_vec))
                         for s, f in zip(REACH_LADDER, blocks))
         t = [v for _, v in samples]
@@ -417,7 +408,7 @@ def reach_analysis(
         )
     return PassageResult(
         i, j, float(min(max(prob, 0.0), 1.0)), samples, extrapolated, route,
-        float(residual), gf,
+        float(residual),
     )
 
 

@@ -559,6 +559,22 @@ def test_evolve_matches_truncated_power(real_density2):
         assert np.abs(out.site_vector(site) - v[3 * site : 3 * site + 3]).max() < 1e-12
 
 
+def test_evolve_patches_every_overridden_role():
+    # every site of the random segment overrides A, B and C, so each of
+    # the three patches of ``step`` runs; the oracle is the dense power
+    m = models.random_symmetrizable_segment(np.random.default_rng(3), num_sites=4, block_dim=4)
+    rng = np.random.default_rng(5)
+    v0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    t = truncate(m, 0, 3)
+    v = np.zeros(16, dtype=complex)
+    v[4:8] = v0
+    out = LatticeState(1, v0[None, :])
+    for _ in range(5):
+        out, v = evolve(m, out, 1), t.matrix @ v
+        for site in range(4):
+            assert np.abs(out.site_vector(site) - v[4 * site : 4 * site + 4]).max() < 1e-12
+
+
 def test_step_handles_overrides_at_boundary(density2):
     m = models.corner_coin_oqw(0.7)
     st = LatticeState.from_density(m, 0, density2)

@@ -97,6 +97,28 @@ def test_evolve_outputs_state_table(files, capsys):
     assert sites[0] == pytest.approx((1 + 4 * 0.3 - 4 * 0.1) / 9, abs=1e-12)
 
 
+def test_evolve_writes_compact_states_as_matrices(tmp_path, capsys):
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(model_to_dict(models.tilted_shear_half_line())))
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"matrix": [[0.4, 0.05], [0.05, 0.6]]}))
+    out = run_json(capsys, ["evolve", str(path), "--site", "0", "--steps", "3",
+                            "--density", str(rho)])
+    assert out["sites"]
+    for entry in out["sites"]:
+        pairs = np.array(entry["matrix"])  # entries are [re, im]
+        mat = pairs[..., 0] + 1j * pairs[..., 1]
+        assert mat.shape == (2, 2) and np.array_equal(mat, mat.T)
+        assert abs(np.trace(mat) - entry["trace"]) < 1e-12
+    assert abs(sum(e["trace"] for e in out["sites"]) - out["total_trace"]) < 1e-12
+
+
+def test_poly_past_the_last_site_is_schema_error(files, capsys):
+    code, err = run_error(capsys, ["poly", files["three_site"], "--x", "0.3", "--n", "3"])
+    assert code == 3 and err.startswith("error: bad poly query: ")
+    assert "past the last site 2" in err and "Traceback" not in err
+
+
 def test_spectrum_roundtrip_and_flag(files, capsys):
     out = run_json(capsys, ["spectrum", files["shear"]])
     assert out.get("semiorthogonal") is True

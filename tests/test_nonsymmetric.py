@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmcspectra import models
-from qmcspectra.chain_model import site_prob_series, truncate
+from qmcspectra.chain_model import Block, QmcModel, segment, site_prob_series, truncate
 from qmcspectra.folding import FoldedTransformEvaluator, plus_model
 from qmcspectra.nonsymmetric import (
     km_row0,
@@ -145,6 +145,19 @@ def test_five_site_row0_matches_power(five_site_system):
         rho = np.array([a, 0.08, 1 - a])
         p = km_row0_probability(five_site_system, 3, 7, rho)
         assert p == pytest.approx((4632 - 2664 * a) / 78125, abs=1e-10)
+
+
+def test_row0_formula_on_a_one_site_segment():
+    # a single site holds its mass with B, so the n-step block is B^n; the
+    # formula needs only Q_0 = I, never Q_1, whose pivot A_0 the edge clips
+    b = np.array([[0.5, 0.2], [0.1, 0.3]], dtype=complex)
+    m = QmcModel(topology=segment(1), mode="abstract", blocks={"B": Block(b)},
+                 substochastic=True)
+    system = nonsym_finite_weights(m)
+    cube = np.linalg.matrix_power(b, 3)
+    assert np.abs(km_row0(system, 0, 3) - cube).max() < 1e-12
+    assert np.abs(system.gram(0, 0, 3) - cube).max() < 1e-12
+    assert semiorth_residual(system, 0, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_index_formula_counterexample(shear_system):

@@ -183,6 +183,20 @@ def test_negative_degree_or_empty_range_rejected(call):
         call(pf)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda pf: pf.main(0.3, 3), lambda pf: pf.associated(0, 0.3, 3)],
+    ids=["main", "associated"],
+)
+def test_index_past_the_last_site_rejected(call):
+    # Q_3 of the three-site segment needs A_2, which the edge clips to zero:
+    # the query is malformed, not a singular pivot
+    pf = PolyFamily(models.three_site_absorbing_oqw())
+    with pytest.raises(ValueError, match="index 3 lies past the last site 2"):
+        call(pf)
+    assert len(pf.main(0.3, 2)) == 3
+
+
 def test_negative_associated_index_rejected():
     # a negative k is malformed input, not a singular pivot at site k
     pf = PolyFamily(models.shear_coin_segment())

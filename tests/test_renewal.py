@@ -87,6 +87,12 @@ def test_flip_channel_verdict_is_the_same_in_both_modes(p, q, corner):
         assert full.limit is None and compact.limit is None
 
 
+@pytest.mark.parametrize("corner", ["down", np.eye(3)], ids=["name", "matrix"])
+def test_flip_channel_corner_is_none_or_up(corner):
+    with pytest.raises(ValueError, match="corner must be None or 'up'"):
+        models.flip_channel_half_line(0.7, 0.8, corner)
+
+
 @pytest.mark.parametrize("r, t", [(0.2, 0.4), (0.4, 0.2)])
 def test_drifting_hopping_line_limit_is_one_over_drift(r, t):
     # a lazy birth-death walk on the line returns with probability

@@ -55,7 +55,29 @@ def test_symmetrizer_geometric_products():
     assert sym.success
     for n in range(5):
         assert np.abs(sym.pi[n] - (r / t) ** n * np.eye(4)).max() < 1e-12
-        assert np.abs(sym.e[n] - sym.e[n].conj().T).max() < 1e-12
+
+
+def _unit_hop_segment(b):
+    # A = C = I makes every pi[n] = I, so the witness at site 0 is B itself
+    eye = Block(np.eye(2, dtype=complex))
+    return QmcModel(topology=segment(2), mode="abstract",
+                    blocks={"A": eye, "B": Block(np.asarray(b, dtype=complex)), "C": eye},
+                    substochastic=True)
+
+
+@pytest.mark.parametrize(
+    "model, index, reason",
+    [
+        # pi[1] = C_1 / A_0 = -1 is Hermitian and negative
+        (scalar_chain(1.0, -1.0, topology=segment(2)), 1, "pi[1] is not positive definite"),
+        (_unit_hop_segment([[0, 1], [0, 0]]), 0, "r B r^{-1} at site 0 is not Hermitian"),
+    ],
+    ids=["not-positive-definite", "witness-not-hermitian"],
+)
+def test_symmetrizer_reports_the_check_that_failed(model, index, reason):
+    sym = find_symmetrizer(model, 4)
+    assert not sym.success and sym.fail_index == index and sym.defect == 1.0
+    assert sym.reason == reason
 
 
 def test_symmetrizer_identity_for_equal_hops():
