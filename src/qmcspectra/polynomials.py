@@ -57,12 +57,15 @@ class PolyFamily:
         eye = np.broadcast_to(np.eye(d, dtype=complex), shape).copy()
         return x[..., None, None], eye, np.zeros(shape, dtype=complex)
 
+    def _check_last(self, n: int) -> None:
+        last = self.model.topology.hi
+        if last is not None and n > last:
+            raise ValueError(f"index {n} lies past the last site {last}")
+
     def _run(self, x, prev, cur, start, n_lo, n_hi) -> dict[int, Array]:
         """Q_{n_lo} .. Q_{n_hi} from Q_{start-1} = prev, Q_start = cur;
         forward steps invert A_n, backward steps invert C_n."""
-        last = self.model.topology.hi
-        if last is not None and n_hi > last:
-            raise ValueError(f"index {n_hi} lies past the last site {last}")
+        self._check_last(n_hi)
         table = {start - 1: prev, start: cur}
         for n in range(start, n_hi):
             a, b, c = (self.model.block(n, k) for k in "ABC")
@@ -88,6 +91,7 @@ class PolyFamily:
         if k < 0:
             raise ValueError(f"associated index k must be nonnegative, not {k}")
         _check_range(0, n_max)
+        self._check_last(max(k, n_max))
         x, eye, zero = self._start(x)
         out = [zero.copy() for _ in range(min(k, n_max) + 1)]
         if n_max <= k:

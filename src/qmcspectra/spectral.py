@@ -1,5 +1,13 @@
 """Symmetrizers, finite spectral weights, and Stieltjes transforms.
 
+The matrix weights of a segment come from one eigendecomposition of its
+assembled window (:func:`finite_spectrum_weights`): the weight of an
+eigenvalue cluster is the 00 corner of its spectral projector, read off
+the eigenvectors.  A cluster whose projector bound exceeds
+``RESIDUE_KAPPA_MAX`` keeps a trapezoid contour of the corner resolvent
+around it, one block-Schur sweep.  On a segment whose blocks are all
+real, a real node is a ``float`` and its weight a real array.
+
 The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
 half-line or line chain that is homogeneous outside finitely many sites:
@@ -63,6 +71,9 @@ from .quantum_core import Array, hermitian_part, is_hermitian, min_eigenvalue
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
 RESIDUE_POINTS = 64
+# largest projector bound ||V[:, g]||_2 ||V^-1[g, :]||_2 at which a
+# cluster's weight is read off the eigenvectors rather than a contour
+RESIDUE_KAPPA_MAX = 1e4
 # stopping step of the homogeneous fixed-point iteration (Newton finishes
 # it when the contraction is slower than 1/2 per step)
 FP_TOL = 1e-12
@@ -227,32 +238,57 @@ def _cluster_eigenvalues(ev: Array, tol: float) -> list[list[int]]:
     return groups
 
 
+# the roots of unity with point RESIDUE_POINTS - k the exact conjugate of
+# point k, so the contour of a real centre is its own mirror image
+_UNIT = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS // 2 + 1) / RESIDUE_POINTS)
+_UNIT = np.concatenate([_UNIT, _UNIT[RESIDUE_POINTS // 2 - 1 : 0 : -1].conj()])
+
+
+def _contour_residue(table, center: complex, gap: float, mirror: bool) -> Array:
+    """The residue at ``center`` of the corner resolvent of a segment's
+    block table, by the trapezoid rule on ``RESIDUE_POINTS`` points of a
+    circle of radius min(1e-4, gap/10) around it: one backward
+    :func:`schur_sweep` with the points stacked.  With ``mirror`` (a real
+    table and a real centre) the sweep covers the upper half-circle,
+    points 0..32, and takes the other corner blocks as the conjugates of
+    points 31..1."""
+    hi = len(table[0]) - 1
+    radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
+    zs = center + radius * _UNIT
+    half = RESIDUE_POINTS // 2
+    corner = schur_sweep(table, 0, range(hi, -1, -1), z=zs[: half + 1] if mirror else zs)
+    if mirror:
+        corner = np.concatenate([corner, corner[half - 1 : 0 : -1].conj()])
+    return np.einsum("k,kij->ij", zs - center, corner) / RESIDUE_POINTS
+
+
 def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     """Eigenvalue nodes of a finite chain with matrix weights by residues.
 
     The weight of a node is the residue of z -> ((z I - Phi)^{-1})_{00}
-    there, extracted by trapezoid contour quadrature on a small circle
-    (radius min(1e-4, gap/10)); this handles simple and double poles
-    uniformly.  Each cluster makes one backward :func:`schur_sweep` with
-    its contour points stacked, a (points, d, d) array of corner blocks,
-    the ``corner_resolvent`` of the segment; every sweep reads one
-    ``block_table``.  The contour of ``RESIDUE_POINTS`` points is its own
-    mirror image: points 33..63 are the conjugates of points 31..1.  When
-    every block of the table is real, the resolvent at conj(z) is the
-    conjugate of the resolvent at z, so a cluster whose centre is real to
-    ``TOL_GROUP`` is centred on the real axis, sweeps points 0..32 only and
-    takes the other corner blocks as conjugates; every other cluster
-    sweeps all of them.  The weights sum to the identity, the n = 0
-    moment of the corner block, only up to the rounding of the contour:
-    within 7e-13 (max entry) on the bundled segments at their defaults,
-    but 1.5e-12 and 2.0e-12 on ``shear_coin_segment(4)`` and its compact
-    form.
+    there, the 00 corner of the spectral projector of its eigenvalue
+    cluster.  One ``np.linalg.eig`` of the assembled segment gives the
+    nodes and the projectors: with V the eigenvectors and d the block
+    size, the weight of cluster g is V[:d, g] V^{-1}[g, :d].  A cluster
+    whose projector bound kappa_g = ||V[:, g]||_2 ||V^{-1}[g, :]||_2
+    exceeds ``RESIDUE_KAPPA_MAX`` (a defective or nearly defective
+    eigenvalue), and every cluster when V is singular, keeps the trapezoid
+    contour of ``RESIDUE_POINTS`` points
+    on a circle of radius min(1e-4, gap/10), one :func:`schur_sweep`
+    over the segment's ``block_table`` (:func:`_contour_residue`), which
+    handles simple and double poles alike; the contour around a real
+    centre of a real table is its own mirror image and sweeps half of it.
+    When every block is real, a cluster whose centre is real to
+    ``TOL_GROUP`` has a real node and a real weight: the node is a
+    ``float`` and the weight a float64 array, the real part of the
+    computed one, whose imaginary part is rounding.  The weights sum to
+    the identity, the n = 0 moment of the corner block, to rounding:
+    within 1e-14 (max entry) on the bundled segments at their defaults.
     """
     if model.topology.kind != SEGMENT:
         raise ValueError("finite spectra need a segment model")
-    trunc = truncate(model, 0, model.topology.num_sites - 1)
-    mat = trunc.matrix
-    ev = np.linalg.eigvals(mat)
+    hi = model.topology.num_sites - 1
+    ev, vec = np.linalg.eig(truncate(model, 0, hi).matrix)
     groups = _cluster_eigenvalues(ev, TOL_GROUP)
     centers = np.array([ev[g].mean() for g in groups])
     if len(centers) > 1:
@@ -268,28 +304,26 @@ def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     else:
         gaps = np.array([np.inf])
 
-    hi = trunc.num_sites - 1
+    d = model.block_dim
     table = block_table(model, 0, hi)
     real_table = not any(np.any(b.imag) for row in table for b in row)
-    # the roots of unity with point RESIDUE_POINTS - k the exact conjugate
-    # of point k, so the contour of a real centre is its own mirror image
-    half = RESIDUE_POINTS // 2
-    unit = np.exp(2j * np.pi * np.arange(half + 1) / RESIDUE_POINTS)
-    unit = np.concatenate([unit, unit[half - 1 : 0 : -1].conj()])
+    try:
+        inv = np.linalg.inv(vec)
+    except np.linalg.LinAlgError:
+        inv = None
     points = []
     for g, center, gap in zip(groups, centers, gaps):
-        radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
         node = complex(center)
         if abs(node.imag) <= TOL_GROUP:
             node = complex(node.real, 0.0)
         mirror = real_table and node.imag == 0.0
+        if inv is not None and (np.linalg.norm(vec[:, g], 2) * np.linalg.norm(inv[g, :], 2)
+                                <= RESIDUE_KAPPA_MAX):
+            weight = vec[:d, g] @ inv[g, :d]
+        else:
+            weight = _contour_residue(table, node if mirror else center, gap, mirror)
         if mirror:
-            center = node
-        zs = center + radius * unit
-        corner = schur_sweep(table, 0, range(hi, -1, -1), z=zs[: half + 1] if mirror else zs)
-        if mirror:
-            corner = np.concatenate([corner, corner[half - 1 : 0 : -1].conj()])
-        weight = np.einsum("k,kij->ij", zs - center, corner) / RESIDUE_POINTS
+            node, weight = node.real, weight.real.copy()
         points.append(WeightPoint(node, len(g), weight))
     points.sort(key=lambda p: (p.node.real, p.node.imag))
     return DiscreteWeight(tuple(points))

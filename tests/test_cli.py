@@ -119,6 +119,15 @@ def test_poly_past_the_last_site_is_schema_error(files, capsys):
     assert "past the last site 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("k, index", [(2, 3), (5, 5)])
+def test_poly_associated_past_the_last_site_is_schema_error(files, capsys, k, index):
+    argv = ["poly", files["three_site"], "--x", "0.3", "--n", "3", "--family", "associated",
+            "--k", str(k)]
+    code, err = run_error(capsys, argv)
+    assert code == 3 and err.startswith("error: bad poly query: ")
+    assert f"index {index} lies past the last site 2" in err and "Traceback" not in err
+
+
 def test_spectrum_roundtrip_and_flag(files, capsys):
     out = run_json(capsys, ["spectrum", files["shear"]])
     assert out.get("semiorthogonal") is True

@@ -1,8 +1,9 @@
 """The stacked block kernels against dense references: the block-Schur
 sweep against ``truncate`` plus ``np.linalg.solve``, the shared-pivot
 solve of the polynomial recurrence against one solve per point, the
-GEMM form of a block product against stacked matmul, and the half
-contour of the residue weights of a real table against the full one.
+GEMM form of a block product against stacked matmul, the half contour
+of the residue weights of a real table against the full one, and the
+eigenvector weights against the contour.
 
 The GEMM path's rounding can depend on the BLAS thread count, so CI runs
 this file a second time with ``OPENBLAS_NUM_THREADS=1``.
@@ -195,12 +196,37 @@ def _folded_window():
     return seen[0]
 
 
+def _two_site_segment(*sites):
+    # an abstract segment from the real blocks {role: rows} of two sites
+    overrides = {k: {role: Block(np.array(rows, dtype=complex)) for role, rows in site.items()}
+                 for k, site in enumerate(sites)}
+    return QmcModel(topology=segment(2), mode="abstract", substochastic=True, overrides=overrides)
+
+
+def _jordan_segment():
+    # site 1's B is a Jordan block at 0.2, which site 0 shares as a simple
+    # eigenvalue, so the triple eigenvalue 0.2 is defective and its cluster
+    # trips the gate, while A = 0 keeps the corner resolvent (z - B_0)^{-1}
+    # and its poles simple; the window matrix is upper triangular, so eig
+    # returns 0.2 exactly
+    return _two_site_segment({"B": [[0.2, 0.3], [0.0, -0.4]]},
+                             {"B": [[0.2, 1.0], [0.0, 0.2]], "C": [[0.1, -0.3], [0.25, 0.15]]})
+
+
+def _rotation_segment():
+    # real blocks with a conjugate pair of complex nodes beside two real ones
+    return _two_site_segment({"B": [[0.1, -0.5], [0.5, 0.1]], "A": [[0.2, 0.1], [0.0, 0.3]]},
+                             {"B": [[0.3, 0.0], [0.1, -0.2]], "C": [[0.25, 0.0], [-0.1, 0.2]]})
+
+
 SEGMENTS = {
     **BUNDLED_SEGMENTS,
     "hopping-S24": lambda: models.uniform_hopping_segment(24, 0.4, 0.6, 0.5, 0.25, 0.2),
     "shear-4": lambda: models.shear_coin_segment(4),
     "shear-4-compact": lambda: models.shear_coin_segment(4, "compact"),
     "folded-window": _folded_window,
+    "jordan": _jordan_segment,
+    "rotation": _rotation_segment,
 }
 REAL_SEGMENTS = [name for name in SEGMENTS if name != "random"]
 
@@ -226,10 +252,21 @@ def test_corner_resolvent_of_a_real_table_mirrors_conjugate_points(name):
                           corner_resolvent(m, zs, sites).conj())
 
 
+# clusters whose projector bound exceeds RESIDUE_KAPPA_MAX, so that they
+# keep the contour at the default gate; every other cluster makes no sweep
+GATED = {"jordan": 1}
+
+
+@pytest.fixture
+def contour_only(monkeypatch):
+    # no projector bound is below 1, so every cluster takes the contour
+    monkeypatch.setattr(spectral, "RESIDUE_KAPPA_MAX", 0.0)
+
+
 def _full_sweep_weights(m):
     # every cluster swept on all 64 roots of unity around its mean eigenvalue
     sites = m.topology.num_sites
-    ev = np.linalg.eigvals(truncate(m, 0, sites - 1).matrix)
+    ev = np.linalg.eig(truncate(m, 0, sites - 1).matrix)[0]
     groups = spectral._cluster_eigenvalues(ev, spectral.TOL_GROUP)
     centers = np.array([ev[g].mean() for g in groups])
     dist = np.abs(centers[:, None] - centers[None, :])
@@ -246,7 +283,7 @@ def _full_sweep_weights(m):
 
 
 @pytest.mark.parametrize("name", list(SEGMENTS))
-def test_half_sweep_matches_the_full_sweep(name):
+def test_half_sweep_matches_the_full_sweep(contour_only, name):
     m = SEGMENTS[name]()
     w = finite_spectrum_weights(m)
     nodes, weights = _full_sweep_weights(m)
@@ -254,15 +291,79 @@ def test_half_sweep_matches_the_full_sweep(name):
     assert np.abs(w.weights() - weights).max() <= 1e-12 * np.abs(weights).max()
 
 
-@pytest.mark.parametrize("name", list(SEGMENTS))
-def test_only_real_centres_of_real_tables_sweep_half_the_contour(monkeypatch, name):
-    m = SEGMENTS[name]()
+def _sweep_sizes(monkeypatch, m):
     sizes, inner = [], spectral.schur_sweep
     monkeypatch.setattr(spectral, "schur_sweep",
                         lambda *a, z, **kw: sizes.append(np.size(z)) or inner(*a, z=z, **kw))
     nodes = finite_spectrum_weights(m).nodes()
+    return sorted(sizes), nodes
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_only_real_centres_of_real_tables_sweep_half_the_contour(contour_only, monkeypatch, name):
+    m = SEGMENTS[name]()
+    sizes, nodes = _sweep_sizes(monkeypatch, m)
     real = int(np.sum(nodes.imag == 0)) if _real_table(m) else 0
-    assert sorted(sizes) == [33] * real + [64] * (nodes.size - real)
+    assert sizes == [33] * real + [64] * (nodes.size - real)
     if name == "random":
         # complex blocks: even its real nodes sweep the whole contour
         assert not _real_table(m) and np.all(nodes.imag == 0) and set(sizes) == {64}
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_clusters_under_the_gate_make_no_sweep(monkeypatch, name):
+    sizes, _ = _sweep_sizes(monkeypatch, SEGMENTS[name]())
+    assert sizes == [33] * GATED.get(name, 0)
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_weights_sum_to_the_identity(name):
+    w = finite_spectrum_weights(SEGMENTS[name]())
+    assert np.abs(w.total() - np.eye(w.total().shape[0])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_eigenvector_weights_match_the_contour(monkeypatch, name):
+    m = SEGMENTS[name]()
+    w = finite_spectrum_weights(m)
+    monkeypatch.setattr(spectral, "RESIDUE_KAPPA_MAX", 0.0)
+    contour = finite_spectrum_weights(m)
+    assert np.array_equal(w.nodes(), contour.nodes())
+    weights = contour.weights()
+    assert np.abs(w.weights() - weights).max() <= 1e-10 * np.abs(weights).max()
+
+
+@pytest.mark.parametrize("name", list(SEGMENTS))
+def test_real_nodes_of_real_tables_carry_real_weights(name):
+    m = SEGMENTS[name]()
+    real_table = _real_table(m)
+    points = finite_spectrum_weights(m).points
+    if name == "rotation":
+        assert real_table and sorted(type(p.node).__name__ for p in points) == [
+            "complex", "complex", "float", "float"]
+    for p in points:
+        if real_table and p.node.imag == 0:
+            assert type(p.node) is float and p.weight.dtype == np.float64
+        else:
+            assert type(p.node) is complex and p.weight.dtype == np.complex128
+
+
+def test_gated_cluster_keeps_the_contour_and_the_moments():
+    m = _jordan_segment()
+    mat = truncate(m, 0, 1).matrix
+    w = finite_spectrum_weights(m)
+    assert [(p.node, p.multiplicity) for p in w.points] == [(-0.4, 1), (0.2, 3)]
+    for n in range(7):
+        assert np.abs(w.moment(n) - np.linalg.matrix_power(mat, n)[:2, :2]).max() <= 1e-13
+
+
+def test_singular_eigenvectors_send_every_cluster_to_the_contour(monkeypatch):
+    # the eigenvectors that eig returns for a 3x3 nilpotent block are
+    # singular, or nearly so: its one cluster is a triple pole at 0, whose
+    # residue I the contour finds
+    b = np.diag([1.0, 1.0], 1).astype(complex)
+    m = QmcModel(topology=segment(1), mode="abstract", blocks={"B": Block(b)}, substochastic=True)
+    sizes, _ = _sweep_sizes(monkeypatch, m)
+    w = finite_spectrum_weights(m)
+    assert sizes == [33] and [(p.node, p.multiplicity) for p in w.points] == [(0.0, 3)]
+    assert np.abs(w.total() - np.eye(3)).max() <= 1e-8

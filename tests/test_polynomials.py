@@ -197,6 +197,15 @@ def test_index_past_the_last_site_rejected(call):
     assert len(pf.main(0.3, 2)) == 3
 
 
+@pytest.mark.parametrize("k, n_max, index", [(2, 3, 3), (5, 3, 5), (5, 1, 5)])
+def test_associated_index_past_the_last_site_rejected(k, n_max, index):
+    # checked before A_k is inverted, and before the zero blocks up to k
+    pf = PolyFamily(models.three_site_absorbing_oqw())
+    with pytest.raises(ValueError, match=f"index {index} lies past the last site 2"):
+        pf.associated(k, 0.3, n_max)
+    assert len(pf.associated(2, 0.3, 2)) == 3
+
+
 def test_negative_associated_index_rejected():
     # a negative k is malformed input, not a singular pivot at site k
     pf = PolyFamily(models.shear_coin_segment())

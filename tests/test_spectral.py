@@ -145,7 +145,7 @@ def test_grouping_refusal_band():
 def double_root_weight(model, node):
     """Derivative-form residue for a double node: the derivative of
     -(node - z)^2 ((Phi - z I)^{-1})_{00} at the node, by central
-    difference with step 1e-5, a cross-check on the contour route."""
+    difference with step 1e-5, a cross-check on the residue weights."""
     mat = truncate(model, 0, model.topology.num_sites - 1).matrix
     d = model.block_dim
     S = mat.shape[0]
@@ -212,18 +212,20 @@ def test_finite_weights_match_dense_contour_oracle(model, tol):
     lambda: models.uniform_hopping_segment(8, 0.4, 0.5, 0.45, 0.2, 0.15),
 ])
 def test_finite_weights_read_one_block_table(monkeypatch, make):
-    # every cluster's sweep reads the same table; each weight equals the
-    # contour sum over corner_resolvent, the per-cluster route, bit for bit,
-    # on the conjugation-symmetric contour, around the snapped centre for a
-    # real node of a real table
+    # with the gate closed, every cluster takes the contour: every sweep
+    # reads the same table, and each weight equals the contour sum over
+    # corner_resolvent, the per-cluster route, bit for bit, on the
+    # conjugation-symmetric contour, around the snapped centre for a real
+    # node of a real table, whose weight is the real part
     m = make()
     with monkeypatch.context() as mp:
+        mp.setattr(spectral, "RESIDUE_KAPPA_MAX", 0.0)
         tables = []
         inner = spectral.block_table
         mp.setattr(spectral, "block_table", lambda *a: tables.append(a) or inner(*a))
         w = finite_spectrum_weights(m)
     assert len(tables) == 1 and len(w.points) > 1
-    ev = np.linalg.eigvals(truncate(m, 0, m.topology.num_sites - 1).matrix)
+    ev = np.linalg.eig(truncate(m, 0, m.topology.num_sites - 1).matrix)[0]
     groups = spectral._cluster_eigenvalues(ev, spectral.TOL_GROUP)
     centers = np.array([ev[g].mean() for g in groups])
     dist = np.abs(centers[:, None] - centers[None, :])
@@ -235,11 +237,13 @@ def test_finite_weights_read_one_block_table(monkeypatch, make):
                      for k in range(m.topology.num_sites) for role in "ABC")
     want = []
     for center, gap in zip(centers, dist.min(axis=1)):
-        if real_table and abs(center.imag) <= spectral.TOL_GROUP:
+        mirror = real_table and abs(center.imag) <= spectral.TOL_GROUP
+        if mirror:
             center = complex(center.real, 0.0)
         zs = center + min(1e-4, gap / 10.0) * unit
         corner = corner_resolvent(m, zs, m.topology.num_sites)
-        want.append(np.einsum("k,kij->ij", zs - center, corner) / spectral.RESIDUE_POINTS)
+        weight = np.einsum("k,kij->ij", zs - center, corner) / spectral.RESIDUE_POINTS
+        want.append(weight.real if mirror else weight)
     order = sorted(range(len(centers)), key=lambda k: (centers[k].real, centers[k].imag))
     assert np.array_equal(w.weights(), np.array(want)[order])
 
