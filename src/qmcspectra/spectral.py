@@ -3,10 +3,11 @@
 The matrix weights of a segment come from one eigendecomposition of its
 assembled window (:func:`finite_spectrum_weights`): the weight of an
 eigenvalue cluster is the 00 corner of its spectral projector, read off
-the eigenvectors.  A cluster whose projector bound exceeds
-``RESIDUE_KAPPA_MAX`` keeps a trapezoid contour of the corner resolvent
-around it, one block-Schur sweep.  On a segment whose blocks are all
-real, a real node is a ``float`` and its weight a real array.
+the eigenvectors.  A cluster whose eigenvectors are rank deficient or
+whose projector norm exceeds ``RESIDUE_KAPPA_MAX`` takes the exact Riesz
+projector of the Newton sign iteration instead; the gate does not
+depend on the eigenvector basis.  On a segment whose assembled matrix
+is real, a real node is a ``float`` and its weight a real array.
 
 The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
@@ -70,10 +71,13 @@ from .quantum_core import Array, hermitian_part, is_hermitian, min_eigenvalue
 
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
-RESIDUE_POINTS = 64
-# largest projector bound ||V[:, g]||_2 ||V^-1[g, :]||_2 at which a
-# cluster's weight is read off the eigenvectors rather than a contour
+# a cluster's weight comes off its eigenvectors V[:, g] when its projector
+# norm ||V[:, g] V^-1[g, :]||_2 is at most RESIDUE_KAPPA_MAX and their
+# sigma_min / sigma_max above RESIDUE_RANK_MIN, else off its Riesz
+# projector, whose sign iteration takes at most SIGN_MAX_ITER Newton steps
 RESIDUE_KAPPA_MAX = 1e4
+RESIDUE_RANK_MIN = 1e-8
+SIGN_MAX_ITER = 50
 # stopping step of the homogeneous fixed-point iteration (Newton finishes
 # it when the contraction is slower than 1/2 per step)
 FP_TOL = 1e-12
@@ -238,28 +242,46 @@ def _cluster_eigenvalues(ev: Array, tol: float) -> list[list[int]]:
     return groups
 
 
-# the roots of unity with point RESIDUE_POINTS - k the exact conjugate of
-# point k, so the contour of a real centre is its own mirror image
-_UNIT = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS // 2 + 1) / RESIDUE_POINTS)
-_UNIT = np.concatenate([_UNIT, _UNIT[RESIDUE_POINTS // 2 - 1 : 0 : -1].conj()])
+def _eigenvector_clusters(vec: Array, inv: Array, groups: list[list[int]]) -> Array:
+    """Which clusters take their weight off the eigenvectors: those whose
+    columns V_g have numerical rank k (sigma_min / sigma_max above
+    ``RESIDUE_RANK_MIN``, tested for k > 1) and whose spectral projector
+    V_g W_g, W = V^-1, has 2-norm at most ``RESIDUE_KAPPA_MAX``, the
+    square root of the largest eigenvalue of (V_g* V_g)(W_g W_g*).  Both
+    tests run stacked over the clusters of one size k, and the norm does
+    not depend on the basis V_g R, R^-1 W_g that ``eig`` picks."""
+    sizes = np.array([len(g) for g in groups])
+    keep = np.zeros(len(groups), dtype=bool)
+    for k in np.unique(sizes):
+        cols = np.array([g for g in groups if len(g) == k])
+        v, w = np.moveaxis(vec[:, cols], 0, 1), inv[cols]
+        gram = (v.conj().swapaxes(1, 2) @ v) @ (w @ w.conj().swapaxes(1, 2))
+        keep[sizes == k] = np.abs(np.linalg.eigvals(gram)).max(axis=1) <= RESIDUE_KAPPA_MAX**2
+        if k > 1:
+            sv = np.linalg.svd(v, compute_uv=False)
+            keep[sizes == k] &= sv[:, -1] > RESIDUE_RANK_MIN * sv[:, 0]
+    return keep
 
 
-def _contour_residue(table, center: complex, gap: float, mirror: bool) -> Array:
-    """The residue at ``center`` of the corner resolvent of a segment's
-    block table, by the trapezoid rule on ``RESIDUE_POINTS`` points of a
-    circle of radius min(1e-4, gap/10) around it: one backward
-    :func:`schur_sweep` with the points stacked.  With ``mirror`` (a real
-    table and a real centre) the sweep covers the upper half-circle,
-    points 0..32, and takes the other corner blocks as the conjugates of
-    points 31..1."""
-    hi = len(table[0]) - 1
-    radius = min(1e-4, gap / 10.0) if np.isfinite(gap) else 1e-4
-    zs = center + radius * _UNIT
-    half = RESIDUE_POINTS // 2
-    corner = schur_sweep(table, 0, range(hi, -1, -1), z=zs[: half + 1] if mirror else zs)
-    if mirror:
-        corner = np.concatenate([corner, corner[half - 1 : 0 : -1].conj()])
-    return np.einsum("k,kij->ij", zs - center, corner) / RESIDUE_POINTS
+def _riesz_corner(mat: Array, center: complex, gap: float, d: int) -> Array:
+    """The d x d corner of the spectral projector of the eigenvalues of
+    ``mat`` within gap/2 of ``center``, exact for defective clusters too:
+    P = (I - sign(X))/2 for the Cayley transform X = (M - I)^-1 (M + I) of
+    M = (mat - center)/r, r = gap/2, which takes the disc |mu| < 1 to the
+    left half-plane.  sign(X) is the limit of the Newton iteration
+    X <- (X + X^-1)/2 (Roberts 1980; Higham, Functions of Matrices, ch. 5),
+    stopped by Higham's test ||dX||^2 <= n u ||X|| / ||X^-1|| (1-norms).
+    A lone cluster (infinite gap) has M = 0, X = -I and P = I.  A real
+    matrix and a real centre keep the iteration real."""
+    eye = np.eye(len(mat))
+    m = (mat - center * eye) / (gap / 2.0)
+    x = np.linalg.solve(m - eye, m + eye)
+    for _ in range(SIGN_MAX_ITER):
+        xinv = np.linalg.inv(x)
+        x, step = (x + xinv) / 2.0, np.linalg.norm(xinv - x, 1) / 2.0
+        if step**2 * np.linalg.norm(xinv, 1) <= len(x) * np.finfo(float).eps * np.linalg.norm(x, 1):
+            return (eye[:d, :d] - x[:d, :d]) / 2.0
+    raise SpectralError(f"sign iteration around {center} did not converge in {SIGN_MAX_ITER} steps")
 
 
 def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
@@ -268,65 +290,53 @@ def finite_spectrum_weights(model: QmcModel) -> DiscreteWeight:
     The weight of a node is the residue of z -> ((z I - Phi)^{-1})_{00}
     there, the 00 corner of the spectral projector of its eigenvalue
     cluster.  One ``np.linalg.eig`` of the assembled segment gives the
-    nodes and the projectors: with V the eigenvectors and d the block
-    size, the weight of cluster g is V[:d, g] V^{-1}[g, :d].  A cluster
-    whose projector bound kappa_g = ||V[:, g]||_2 ||V^{-1}[g, :]||_2
-    exceeds ``RESIDUE_KAPPA_MAX`` (a defective or nearly defective
-    eigenvalue), and every cluster when V is singular, keeps the trapezoid
-    contour of ``RESIDUE_POINTS`` points
-    on a circle of radius min(1e-4, gap/10), one :func:`schur_sweep`
-    over the segment's ``block_table`` (:func:`_contour_residue`), which
-    handles simple and double poles alike; the contour around a real
-    centre of a real table is its own mirror image and sweeps half of it.
-    When every block is real, a cluster whose centre is real to
-    ``TOL_GROUP`` has a real node and a real weight: the node is a
-    ``float`` and the weight a float64 array, the real part of the
-    computed one, whose imaginary part is rounding.  The weights sum to
-    the identity, the n = 0 moment of the corner block, to rounding:
-    within 1e-14 (max entry) on the bundled segments at their defaults.
+    nodes and the projectors: with V the eigenvectors, W = V^{-1} and d
+    the block size, the weight of cluster g is V[:d, g] W[g, :d].  The
+    gate (:func:`_eigenvector_clusters`) refuses a cluster whose
+    eigenvectors are numerically rank deficient (sigma_min / sigma_max of
+    V[:, g] at most ``RESIDUE_RANK_MIN``) or whose projector V[:, g] W[g, :]
+    has 2-norm above ``RESIDUE_KAPPA_MAX``, a defective or nearly
+    defective eigenvalue; neither test depends on the eigenvector basis
+    that ``eig`` returns.  A refused cluster, and every cluster when V is
+    singular, takes the corner of its exact Riesz projector from the
+    Newton sign iteration (:func:`_riesz_corner`) on a circle of radius
+    gap/2 around its centre.  When every entry of the assembled segment
+    is real, a cluster whose centre is real to ``TOL_GROUP`` has a real
+    node and a real weight: the node is a ``float`` and the weight a
+    float64 array, the real part of the eigenvector product or the real
+    iteration's corner.  The weights sum to the identity, the n = 0
+    moment of the corner block, to rounding: within 1e-14 (max entry) on
+    the bundled segments at their defaults.
     """
     if model.topology.kind != SEGMENT:
         raise ValueError("finite spectra need a segment model")
-    hi = model.topology.num_sites - 1
-    ev, vec = np.linalg.eig(truncate(model, 0, hi).matrix)
+    mat = truncate(model, 0, model.topology.num_sites - 1).matrix
+    ev, vec = np.linalg.eig(mat)
     groups = _cluster_eigenvalues(ev, TOL_GROUP)
     centers = np.array([ev[g].mean() for g in groups])
-    if len(centers) > 1:
-        dist = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(dist, np.inf)
-        gaps = dist.min(axis=1)
-        worst = float(gaps.min())
-        if worst < 10.0 * TOL_GROUP:
-            raise SpectralError(
-                f"eigenvalue clusters only {worst:.3e} apart; grouping is "
-                f"ambiguous at tolerance {TOL_GROUP:.1e}"
-            )
-    else:
-        gaps = np.array([np.inf])
-
+    dist = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(dist, np.inf)
+    gaps = dist.min(axis=1)
+    if gaps.min() < 10.0 * TOL_GROUP:
+        raise SpectralError(
+            f"eigenvalue clusters only {gaps.min():.3e} apart; grouping is "
+            f"ambiguous at tolerance {TOL_GROUP:.1e}"
+        )
     d = model.block_dim
-    table = block_table(model, 0, hi)
-    real_table = not any(np.any(b.imag) for row in table for b in row)
+    mat = mat.real if not np.any(mat.imag) else mat  # a real table iterates in real arithmetic
     try:
         inv = np.linalg.inv(vec)
+        by_vectors = _eigenvector_clusters(vec, inv, groups)
     except np.linalg.LinAlgError:
-        inv = None
+        by_vectors = np.zeros(len(groups), dtype=bool)
     points = []
-    for g, center, gap in zip(groups, centers, gaps):
-        node = complex(center)
-        if abs(node.imag) <= TOL_GROUP:
-            node = complex(node.real, 0.0)
-        mirror = real_table and node.imag == 0.0
-        if inv is not None and (np.linalg.norm(vec[:, g], 2) * np.linalg.norm(inv[g, :], 2)
-                                <= RESIDUE_KAPPA_MAX):
-            weight = vec[:d, g] @ inv[g, :d]
-        else:
-            weight = _contour_residue(table, node if mirror else center, gap, mirror)
-        if mirror:
-            node, weight = node.real, weight.real.copy()
-        points.append(WeightPoint(node, len(g), weight))
-    points.sort(key=lambda p: (p.node.real, p.node.imag))
-    return DiscreteWeight(tuple(points))
+    for g, center, gap, eigen in zip(groups, centers, gaps, by_vectors):
+        node = complex(center.real, 0.0) if abs(center.imag) <= TOL_GROUP else complex(center)
+        real = mat.dtype == float and node.imag == 0.0
+        node = node.real if real else node
+        weight = vec[:d, g] @ inv[g, :d] if eigen else _riesz_corner(mat, node, gap, d)
+        points.append(WeightPoint(node, len(g), weight.real.copy() if real else weight))
+    return DiscreteWeight(tuple(sorted(points, key=lambda p: (p.node.real, p.node.imag))))
 
 
 # ---------------------------------------------------------------------

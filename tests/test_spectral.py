@@ -211,41 +211,19 @@ def test_finite_weights_match_dense_contour_oracle(model, tol):
     models.five_site_lazy_shear_chain,
     lambda: models.uniform_hopping_segment(8, 0.4, 0.5, 0.45, 0.2, 0.15),
 ])
-def test_finite_weights_read_one_block_table(monkeypatch, make):
-    # with the gate closed, every cluster takes the contour: every sweep
-    # reads the same table, and each weight equals the contour sum over
-    # corner_resolvent, the per-cluster route, bit for bit, on the
-    # conjugation-symmetric contour, around the snapped centre for a real
-    # node of a real table, whose weight is the real part
+def test_finite_weights_read_no_block_table(monkeypatch, make):
+    # both routes read the assembled window alone, with the gate open and
+    # closed; closed, every weight is the corner of its Riesz projector,
+    # which the dense contour confirms
     m = make()
-    with monkeypatch.context() as mp:
-        mp.setattr(spectral, "RESIDUE_KAPPA_MAX", 0.0)
-        tables = []
-        inner = spectral.block_table
-        mp.setattr(spectral, "block_table", lambda *a: tables.append(a) or inner(*a))
-        w = finite_spectrum_weights(m)
-    assert len(tables) == 1 and len(w.points) > 1
-    ev = np.linalg.eig(truncate(m, 0, m.topology.num_sites - 1).matrix)[0]
-    groups = spectral._cluster_eigenvalues(ev, spectral.TOL_GROUP)
-    centers = np.array([ev[g].mean() for g in groups])
-    dist = np.abs(centers[:, None] - centers[None, :])
-    np.fill_diagonal(dist, np.inf)
-    half = spectral.RESIDUE_POINTS // 2
-    unit = np.exp(2j * np.pi * np.arange(half + 1) / spectral.RESIDUE_POINTS)
-    unit = np.concatenate([unit, unit[half - 1 : 0 : -1].conj()])
-    real_table = all(np.isreal(m.block(k, role)).all()
-                     for k in range(m.topology.num_sites) for role in "ABC")
-    want = []
-    for center, gap in zip(centers, dist.min(axis=1)):
-        mirror = real_table and abs(center.imag) <= spectral.TOL_GROUP
-        if mirror:
-            center = complex(center.real, 0.0)
-        zs = center + min(1e-4, gap / 10.0) * unit
-        corner = corner_resolvent(m, zs, m.topology.num_sites)
-        weight = np.einsum("k,kij->ij", zs - center, corner) / spectral.RESIDUE_POINTS
-        want.append(weight.real if mirror else weight)
-    order = sorted(range(len(centers)), key=lambda k: (centers[k].real, centers[k].imag))
-    assert np.array_equal(w.weights(), np.array(want)[order])
+    for name in ("block_table", "schur_sweep"):
+        monkeypatch.setattr(spectral, name, lambda *a, **kw: pytest.fail("swept"))
+    w = finite_spectrum_weights(m)
+    monkeypatch.setattr(spectral, "RESIDUE_KAPPA_MAX", 0.0)
+    projector = finite_spectrum_weights(m)
+    assert len(w.points) > 1 and np.array_equal(w.nodes(), projector.nodes())
+    expect = dense_contour_weights(m, projector.nodes())
+    assert np.abs(projector.weights() - expect).max() <= 1e-11 * np.abs(expect).max()
 
 
 # -- transforms -------------------------------------------------------
