@@ -314,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=64,
                    help="window of the fallback ladder, which runs only where "
                         "the exact s = 1 solve does not apply; both sites must "
-                        "lie in it")
+                        "lie in it then, and the exact solve reads no window")
 
     p = add("fold", cmd_fold, help="rewrite a line model on the half-line")
     p.add_argument("--output", required=True)

@@ -63,7 +63,9 @@ def km_row0(system: SemiOrthogonalSystem, i: int, n: int) -> Array:
     (sum_k W_k)^{-1} sum_k l_k^n W_k Q_i(l_k).
 
     Zero for n < i by nearest-neighbor locality; agrees with the direct
-    power of the assembled chain for every n."""
+    power of the assembled chain for every n, unless a defective eigenvalue
+    reaches the corner: the weights are residues, so the sum then gives the
+    power of the chain's diagonalizable part (:meth:`DiscreteWeight.moment`)."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
     if not system.model.topology.contains(i):

@@ -1,13 +1,14 @@
 """Symmetrizers, finite spectral weights, and Stieltjes transforms.
 
-The matrix weights of a segment come from one eigendecomposition of its
-assembled window (:func:`finite_spectrum_weights`): the weight of an
-eigenvalue cluster is the 00 corner of its spectral projector, read off
-the eigenvectors.  A cluster whose eigenvectors are rank deficient or
-whose projector norm exceeds ``RESIDUE_KAPPA_MAX`` takes the exact Riesz
-projector of the Newton sign iteration instead; the gate does not
-depend on the eigenvector basis.  On a segment whose assembled matrix
-is real, a real node is a ``float`` and its weight a real array.
+A symmetrizer is certified by its defining condition, pi[n] > 0 with pi[n] B_n
+Hermitian, in one scale-invariant pass (:func:`find_symmetrizer`).  The matrix
+weights of a segment come from one eigendecomposition of its assembled window
+(:func:`finite_spectrum_weights`): the weight of an eigenvalue cluster is the
+00 corner of its spectral projector, read off the eigenvectors.  A cluster
+whose eigenvectors are rank deficient or whose projector norm exceeds
+``RESIDUE_KAPPA_MAX`` takes the exact Riesz projector of the Newton sign
+iteration instead; the gate does not depend on the eigenvector basis.  A real
+assembled matrix gives its real nodes real weights.
 
 The Stieltjes transform of the weight family attached to a chain is
 evaluated exactly by :class:`SiteStieltjes` at any site of a segment,
@@ -67,7 +68,7 @@ from .chain_model import (
     schur_sweep,
     truncate,
 )
-from .quantum_core import Array, hermitian_part, is_hermitian, min_eigenvalue
+from .quantum_core import TOL_HERM, Array
 
 TOL_SYM = 1e-9
 TOL_GROUP = 1e-8
@@ -114,8 +115,8 @@ class Symmetrizer:
 
     ``pi[n]`` are the products of :func:`find_symmetrizer` at every site
     it built.  ``success`` says whether every certificate held; on
-    failure ``fail_index`` names the first site whose certificate breaks,
-    ``reason`` says which check broke and ``defect`` measures by how much.
+    failure ``fail_index`` names the first site, in order of |n|, whose
+    certificate breaks, ``reason`` the check that broke and ``defect`` by how much.
     """
 
     pi: dict
@@ -130,17 +131,15 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
 
     pi[0] = I and pi[n+1] = (A_n*)^{-1} pi[n] C_{n+1}.  On line models the
     negative side is anchored through pi[-1] C_0 = A_{-1}* pi[0] and
-    continued downward.  The certificate checks the sites in order of
-    |n|, three checks each: pi[n] is Hermitian (``is_hermitian``; the
-    defect is the 2-norm of pi - pi*), pi[n] is positive definite (a
-    Cholesky factor r with pi = r* r exists; the defect is minus the least
-    eigenvalue), and the witness r B_n r^{-1} is Hermitian within
-    ``TOL_SYM`` (the defect is the 2-norm of its anti-Hermitian part).
-    The result holds the products and the verdict.
+    continued downward.  The certificate is the condition itself, tested at
+    every site at once on P = pi[n] / ||pi[n]||_2, so that no check depends
+    on the scale of pi[n]: P is Hermitian within ``TOL_HERM`` (defect
+    ||pi[n] - pi[n]*||_2), positive definite (defect minus the least
+    eigenvalue of the Hermitian part of pi[n]), and P B_n Hermitian within
+    ``TOL_SYM`` max(1, ||P B_n||_2) (defect ||P B_n - (P B_n)*||_2).  The
+    first failing site in order of |n|, and its first failing check, decide.
     """
-    d = model.block_dim
-    pi: dict[int, Array] = {0: np.eye(d, dtype=complex)}
-    sites = [0]
+    pi: dict[int, Array] = {0: np.eye(model.block_dim, dtype=complex)}
     topo = model.topology
     hi = n_max if topo.hi is None else min(n_max, topo.hi)
     for n in range(1, hi + 1):
@@ -150,7 +149,6 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
             pi[n] = np.linalg.solve(a.conj().T, pi[n - 1] @ c)
         except np.linalg.LinAlgError as exc:
             raise SpectralError(f"singular block product at site {n}") from exc
-        sites.append(n)
     if topo.kind == LINE:
         for n in range(0, n_max):
             a = model.block(-n - 1, "A")
@@ -159,24 +157,23 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
                 pi[-n - 1] = np.linalg.solve(c.T, (a.conj().T @ pi[-n]).T).T
             except np.linalg.LinAlgError as exc:
                 raise SpectralError(f"singular block product at site {-n-1}") from exc
-            sites.append(-n - 1)
-
-    for n in sorted(sites, key=abs):
-        if not is_hermitian(pi[n]):
-            defect = float(np.linalg.norm(pi[n] - pi[n].conj().T, 2))
-            return Symmetrizer(pi, False, n, defect, f"pi[{n}] is not Hermitian")
-        try:
-            factor = np.linalg.cholesky(hermitian_part(pi[n])).conj().T
-        except np.linalg.LinAlgError:
-            return Symmetrizer(pi, False, n, -min_eigenvalue(pi[n]),
-                               f"pi[{n}] is not positive definite")
-        witness = factor @ model.block(n, "B") @ np.linalg.inv(factor)
-        herm_defect = float(np.linalg.norm(witness - witness.conj().T, 2))
-        scale = max(1.0, float(np.linalg.norm(witness, 2)))
-        if herm_defect > TOL_SYM * scale:
-            return Symmetrizer(pi, False, n, herm_defect,
-                               f"r B r^{{-1}} at site {n} is not Hermitian")
-    return Symmetrizer(pi, True)
+    # every site at once, each check on p = pi[n] / ||pi[n]||_2; NaN fails
+    sites = sorted(pi, key=abs)
+    p = np.stack([pi[n] for n in sites])
+    scale = np.linalg.norm(p, 2, axis=(1, 2))
+    p /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    pb = p @ np.stack([model.block(n, "B") for n in sites])
+    skew, pb_skew = (np.linalg.norm(q - q.conj().swapaxes(1, 2), 2, axis=(1, 2)) for q in (p, pb))
+    low = np.linalg.eigvalsh(p + p.conj().swapaxes(1, 2))[:, 0] / 2
+    holds = np.stack([skew <= TOL_HERM, low > 0,
+                      pb_skew <= TOL_SYM * np.maximum(1.0, np.linalg.norm(pb, 2, axis=(1, 2)))])
+    if holds.all():
+        return Symmetrizer(pi, True)
+    k = int(np.argmin(holds.all(axis=0)))
+    reason, defect = (("pi[{}] is not Hermitian", scale * skew),
+                      ("pi[{}] is not positive definite", -scale * low),
+                      ("pi[{0}] B_{0} is not Hermitian", pb_skew))[int(np.argmin(holds[:, k]))]
+    return Symmetrizer(pi, False, sites[k], float(defect[k]), reason.format(sites[k]))
 
 
 # ---------------------------------------------------------------------
@@ -210,7 +207,9 @@ class DiscreteWeight:
 
         ``left`` and ``right`` are stacks in node order, shape (nodes, d,
         m), such as a polynomial family evaluated at the nodes; each is
-        the identity when omitted.
+        the identity when omitted.  Residue weights drop the higher Laurent
+        terms: where a defective eigenvalue reaches the corner, the sum gives
+        the powers of the segment's diagonalizable part, not its own powers.
         """
         terms = self.weights()
         if left is not None:

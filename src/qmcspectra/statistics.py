@@ -246,7 +246,10 @@ def km_block(
     """n-step block (j, i) as the discrete spectral sum
     (Q_j, Q_j)^{-1} sum_k l^n Q_j*(l_k) W_k Q_i(l_k).
 
-    The norm (Q_j, Q_j) equals the symmetrizer product pi[j]."""
+    The norm (Q_j, Q_j) equals the symmetrizer product pi[j].  The weights
+    are residues: where a defective eigenvalue reaches the corner, the sum
+    gives the n-th power of the segment's diagonalizable part, not of the
+    segment (:meth:`DiscreteWeight.moment`)."""
     if not sym.success:
         raise ValueError("spectral sum needs a successful symmetrizer")
     if n < 0:
@@ -348,8 +351,10 @@ def reach_analysis(
 ) -> PassageResult:
     """Probability of ever reaching site j from a density at site i.
 
-    The closed route gives t F_ji(1) rho in one solve at s = 1, exact on
-    every topology: no ladder, no window and no extrapolation.  The
+    Both sites must be sites of the chain (``ValueError`` otherwise).  The
+    closed route gives t F_ji(1) rho in one solve at s = 1, exact on every
+    topology and for sites at any distance: no ladder, no window and no
+    extrapolation.  The
     elimination toward j of ``spectral`` sweeps the side holding the
     source, from the first site past every override and the source, closed
     there by the homogeneous closure at z = 1 (G = C Y is the first
@@ -362,12 +367,14 @@ def reach_analysis(
     extrapolation of order 2; when the ladder is too rough to extrapolate
     the last sample is returned with a warning.  When the source side is
     unbounded the ladder answers for the absorbing window, not for the
-    chain, and a warning naming the window says so.  ``route`` and
-    ``residual`` of the result say which ran.  Both sites must lie in the
-    window on either route.
+    chain, and a warning naming the window says so.  ``window`` applies to
+    the ladder alone, which raises ``ValueError`` when the window does not
+    hold both sites.  ``route`` and ``residual`` of the result say which
+    ran.
     """
     rho_vec = model.state_vec(rho)
-    lo, hi = _passage_window(model, i, j, window)
+    if not (model.topology.contains(i) and model.topology.contains(j)):
+        raise ValueError(f"sites {i}, {j} outside the {model.topology.kind} topology")
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0)
     elimination = _Elimination(model, j, i)
@@ -382,6 +389,7 @@ def reach_analysis(
         prob = trace_action(model, block, rho_vec)
         samples, extrapolated, route = ((1.0, prob),), False, "closed"
     else:
+        lo, hi = _passage_window(model, i, j, window)
         blocks = first_passage_gf(model, j, i, REACH_LADDER, window=window)
         samples = tuple((s, trace_action(model, f, rho_vec))
                         for s, f in zip(REACH_LADDER, blocks))

@@ -439,15 +439,16 @@ def test_first_passage_probability_above_one_is_numerical_failure(files, capsys,
     assert err.startswith("error: first-passage failed: closed passage probability 1.5 outside")
 
 
-def test_first_passage_site_outside_window_is_schema_error(files, capsys):
-    code, err = run_error(
+def test_first_passage_past_the_window_answers_on_the_closed_route(files, capsys):
+    # --window bounds the fallback ladder only; the exact s = 1 solve
+    # reaches a source at any distance
+    out = run_json(
         capsys,
         ["first-passage", files["hop"], "--from", "100", "--to", "0",
          "--density", files["rho"]],
     )
-    assert code == 3
-    assert err.startswith("error: bad first-passage query:")
-    assert "Traceback" not in err
+    assert out["route"] == "closed"
+    assert out["probability"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_first_passage_to_the_source_outside_window_is_schema_error(files, capsys):

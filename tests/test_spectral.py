@@ -58,7 +58,7 @@ def test_symmetrizer_geometric_products():
 
 
 def _unit_hop_segment(b):
-    # A = C = I makes every pi[n] = I, so the witness at site 0 is B itself
+    # A = C = I makes every pi[n] = I, so pi[0] B_0 at site 0 is B itself
     eye = Block(np.eye(2, dtype=complex))
     return QmcModel(topology=segment(2), mode="abstract",
                     blocks={"A": eye, "B": Block(np.asarray(b, dtype=complex)), "C": eye},
@@ -70,7 +70,7 @@ def _unit_hop_segment(b):
     [
         # pi[1] = C_1 / A_0 = -1 is Hermitian and negative
         (scalar_chain(1.0, -1.0, topology=segment(2)), 1, "pi[1] is not positive definite"),
-        (_unit_hop_segment([[0, 1], [0, 0]]), 0, "r B r^{-1} at site 0 is not Hermitian"),
+        (_unit_hop_segment([[0, 1], [0, 0]]), 0, "pi[0] B_0 is not Hermitian"),
     ],
     ids=["not-positive-definite", "witness-not-hermitian"],
 )
@@ -109,6 +109,95 @@ def test_symmetrizer_failure_reported():
     assert sym.fail_index == 1
     assert sym.defect > 1.0
     assert "Hermitian" in sym.reason
+
+
+def _site20_segment(role, block):
+    # pi[n] = 0.2^n I up to site 19, so pi[20] has norm near 1e-14: a test
+    # with an absolute floor does not see what breaks there
+    eye = np.eye(2, dtype=complex)
+    return QmcModel(topology=segment(24), mode="abstract",
+                    blocks={"A": Block(0.5 * eye), "B": Block(0.1 * eye), "C": Block(0.1 * eye)},
+                    overrides={20: {role: Block(np.asarray(block, dtype=complex))}},
+                    substochastic=True)
+
+
+@pytest.mark.parametrize(
+    "role, block",
+    [("C", [[0.1, 0.05], [0, 0.1]]), ("B", [[0.1, 0.3], [0, 0.1]])],
+    ids=["tiny-pi-not-hermitian", "tiny-pi-b-not-hermitian"],
+)
+def test_symmetrizer_checks_do_not_depend_on_the_scale_of_pi(role, block):
+    sym = find_symmetrizer(_site20_segment(role, block), 23)
+    assert np.linalg.norm(sym.pi[20], 2) < 1e-13
+    assert not sym.success and sym.fail_index == 20
+
+
+def test_symmetrizer_zero_product_is_not_positive_definite():
+    # C_1 = 0 makes pi[1] = 0, which has no scale to divide by
+    sym = find_symmetrizer(scalar_chain(0.5, 0.0, topology=segment(3)), 4)
+    assert (sym.success, sym.fail_index, sym.defect) == (False, 1, 0.0)
+    assert sym.reason == "pi[1] is not positive definite"
+
+
+def _witness_verdict(model, sym):
+    """(success, fail_index) of the per-site Cholesky witness on the same
+    products: p = pi[n] / ||pi[n]||_2 Hermitian, p = r* r, and r B_n r^-1
+    Hermitian, which holds exactly when p B_n is."""
+    for n in sorted(sym.pi, key=abs):
+        p = sym.pi[n] / np.linalg.norm(sym.pi[n], 2)
+        if np.linalg.norm(p - p.conj().T, 2) > 1e-10:
+            return False, n
+        try:
+            r = np.linalg.cholesky(0.5 * (p + p.conj().T)).conj().T
+        except np.linalg.LinAlgError:
+            return False, n
+        w = r @ model.block(n, "B") @ np.linalg.inv(r)
+        if np.linalg.norm(w - w.conj().T, 2) > 1e-9 * max(1.0, np.linalg.norm(w, 2)):
+            return False, n
+    return True, None
+
+
+def _broken_at(model, site, role, rng):
+    """The model with one block at ``site`` moved off by 1e-3."""
+    overrides = {s: dict(ov) for s, ov in model.overrides.items()}
+    block = model.block(site, role)
+    kick = 1e-3 * (rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape))
+    overrides.setdefault(site, {})[role] = Block(block + kick)
+    return dataclasses.replace(model, overrides=overrides)
+
+
+def _symmetrizer_chains():
+    rng = np.random.default_rng(32)
+    chains = []
+    for k in range(12):
+        num_sites = int(rng.integers(2, 7))
+        m = models.random_symmetrizable_segment(rng, num_sites=num_sites,
+                                                block_dim=int(rng.integers(1, 5)))
+        site = int(rng.integers(1, num_sites))
+        chains += [pytest.param(m, num_sites - 1, id=f"random{k}"),
+                   pytest.param(_broken_at(m, site, "B", rng), num_sites - 1, id=f"random{k}-B{site}"),
+                   pytest.param(_broken_at(m, site, "C", rng), num_sites - 1, id=f"random{k}-C{site}")]
+    bundled = {
+        "three-site": models.three_site_absorbing_oqw(),
+        "corner-coin": models.corner_coin_oqw(0.3),
+        "hop-segment": models.uniform_hopping_segment(24, 0.4, 0.6, 0.5, 0.25, 0.2),
+        "hop-half-line": models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.3, 0.3),
+        "hop-line": models.uniform_hopping_line(0.4, 0.5, 0.5, 0.35, 0.25),
+        "flip": models.flip_channel_half_line(0.7, 0.8),
+        "coin-line": models.diagonal_coin_line_walk(),
+        "shear": models.shear_coin_segment(),
+        "lazy-shear": models.five_site_lazy_shear_chain(),
+        "tilted": models.tilted_shear_half_line(),
+        "tilted-line": models.tilted_shear_line(),
+        "balanced": models.balanced_shift_half_line(),
+    }
+    return chains + [pytest.param(m, 8, id=name) for name, m in bundled.items()]
+
+
+@pytest.mark.parametrize("model, n_max", _symmetrizer_chains())
+def test_symmetrizer_matches_the_per_site_witness(model, n_max):
+    sym = find_symmetrizer(model, n_max)
+    assert (sym.success, sym.fail_index) == _witness_verdict(model, sym)
 
 
 # -- finite spectra ---------------------------------------------------

@@ -343,9 +343,41 @@ def test_reach_probability_values():
 
 def test_reach_to_the_source_site_checks_the_site():
     # the source is its own target, but it must still be a site of the
-    # window, as for any other pair
-    with pytest.raises(ValueError, match="outside window"):
+    # chain, as for any other pair
+    with pytest.raises(ValueError, match="outside the segment topology"):
         reach_analysis(models.three_site_absorbing_oqw(), 7, 7, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "model, source, expect",
+    [
+        (models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4), 65, 0.5**65),
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.2, 0.4), 70, 0.5**70),
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.2, 0.4), -70, 1.0),
+    ],
+    ids=["half-line", "line-above", "line-below"],
+)
+def test_reach_from_past_the_fallback_window_is_closed(model, source, expect):
+    # down 0.2 and up 0.4 per step: gambler's ruin reaches 0 from n above
+    # with probability (1/2)^n, and from below with probability 1, at any
+    # distance and whatever the fallback ladder's window (64 sites)
+    res = reach_analysis(model, source, 0, np.eye(2) / 2)
+    assert res.route == "closed"
+    assert res.probability == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model, i, j",
+    [
+        (models.three_site_absorbing_oqw(), 0, 3),
+        (models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4), -1, 0),
+        (models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4), 65, -5),
+    ],
+    ids=["segment", "half-line-source", "half-line-target"],
+)
+def test_reach_rejects_a_site_outside_the_topology(model, i, j):
+    with pytest.raises(ValueError, match="topology"):
+        reach_analysis(model, i, j, np.eye(2) / 2)
 
 
 def test_reach_probability_certain_capture():
