@@ -135,9 +135,13 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
     every site at once on P = pi[n] / ||pi[n]||_2, so that no check depends
     on the scale of pi[n]: P is Hermitian within ``TOL_HERM`` (defect
     ||pi[n] - pi[n]*||_2), positive definite (defect minus the least
-    eigenvalue of the Hermitian part of pi[n]), and P B_n Hermitian within
-    ``TOL_SYM`` max(1, ||P B_n||_2) (defect ||P B_n - (P B_n)*||_2).  The
-    first failing site in order of |n|, and its first failing check, decide.
+    eigenvalue of the Hermitian part of pi[n]), and P B_n Hermitian in the
+    metric of P: with H = U L U* the Hermitian part of P, the matrix
+    W = L^(1/2) U* B_n U L^(-1/2), whose anti-Hermitian part is
+    L^(-1/2) U* (H B_n - B_n* H) U L^(-1/2), is Hermitian within ``TOL_SYM``
+    max(1, ||W||_2) (defect ||W - W*||_2).  In this metric a small eigenvalue
+    of P does not hide a skew part of P B_n in its direction.  The first
+    failing site in order of |n|, and its first failing check, decide.
     """
     pi: dict[int, Array] = {0: np.eye(model.block_dim, dtype=complex)}
     topo = model.topology
@@ -162,18 +166,29 @@ def find_symmetrizer(model: QmcModel, n_max: int) -> Symmetrizer:
     p = np.stack([pi[n] for n in sites])
     scale = np.linalg.norm(p, 2, axis=(1, 2))
     p /= np.where(scale > 0, scale, 1.0)[:, None, None]
-    pb = p @ np.stack([model.block(n, "B") for n in sites])
-    skew, pb_skew = (np.linalg.norm(q - q.conj().swapaxes(1, 2), 2, axis=(1, 2)) for q in (p, pb))
-    low = np.linalg.eigvalsh(p + p.conj().swapaxes(1, 2))[:, 0] / 2
-    holds = np.stack([skew <= TOL_HERM, low > 0,
-                      pb_skew <= TOL_SYM * np.maximum(1.0, np.linalg.norm(pb, 2, axis=(1, 2)))])
-    if holds.all():
+    skew = np.linalg.norm(p - p.conj().swapaxes(1, 2), 2, axis=(1, 2))
+    lam, u = np.linalg.eigh((p + p.conj().swapaxes(1, 2)) / 2)
+    # B_n in the metric of h = u lam u*, the Hermitian part of p:
+    # lam^(1/2) u* B_n u lam^(-1/2), whose anti-Hermitian part is
+    # lam^(-1/2) u* (h B_n - (h B_n)*) u lam^(-1/2)
+    root = np.sqrt(np.where(lam > 0, lam, 1.0))
+    w = u.conj().swapaxes(1, 2) @ np.stack([model.block(n, "B") for n in sites]) @ u
+    w = root[:, :, None] * w / root[:, None, :]
+    w_skew = np.linalg.norm(w - w.conj().swapaxes(1, 2), 2, axis=(1, 2))
+    hermitian = skew <= TOL_HERM
+    positive = lam[:, 0] > 0
+    symmetric = w_skew <= TOL_SYM * np.maximum(1.0, np.linalg.norm(w, 2, axis=(1, 2)))
+    failing = np.flatnonzero(~(hermitian & positive & symmetric))
+    if not failing.size:
         return Symmetrizer(pi, True)
-    k = int(np.argmin(holds.all(axis=0)))
-    reason, defect = (("pi[{}] is not Hermitian", scale * skew),
-                      ("pi[{}] is not positive definite", -scale * low),
-                      ("pi[{0}] B_{0} is not Hermitian", pb_skew))[int(np.argmin(holds[:, k]))]
-    return Symmetrizer(pi, False, sites[k], float(defect[k]), reason.format(sites[k]))
+    k = failing[0]
+    n = sites[k]
+    if not hermitian[k]:
+        return Symmetrizer(pi, False, n, float(scale[k] * skew[k]), f"pi[{n}] is not Hermitian")
+    if not positive[k]:
+        return Symmetrizer(pi, False, n, float(-scale[k] * lam[k, 0]),
+                           f"pi[{n}] is not positive definite")
+    return Symmetrizer(pi, False, n, float(w_skew[k]), f"pi[{n}] B_{n} is not Hermitian")
 
 
 # ---------------------------------------------------------------------
@@ -844,10 +859,14 @@ class _Elimination:
 
     Each unbounded side is cut at the first site past every override, j
     and ``source``, and closed there by its interior, the triple in
-    ``ends``: (A, B, C) above j, the mirror (C, B, A) below.  A bounded
-    side, and both sides of a given absorbing ``window`` (lo, hi), end at
-    an edge.  A source other than j keeps only its own side.  One
-    ``block_table`` serves every sweep; ``hold`` is B_j.
+    ``ends``: (A, B, C) above j, the mirror (C, B, A) below.  A source
+    farther out on an unbounded side stands in at the first homogeneous
+    site past every override and j, ``lift`` levels nearer; its
+    :meth:`couplings` carry it there by G^lift, G = C Y (A Y below) the
+    passage one level toward j, so no sweep or table grows with its
+    distance.  A bounded side, and both sides of a given absorbing
+    ``window`` (lo, hi), end at an edge.  A source other than j keeps only
+    its own side.  One ``block_table`` serves every sweep; ``hold`` is B_j.
     """
 
     def __init__(self, model: QmcModel, site: int, source: int | None = None,
@@ -856,8 +875,15 @@ class _Elimination:
         self.site = site
         self.source = None if source == site else source
         self.trace_vec = model.trace_vec
+        self.lift = 0
         if window is None:
-            marks = [*model.overrides, site] + ([] if source is None else [source])
+            marks = [*model.overrides, site]
+            above, below = max(marks) + 1, min(marks) - 1
+            if self.source is not None and topo.hi is None and self.source > above:
+                self.source, self.lift = above, self.source - above
+            elif self.source is not None and topo.lo is None and self.source < below:
+                self.source, self.lift = below, below - self.source
+            marks += [] if self.source is None else [self.source]
             lo = min(marks) - 1 if topo.lo is None else topo.lo
             hi = max(marks) + 1 if topo.hi is None else topo.hi
             closed = (topo.hi is None, topo.lo is None)
@@ -899,14 +925,17 @@ class _Elimination:
         """The coupling into j of each kept side, above first: C_{j+1} Y A_j
         and A_{j-1} Y C_j with Y the inverse pivot next to j, or, for a
         source away from j, C_{j+1} x or A_{j-1} x with x the solution
-        there for an identity source.  Each side is one :func:`schur_sweep`
+        there for an identity source, or for G^lift at a stand-in source
+        (G = C Y above, A Y below, Y the closing, which must be given then).
+        Each side is one :func:`schur_sweep`
         from its far end, started from its closing (None at an edge), at
         the ``z=`` or ``s=`` points; a side with neither sites nor closing
         adds nothing.  A singular pivot raises ``np.linalg.LinAlgError``."""
         A, B, C = self.table
         k = self.site - self.lo
         out = []
-        for sites, closing, into, back in zip(self.sweeps, closings, (C, A), (A, C)):
+        for sites, closing, end, into, back in zip(self.sweeps, closings, self.ends,
+                                                   (C, A), (A, C)):
             if sites is None:
                 continue
             if self.source is None:
@@ -914,8 +943,10 @@ class _Elimination:
                 if y is not None:
                     out.append(_block_product(into[k - sites.step], y, back[k]))
             else:
+                lifted = (np.linalg.matrix_power(end[2] @ closing, self.lift) if self.lift
+                          else np.eye(B[k].shape[0]))
                 x = schur_sweep(self.table, self.lo, sites, source_site=self.source,
-                                source=np.eye(B[k].shape[0]), closing=closing, **points)
+                                source=lifted, closing=closing, **points)
                 out.append(_block_product(into[k - sites.step], x, None))
         return out
 

@@ -354,11 +354,15 @@ def reach_analysis(
     Both sites must be sites of the chain (``ValueError`` otherwise).  The
     closed route gives t F_ji(1) rho in one solve at s = 1, exact on every
     topology and for sites at any distance: no ladder, no window and no
-    extrapolation.  The
-    elimination toward j of ``spectral`` sweeps the side holding the
-    source, from the first site past every override and the source, closed
-    there by the homogeneous closure at z = 1 (G = C Y is the first
-    passage one level down), or from its edge when that side is bounded.
+    extrapolation.  The elimination toward j of ``spectral`` sweeps the
+    side holding the source, from the first site past every override and
+    j, closed there by the homogeneous closure at z = 1 (G = C Y is the
+    first passage one level down), or from its edge when that side is
+    bounded.  A source farther out on an unbounded side enters that sweep
+    as G^k, k its distance from the first site, one matrix power and no
+    sweep over the k sites; its rounding grows about as k times that of G,
+    so past about 10^8 levels a recurrent side can leave [0, 1] by more
+    than 1e-8 (``ArithmeticError``).
     It falls back to the window ladder when the closure misses its
     certificate, the invariant states of the interior drift apart, or the
     s = 1 sweep hits a singular pivot.  The ladder samples the

@@ -451,6 +451,18 @@ def test_first_passage_past_the_window_answers_on_the_closed_route(files, capsys
     assert out["probability"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_first_passage_from_a_million_sites_away_is_one_power(files, capsys):
+    # the homogeneous stretch is a power of the one-level passage, so the
+    # answer costs no sweep over the sites between
+    out = run_json(
+        capsys,
+        ["first-passage", files["hop"], "--from", "1000000", "--to", "0",
+         "--density", files["rho"]],
+    )
+    assert out["route"] == "closed"
+    assert out["probability"] == pytest.approx(1.0, abs=1e-8)
+
+
 def test_first_passage_to_the_source_outside_window_is_schema_error(files, capsys):
     # from a site to itself is probability 1 only for a site of the chain
     code, err = run_error(

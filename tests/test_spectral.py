@@ -132,6 +132,31 @@ def test_symmetrizer_checks_do_not_depend_on_the_scale_of_pi(role, block):
     assert not sym.success and sym.fail_index == 20
 
 
+def _graded_segment(b20):
+    # C = diag(0.25, 0.1) grades pi[n] = diag(0.5^n, 0.2^n), so pi[20] / ||pi[20]||
+    # has least eigenvalue 1.1e-8; the defective B_20 is symmetrized by no
+    # positive pi, though pi B_20 - (pi B_20)* is only 5.5e-10 of ||pi[20]||
+    eye = np.eye(2, dtype=complex)
+    return QmcModel(topology=segment(24), mode="abstract",
+                    blocks={"A": Block(0.5 * eye), "B": Block(0.1 * eye),
+                            "C": Block(np.diag([0.25, 0.1]).astype(complex))},
+                    overrides={20: {"B": Block(np.asarray(b20, dtype=complex))}},
+                    substochastic=True)
+
+
+@pytest.mark.parametrize(
+    "b20, verdict",
+    [([[0.1, 0], [0.05, 0.1]], (False, 20)), ([[10, 0], [0.01, 10]], (False, 20)),
+     ([[0.1, 0], [0, 0.2]], (True, None))],
+    ids=["defective", "defective-large-b", "diagonal"],
+)
+def test_symmetrizer_reads_pi_b_in_the_metric_of_pi(b20, verdict):
+    sym = find_symmetrizer(_graded_segment(b20), 23)
+    p = sym.pi[20] / np.linalg.norm(sym.pi[20], 2)
+    assert np.linalg.eigvalsh(p)[0] < 2e-8
+    assert (sym.success, sym.fail_index) == verdict
+
+
 def test_symmetrizer_zero_product_is_not_positive_definite():
     # C_1 = 0 makes pi[1] = 0, which has no scale to divide by
     sym = find_symmetrizer(scalar_chain(0.5, 0.0, topology=segment(3)), 4)
@@ -191,7 +216,11 @@ def _symmetrizer_chains():
         "tilted-line": models.tilted_shear_line(),
         "balanced": models.balanced_shift_half_line(),
     }
-    return chains + [pytest.param(m, 8, id=name) for name, m in bundled.items()]
+    # products graded by 2^n and 2.5^n, each with one B kicked
+    graded = {"coin-line-B6": (_broken_at(models.diagonal_coin_line_walk(), 6, "B", rng), 14),
+              "graded-B20": (_broken_at(_graded_segment(0.1 * np.eye(2)), 20, "B", rng), 23)}
+    return (chains + [pytest.param(m, 8, id=name) for name, m in bundled.items()]
+            + [pytest.param(m, n, id=name) for name, (m, n) in graded.items()])
 
 
 @pytest.mark.parametrize("model, n_max", _symmetrizer_chains())

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from qmcspectra.spectral import (
     HomogeneousStieltjes,
     SiteStieltjes,
     TruncatedStieltjes,
+    _Elimination,
     find_symmetrizer,
     finite_spectrum_weights,
 )
@@ -378,6 +380,46 @@ def test_reach_from_past_the_fallback_window_is_closed(model, source, expect):
 def test_reach_rejects_a_site_outside_the_topology(model, i, j):
     with pytest.raises(ValueError, match="topology"):
         reach_analysis(model, i, j, np.eye(2) / 2)
+
+
+def _marked_at(model, site):
+    """The same chain with an override at ``site`` equal to its interior
+    block, which puts the site among the marks of every elimination."""
+    overrides = {s: dict(ov) for s, ov in model.overrides.items()}
+    overrides.setdefault(site, {})["A"] = Block(model.block(site, "A"))
+    return dataclasses.replace(model, overrides=overrides)
+
+
+@pytest.mark.parametrize(
+    "model, source, target",
+    [
+        (models.tilted_shear_half_line(corner=True), 300, 2),
+        (models.tilted_shear_line(), 300, 1),
+        (models.tilted_shear_line(), -300, 1),
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.2, 0.4), -40, 3),
+    ],
+    ids=["half-line", "line-above", "line-below", "hop-line-below"],
+)
+def test_reach_from_a_far_source_equals_the_full_sweep(model, source, target):
+    # unmarked, the source stands in next to the target and is lifted by a
+    # power of the one-level passage; marked, the sweep visits every site
+    rho = random_density(np.random.default_rng(abs(source)), 2).real
+    lifted = reach_analysis(model, source, target, rho)
+    swept = reach_analysis(_marked_at(model, source), source, target, rho)
+    assert _Elimination(model, target, source).lift == abs(source - target) - 1
+    assert _Elimination(_marked_at(model, source), target, source).lift == 0
+    assert (lifted.route, swept.route) == ("closed", "closed")
+    assert lifted.probability == pytest.approx(swept.probability, rel=1e-11, abs=1e-300)
+
+
+def test_reach_table_does_not_grow_with_the_distance():
+    model = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25)
+    elimination = _Elimination(model, 0, 10**6)
+    assert elimination.lift == 10**6 - 1
+    assert len(elimination.table[1]) == 3
+    res = reach_analysis(model, 10**6, 0, np.eye(2) / 2)
+    assert res.route == "closed"
+    assert res.probability == pytest.approx(1.0, abs=1e-8)
 
 
 def test_reach_probability_certain_capture():
