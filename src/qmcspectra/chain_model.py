@@ -51,6 +51,9 @@ class Topology:
     def __post_init__(self):
         if self.kind not in (SEGMENT, HALF_LINE, LINE):
             raise ValueError(f"unknown topology {self.kind!r}")
+        n = self.num_sites
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
+            raise ValueError(f"num_sites must be an integer, got {n!r}")
         if self.kind == SEGMENT:
             if self.num_sites is None or self.num_sites < 1:
                 raise ValueError("segment needs num_sites >= 1")
@@ -303,7 +306,11 @@ def build_model(spec: dict) -> QmcModel:
         raise ValueError(f"substochastic must be true or false, got {substochastic!r}")
 
     def parse_block(bs) -> Block:
+        if not isinstance(bs, dict):
+            raise ValueError(f"a blockspec is an object, got {bs!r}")
         if "kraus" in bs:
+            if not isinstance(bs["kraus"], (list, tuple)):
+                raise ValueError(f"kraus must be a list of matrices, got {bs['kraus']!r}")
             return block_from_kraus([decode_matrix(k) for k in bs["kraus"]], mode)
         if "matrix" in bs:
             return block_from_matrix(decode_matrix(bs["matrix"]))
@@ -319,7 +326,12 @@ def build_model(spec: dict) -> QmcModel:
         if bs is not None:
             blocks[role] = parse_block(bs)
     overrides = {}
-    for entry in spec.get("overrides") or []:
+    entries = spec.get("overrides") or []
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"overrides must be a list of objects, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or "site" not in entry:
+            raise ValueError(f"an override is an object with a 'site', got {entry!r}")
         site = entry["site"]
         if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
             raise ValueError(f"override site must be an integer, got {site!r}")
@@ -331,6 +343,8 @@ def build_model(spec: dict) -> QmcModel:
 
     trace_vec = None
     if mode == "abstract" and "trace" in spec:
+        if not isinstance(spec["trace"], (list, tuple)):
+            raise ValueError(f"trace must be a list of entries, got {spec['trace']!r}")
         trace_vec = np.array([_decode_entry(e) for e in spec["trace"]])
     model = QmcModel(
         topology=topo,
@@ -348,17 +362,23 @@ def build_model(spec: dict) -> QmcModel:
 
 
 def _decode_entry(e) -> complex:
-    if isinstance(e, (list, tuple)):
-        if len(e) != 2:
-            raise ValueError("complex entries are [re, im] pairs")
-        return complex(e[0], e[1])
-    return complex(e)
+    try:
+        if isinstance(e, (list, tuple)):
+            if len(e) != 2:
+                raise ValueError("complex entries are [re, im] pairs")
+            return complex(e[0], e[1])
+        return complex(e)
+    except TypeError:
+        raise ValueError(f"an entry is a number or an [re, im] pair, got {e!r}") from None
 
 
 def decode_matrix(rows) -> Array:
     """Decode a row-major nested array whose entries are [re, im] pairs
     or bare reals."""
-    return np.array([[_decode_entry(e) for e in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[_decode_entry(e) for e in row] for row in rows], dtype=complex)
+    except TypeError:
+        raise ValueError(f"a matrix is a list of rows, got {rows!r}") from None
 
 
 def encode_matrix(m: Array) -> list:

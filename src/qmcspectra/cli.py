@@ -69,7 +69,7 @@ def _load_model(path: str) -> QmcModel:
         raise CliError(f"model file not found: {path}", EXIT_FILE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"model file is not valid JSON: {exc}", EXIT_SCHEMA) from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad model spec: {exc}", EXIT_SCHEMA) from exc
 
 

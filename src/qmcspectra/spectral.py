@@ -852,6 +852,22 @@ class CornerStieltjes(StieltjesEvaluator):
         return EvalResult(value, residual, self.method)
 
 
+def _passage_power(g: Array, phi: Array, k: int) -> Array:
+    """G^k of a one-level passage G, exact at every k where the fixed
+    functionals l of the interior ``phi`` = A + B + C keep l G = l within
+    ``FP_TOL``, as at z = 1 on a recurrent side: there G = X + Q with
+    Q = l* l and X = G - Q G, so Q X = 0 and
+    G^k = X^k + (I - X)^{-1} (I - X^k) Q keeps l G^k = l to rounding,
+    where the plain power, used everywhere else, loses about k roundings."""
+    ell = _fixed_spaces(phi)[1]
+    if not ell.size or np.linalg.norm(ell @ g - ell) > FP_TOL:
+        return np.linalg.matrix_power(g, k)
+    eye, q = np.eye(g.shape[0]), ell.conj().T @ ell
+    x = g - q @ g
+    xk = np.linalg.matrix_power(x, k)
+    return xk + np.linalg.solve(eye - x, (eye - xk) @ q)
+
+
 class _Elimination:
     """Block-Schur elimination of a chain toward one site j: the kernel of
     :class:`SiteStieltjes`, of its return block and of the first passage
@@ -862,11 +878,11 @@ class _Elimination:
     ``ends``: (A, B, C) above j, the mirror (C, B, A) below.  A source
     farther out on an unbounded side stands in at the first homogeneous
     site past every override and j, ``lift`` levels nearer; its
-    :meth:`couplings` carry it there by G^lift, G = C Y (A Y below) the
-    passage one level toward j, so no sweep or table grows with its
-    distance.  A bounded side, and both sides of a given absorbing
-    ``window`` (lo, hi), end at an edge.  A source other than j keeps only
-    its own side.  One ``block_table`` serves every sweep; ``hold`` is B_j.
+    :meth:`couplings` carry it there by G^lift (:func:`_passage_power`),
+    G = C Y (A Y below) the passage one level toward j, so no sweep or
+    table grows with its distance.  A bounded side, and both sides of a
+    given absorbing ``window`` (lo, hi), end at an edge.  A source other
+    than j keeps only its own side.  One ``block_table`` serves every sweep; ``hold`` is B_j.
     """
 
     def __init__(self, model: QmcModel, site: int, source: int | None = None,
@@ -943,7 +959,7 @@ class _Elimination:
                 if y is not None:
                     out.append(_block_product(into[k - sites.step], y, back[k]))
             else:
-                lifted = (np.linalg.matrix_power(end[2] @ closing, self.lift) if self.lift
+                lifted = (_passage_power(end[2] @ closing, sum(end), self.lift) if self.lift
                           else np.eye(B[k].shape[0]))
                 x = schur_sweep(self.table, self.lo, sites, source_site=self.source,
                                 source=lifted, closing=closing, **points)

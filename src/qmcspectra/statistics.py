@@ -360,9 +360,9 @@ def reach_analysis(
     first passage one level down), or from its edge when that side is
     bounded.  A source farther out on an unbounded side enters that sweep
     as G^k, k its distance from the first site, one matrix power and no
-    sweep over the k sites; its rounding grows about as k times that of G,
-    so past about 10^8 levels a recurrent side can leave [0, 1] by more
-    than 1e-8 (``ArithmeticError``).
+    sweep over the k sites; on a recurrent side the power keeps the trace
+    exactly (``spectral._passage_power``), so the reach is 1 to rounding
+    at any distance.
     It falls back to the window ladder when the closure misses its
     certificate, the invariant states of the interior drift apart, or the
     s = 1 sweep hits a singular pivot.  The ladder samples the

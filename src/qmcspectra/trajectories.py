@@ -4,10 +4,12 @@ A trajectory carries a pure lattice position plus a conditioned internal
 density; at each step one Kraus branch (direction, effect) is drawn with
 probability Tr(K rho K*), the state is renormalized, and substochastic
 columns kill the trajectory with the missing mass.  Branch mass above one
-has no such reading and raises ``ArithmeticError``.  One step, shared by
-the single-path sampler and the ensemble, does the drawing for a batch of
-trajectories.  The ensemble is a statistically independent oracle for the
-site-occupation numbers computed by direct evolution.
+has no such reading and raises ``ArithmeticError``.  One walker steps a
+batch of trajectories for both samplers: a path is a batch of one, and
+the ensemble, an independent oracle for the site occupations of direct
+evolution, counts sites in chunks of ``CHUNK`` trajectories.  The chunks
+run on as many threads as there are chunks and processors this process
+may use (``os.sched_getaffinity``, else ``os.cpu_count``).
 
 Randomness comes from the counter-based Philox4x64-10 generator keyed by
 (seed, trajectory index): trajectory t consumes the stream of
@@ -32,8 +34,7 @@ from .quantum_core import Array
 DEAD = np.iinfo(np.int64).min
 NEG_TOL = 1e-12
 MASS_TOL = 1e-9
-
-THREADS_ENV = "QMC_SPECTRA_THREADS"
+CHUNK = 20_000  # trajectories per run; bounds the scratch of one run
 
 
 def _integer(name: str, value) -> int:
@@ -245,6 +246,20 @@ def _step(model: QmcModel, sites: Array, states: Array, r: Array) -> None:
             sites[killed] = DEAD
 
 
+def _walk(config: TrajectoryConfig, t0: int, t1: int):
+    """Yield (sites, states) of trajectories [t0, t1), started at
+    ``config.site`` in ``config.rho``, at step 0 and after every step; the
+    arrays are updated in place."""
+    n, dim = t1 - t0, config.model.dim
+    uniforms = _stream_uniforms(config.seed, t0, t1, config.steps)
+    sites = np.full(n, config.site, dtype=np.int64)
+    states = np.broadcast_to(config.rho, (n, dim, dim)).copy()
+    yield sites, states
+    for step in range(config.steps):
+        _step(config.model, sites, states, uniforms[:, step])
+        yield sites, states
+
+
 def sample_trajectory(config: TrajectoryConfig, index: int = 0):
     """One sampled path: a list of (site, conditioned density) per step,
     with (None, None) entries after a kill event.  Trajectory ``index``
@@ -253,54 +268,37 @@ def sample_trajectory(config: TrajectoryConfig, index: int = 0):
     index = _integer("index", index)
     if not 0 <= index < 2**64:
         raise ValueError(f"trajectory index must lie in [0, 2**64), got {index}")
-    u = _stream_uniforms(config.seed, index, index + 1, config.steps)[0]
-    sites = np.array([config.site], dtype=np.int64)
-    states = config.rho[None].copy()
-    path = [(config.site, config.rho.copy())]
-    for step in range(config.steps):
-        _step(config.model, sites, states, u[step : step + 1])
-        if sites[0] == DEAD:
-            path.append((None, None))
-        else:
-            path.append((int(sites[0]), states[0].copy()))
-    return path
+    return [
+        (None, None) if sites[0] == DEAD else (int(sites[0]), states[0].copy())
+        for sites, states in _walk(config, index, index + 1)
+    ]
 
 
 def _run_block(config: TrajectoryConfig, t0: int, t1: int) -> Array:
     """Occupation counts (steps + 1, window) for trajectories [t0, t1)."""
-    steps = config.steps
-    n = t1 - t0
-    dim = config.model.dim
     lo, hi = _window(config)
-    width = hi - lo + 1
-
-    uniforms = _stream_uniforms(config.seed, t0, t1, steps)
-    sites = np.full(n, config.site, dtype=np.int64)
-    states = np.broadcast_to(config.rho, (n, dim, dim)).copy()
-    counts = np.zeros((steps + 1, width))
-    counts[0, config.site - lo] = n
-
-    for step in range(steps):
-        _step(config.model, sites, states, uniforms[:, step])
-        landed = sites[sites != DEAD]
-        if len(landed):
-            counts[step + 1] += np.bincount(landed - lo, minlength=width)
-    return counts
+    return np.array([
+        np.bincount(sites[sites != DEAD] - lo, minlength=hi - lo + 1)
+        for sites, _ in _walk(config, t0, t1)
+    ])
 
 
 def estimate_site_prob(config: TrajectoryConfig) -> OccupationEstimate:
-    """Ensemble occupation estimate; bit-identical for a given seed."""
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    chunk = max(1, min(config.n_traj, 20_000))
-    bounds = list(range(0, config.n_traj, chunk)) + [config.n_traj]
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda b: _run_block(config, b[0], b[1]), blocks)
-            )
+    """Ensemble occupation estimate; bit-identical for a given seed.
+
+    Its chunks of ``CHUNK`` trajectories run on min(chunks, processors this
+    process may use) workers, so ``taskset`` caps them; one worker runs them
+    in the calling thread.  The counts are summed in chunk order."""
+    n = config.n_traj
+    blocks = [(t0, min(t0 + CHUNK, n)) for t0 in range(0, n, CHUNK)]
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(blocks), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    run = lambda b: _run_block(config, *b)
+    if workers == 1:
+        parts = list(map(run, blocks))
     else:
-        parts = [_run_block(config, t0, t1) for t0, t1 in blocks]
-    means = sum(parts[1:], parts[0]) / config.n_traj
-    stderrs = np.sqrt(np.clip(means * (1.0 - means), 0.0, None) / config.n_traj)
-    return OccupationEstimate(_window(config)[0], means, stderrs, config.n_traj, config.seed)
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run, blocks))
+    means = sum(parts[1:], parts[0]) / n
+    stderrs = np.sqrt(np.clip(means * (1.0 - means), 0.0, None) / n)
+    return OccupationEstimate(_window(config)[0], means, stderrs, n, config.seed)

@@ -153,6 +153,34 @@ def test_build_model_rejects_schema_holes(change, match):
         build_model({**HALF_LINE_SPEC, **change})
 
 
+SEGMENT_SPEC = {
+    "topology": "segment",
+    "num_sites": 3,
+    "mode": "abstract",
+    "homogeneous": {"B": {"matrix": [[0.5]]}},
+    "substochastic": True,
+}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"overrides": [{"B": {"matrix": [[0.2]]}}]}, "override is an object with a 'site'"),
+        ({"homogeneous": {"B": {"matrix": 5}}}, "matrix is a list of rows, got 5"),
+        ({"overrides": [5]}, "override is an object with a 'site', got 5"),
+        ({"num_sites": "3"}, "num_sites must be an integer, got '3'"),
+        ({"trace": 5}, "trace must be a list of entries, got 5"),
+    ],
+    ids=["override-without-site", "matrix-number", "override-number", "num-sites-string",
+         "trace-number"],
+)
+def test_build_model_raises_value_error_for_malformed_specs(change, match):
+    # each of these raised KeyError or TypeError before; the library's
+    # contract for malformed input is ValueError, which the CLI maps to exit 3
+    with pytest.raises(ValueError, match=match):
+        build_model({**SEGMENT_SPEC, **change})
+
+
 def test_build_model_reads_trace_entries_like_matrix_entries():
     m = build_model({**HALF_LINE_SPEC, "trace": [[2, 1]]})
     assert m.trace_vec.tolist() == [2 + 1j]

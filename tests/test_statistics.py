@@ -422,6 +422,37 @@ def test_reach_table_does_not_grow_with_the_distance():
     assert res.probability == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("exponent", [2, 6, 8, 9, 12])
+@pytest.mark.parametrize(
+    "model, sign",
+    [
+        (models.uniform_hopping_line(0.4, 0.5, 0.5, 0.2, 0.4), -1),
+        (models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25), 1),
+        (models.uniform_hopping_half_line(0.5, 0.5, 0.5, 0.25, 0.25), 1),
+    ],
+    ids=["line", "half-line", "balanced-half-line"],
+)
+def test_reach_of_a_recurrent_side_is_certain_at_any_distance(model, sign, exponent):
+    # the plain power G^k loses about k roundings (2.4e-8 at k = 10^8 on the
+    # line); split along the fixed functionals, t G^k = t to rounding
+    source = sign * 10**exponent
+    elimination = _Elimination(model, 0, source)
+    closings, _ = elimination.closings_at_one()
+    (block,) = elimination.couplings(closings, s=1.0)
+    for rho in (np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0])):
+        assert abs(trace_action(model, block, model.state_vec(rho)) - 1.0) <= 1e-14
+        assert reach_analysis(model, source, 0, rho).route == "closed"
+
+
+@pytest.mark.parametrize("source", [5, 50, 1000])
+def test_reach_of_a_transient_side_keeps_the_plain_power(source):
+    # (0.2, 0.4) leaks mass at every level, so t G != t and G^k is the
+    # plain power: the reach from k is (1/2)^k
+    model = models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.2, 0.4)
+    res = reach_analysis(model, source, 0, np.array([[0.6, 0.2], [0.2, 0.4]]))
+    assert res.probability == pytest.approx(0.5**source, rel=1e-12)
+
+
 def test_reach_probability_certain_capture():
     for g in (0.3, 1.0, 2.0):
         m = models.corner_coin_oqw(g)

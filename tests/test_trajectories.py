@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,16 @@ def reference_uniforms(seed, t0, t1, steps):
         key = np.array([seed, t], dtype=np.uint64)
         out[row] = np.random.Generator(np.random.Philox(key=key)).random(steps)
     return out
+
+
+def set_processors(monkeypatch, count, affinity=True):
+    """Let this process see ``count`` processors: through the affinity
+    call, or, with ``affinity`` false, as a platform without that call."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def ping_pong_model():
@@ -164,13 +178,46 @@ def test_same_seed_bit_identical():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
+    # 25,000 trajectories are two chunks: one processor runs both in the
+    # calling thread, three run them on a pool
     m = models.shear_coin_segment()
     rho = np.array([[0.3, 0.1], [0.1, 0.7]])
     cfg = TrajectoryConfig(m, 2, rho, steps=3, n_traj=25_000, seed=4)
-    base = estimate_site_prob(cfg)
-    monkeypatch.setenv("QMC_SPECTRA_THREADS", "3")
+    set_processors(monkeypatch, 1)
+    serial = estimate_site_prob(cfg)
+    set_processors(monkeypatch, 3)
     threaded = estimate_site_prob(cfg)
-    assert np.array_equal(base.means, threaded.means)
+    assert np.array_equal(serial.means, threaded.means)
+    assert np.array_equal(serial.stderrs, threaded.stderrs)
+
+
+@pytest.mark.parametrize(
+    "n_traj, count, affinity, pool",
+    [(20_000, 2, True, None), (20_001, 2, True, 2), (20_001, 3, False, 2)],
+    ids=["one-chunk", "two-chunks", "cpu-count-fallback"],
+)
+def test_pool_starts_only_for_two_chunks(monkeypatch, n_traj, count, affinity, pool):
+    # workers = min(chunks, processors); one worker starts no thread
+    pools, threads = [], []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(trajectories, "ThreadPoolExecutor", SpyPool)
+    set_processors(monkeypatch, count, affinity)
+    m = models.shear_coin_segment()
+    estimate_site_prob(TrajectoryConfig(m, 2, np.eye(2) / 2, steps=1, n_traj=n_traj))
+    assert pools == ([] if pool is None else [pool])
+    assert bool(threads) == (pool is not None)
 
 
 def test_estimate_step_zero_is_delta():
