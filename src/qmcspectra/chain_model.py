@@ -424,9 +424,12 @@ def load_model(path) -> QmcModel:
 def load_density_matrix(path) -> Array:
     """The matrix of a density file ``{"matrix": ...}``, validated as a
     :class:`~qmcspectra.quantum_core.Density`: square, finite, Hermitian,
-    positive semidefinite and of unit trace."""
+    positive semidefinite and of unit trace.  Any malformed file raises
+    ``ValueError``."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValueError(f'a density file is an object {{"matrix": ...}}, got {data!r}')
     return Density(decode_matrix(data["matrix"])).matrix
 
 

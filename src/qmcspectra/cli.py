@@ -5,6 +5,8 @@ machine-readable JSON (or CSV for ``simulate``) with 15 significant
 digits.  Exit codes: 0 success, 2 missing or unreadable file, 3 schema
 violation, 4 numerical failure.  The subcommands call the library
 directly; :func:`run` alone maps what it raises to an exit code.
+``stieltjes``, ``recurrence`` and ``first-passage`` take the library's
+exact route and offer no method or window to choose.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .polynomials import PolyFamily
 EXIT_FILE = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
-# the default auto route is exact and reads no window
-WINDOW_HELP = "starting window of --method truncated (site 0 only)"
 
 
 class CliError(Exception):
@@ -78,7 +78,7 @@ def _load_density(path: str):
         return load_density_matrix(path)
     except FileNotFoundError as exc:
         raise CliError(f"density file not found: {path}", EXIT_FILE) from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad density file: {exc}", EXIT_SCHEMA) from exc
 
 
@@ -94,6 +94,7 @@ def _parse_z(text: str) -> complex:
     raise CliError(f"cannot parse z value {text!r}; use finite RE or RE,IM", EXIT_SCHEMA)
 
 
+# perfbench/wl_halfline.py calls this; the subcommands call the library
 def _evaluator(model: QmcModel, method: str, window: int):
     return spectral.transform_evaluator(model, method, window)
 
@@ -168,7 +169,7 @@ def cmd_spectrum(args) -> None:
 def cmd_stieltjes(args) -> None:
     model = _load_model(args.model)
     z = _parse_z(args.z)
-    ev = _evaluator(model, args.method, args.window)
+    ev = spectral.transform_evaluator(model, "auto")
     res = ev.evaluate(z)
     emit({"z": z, "value": res.value, "residual": res.residual, "method": res.method})
     # the answer is written either way; one without a certificate exits 4
@@ -178,10 +179,7 @@ def cmd_stieltjes(args) -> None:
 def cmd_recurrence(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    # an explicit method names a site-0 evaluator; classify_recurrence
-    # rejects it at any other site
-    ev = None if args.method == "auto" else _evaluator(model, args.method, args.window)
-    cls = statistics.classify_recurrence(model, args.site, rho, ev)
+    cls = statistics.classify_recurrence(model, args.site, rho)
     out = {
         "site": args.site,
         "verdict": cls.verdict,
@@ -198,9 +196,7 @@ def cmd_recurrence(args) -> None:
 def cmd_first_passage(args) -> None:
     model = _load_model(args.model)
     rho = _load_density(args.density)
-    result = statistics.reach_analysis(
-        model, args.from_site, args.to_site, rho, window=args.window
-    )
+    result = statistics.reach_analysis(model, args.from_site, args.to_site, rho)
     emit(
         {
             "from": args.from_site,
@@ -298,23 +294,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("stieltjes", cmd_stieltjes, help="transform value at one point")
     p.add_argument("--z", required=True, help="RE or RE,IM")
-    p.add_argument("--method", default="auto", choices=["auto", "truncated"])
-    p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("recurrence", cmd_recurrence, help="site recurrence verdict")
     p.add_argument("--site", type=int, default=0)
     p.add_argument("--density", required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "truncated"])
-    p.add_argument("--window", type=int, default=800, help=WINDOW_HELP)
 
     p = add("first-passage", cmd_first_passage, help="reach probability")
     p.add_argument("--from", dest="from_site", type=int, required=True)
     p.add_argument("--to", dest="to_site", type=int, required=True)
     p.add_argument("--density", required=True)
-    p.add_argument("--window", type=int, default=64,
-                   help="window of the fallback ladder, which runs only where "
-                        "the exact s = 1 solve does not apply; both sites must "
-                        "lie in it then, and the exact solve reads no window")
 
     p = add("fold", cmd_fold, help="rewrite a line model on the half-line")
     p.add_argument("--output", required=True)

@@ -883,6 +883,8 @@ class _Elimination:
     table grows with its distance.  A bounded side, and both sides of a
     given absorbing ``window`` (lo, hi), end at an edge.  A source other
     than j keeps only its own side.  One ``block_table`` serves every sweep; ``hold`` is B_j.
+    :meth:`passage` is the one first-passage assembly, and
+    :meth:`closed_passage` runs it at s = 1 from the closure of each side.
     """
 
     def __init__(self, model: QmcModel, site: int, source: int | None = None,
@@ -918,25 +920,6 @@ class _Elimination:
         self.table = block_table(model, self.lo, hi if kept[0] else site)
         self.hold = self.table[1][site - self.lo]
 
-    def closings_at_one(self) -> tuple[list, float] | None:
-        """The closing of each closed side at z = 1 (None elsewhere), with
-        their summed residual (0 without a closure).
-
-        One :func:`homogeneous_closure` call per closed side at the single
-        point 1, given the trace functional so that the root of a recurrent
-        interior is shifted.  None at the first side it does not certify."""
-        closings, residual = [], 0.0
-        for end in self.ends:
-            if end is None:
-                closings.append(None)
-                continue
-            (y,), (r,), (certified,) = homogeneous_closure(*end, np.ones(1), self.trace_vec)
-            if not certified:
-                return None
-            closings.append(y)
-            residual += float(r)
-        return closings, residual
-
     def couplings(self, closings=(None, None), **points) -> list:
         """The coupling into j of each kept side, above first: C_{j+1} Y A_j
         and A_{j-1} Y C_j with Y the inverse pivot next to j, or, for a
@@ -966,6 +949,43 @@ class _Elimination:
                 out.append(_block_product(into[k - sites.step], x, None))
         return out
 
+    def passage(self, s, closings=(None, None)) -> Array:
+        """First-passage block into j at one ``s`` or an array of them, of
+        shape ``np.shape(s) + (d, d)``: F_ji(s) = s (coupling of the source's
+        side) from the source i, or F_jj(s) = s (B_j + s (sum of the
+        couplings)) without one, from the :meth:`couplings` at ``s=``."""
+        s3 = np.asarray(s)[..., None, None]
+        couplings = self.couplings(closings, s=s)
+        if self.source is not None:
+            (acc,) = couplings
+        else:
+            acc = self.hold
+            for coupling in couplings:
+                acc = acc + s3 * coupling
+        return s3 * acc
+
+    def closed_passage(self) -> tuple[Array, float] | None:
+        """(F(1), closure residual): :meth:`passage` at s = 1 with each
+        closed side closed by one :func:`homogeneous_closure` call at the
+        single point 1, given the trace functional so that the root of a
+        recurrent interior is shifted; the residual sums theirs (0 without
+        a closure).  None when a closure is not certified or a pivot is
+        singular."""
+        closings, residual = [], 0.0
+        for end in self.ends:
+            if end is None:
+                closings.append(None)
+                continue
+            (y,), (r,), (certified,) = homogeneous_closure(*end, np.ones(1), self.trace_vec)
+            if not certified:
+                return None
+            closings.append(y)
+            residual += float(r)
+        try:
+            return self.passage(1.0, closings), residual
+        except np.linalg.LinAlgError:
+            return None
+
 
 class SiteStieltjes(StieltjesEvaluator):
     """Diagonal block ((z I - Phi)^{-1})_{jj} at ``site`` of a segment,
@@ -984,9 +1004,9 @@ class SiteStieltjes(StieltjesEvaluator):
     stacked sweep per side and one stacked pivot solve give every rung;
     :meth:`evaluate` is the one-point ladder.
 
-    :meth:`return_block` closes each side once at z = 1, shifted when
-    the drift of the interior allows, and returns the first-return block
-    F = I - core(1) of the same pivot assembly.
+    :meth:`return_block` is the first-return block F_jj(1) of the same
+    elimination (:meth:`_Elimination.closed_passage`), each side closed
+    once at z = 1, shifted when the drift of the interior allows.
     """
 
     method = "closed"
@@ -1006,45 +1026,31 @@ class SiteStieltjes(StieltjesEvaluator):
         points = list(points)
         closings, residuals = zip(*((None, 0.0) if fp is None else fp.closings(points)
                                     for fp in self.closures))
-        core = self._core(np.array(points, dtype=complex), closings)
-        eye = np.eye(core.shape[-1], dtype=complex)
+        # the pivot z I - B_j - (couplings of both sides) at every point
+        zs, hold = np.array(points, dtype=complex), self.elimination.hold
+        eye = np.eye(hold.shape[0], dtype=complex)
+        core = np.multiply.outer(zs, eye) - hold
+        for coupling in self.elimination.couplings(closings, z=zs):
+            core = core - coupling
         values = np.linalg.solve(core, np.broadcast_to(eye, core.shape))
         residual = np.linalg.norm(core @ values - eye, 2, axis=(-2, -1)) + sum(residuals)
         for z, value, r in zip(points, values, residual):
             yield z, EvalResult(value, float(r), self.method)
 
     def return_block(self) -> tuple[Array, float] | None:
-        """First-return block F_jj(1) = I - core(1) at ``site``, with the
-        summed residual of its closures at z = 1 (0 on a segment), from
-        :meth:`_Elimination.closings_at_one`.  None when a closure is not
-        certified there or the sweep meets a singular pivot."""
-        closed = self.elimination.closings_at_one()
-        if closed is None:
-            return None
-        closings, residual = closed
-        try:
-            core = self._core(1.0, closings)
-        except np.linalg.LinAlgError:
-            return None
-        return np.eye(core.shape[-1]) - core, residual
-
-    def _core(self, z, closings):
-        """The pivot z I - B_j - (couplings of both eliminated sides) at
-        ``site``, at one point z or stacked over an array of them, from the
-        closings of the two sides (None at a bounded edge)."""
-        hold = self.elimination.hold
-        core = np.multiply.outer(z, np.eye(hold.shape[0], dtype=complex)) - hold
-        for coupling in self.elimination.couplings(closings, z=z):
-            core = core - coupling
-        return core
+        """First-return block F_jj(1) at ``site`` with the summed residual
+        of its closures at z = 1 (0 on a segment): the
+        :meth:`_Elimination.closed_passage` of its elimination."""
+        return self.elimination.closed_passage()
 
 
 def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> StieltjesEvaluator:
     """The transform evaluator of a chain, the one route policy.
 
     ``method="auto"`` gives :class:`SiteStieltjes` at site 0 for every
-    model.  ``method="truncated"`` gives the window-doubled truncation
-    starting at ``window``, a cross-check on chains bounded from below.
+    model; it is the route of ``qmc stieltjes``.  ``method="truncated"``
+    gives the window-doubled truncation starting at ``window``, a library
+    cross-check on chains bounded from below that the CLI does not offer.
     Raises ``ValueError`` for any other method or a model the route does
     not admit.
     """

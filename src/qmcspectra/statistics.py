@@ -309,25 +309,18 @@ def first_passage_gf(
     ``np.shape(s) + (d, d)``.  Masking row j pins x_j = delta_ij I, so
     the system splits at j into two block-tridiagonal halves; each half
     that carries the source is eliminated by one block-Schur sweep toward
-    j (the elimination of ``spectral``, between absorbing edges), with one
-    stacked solve per site for all s, and
-    F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}).  A singular
+    j, with one stacked solve per site for all s, and
+    F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}): the
+    ``passage`` of the elimination of ``spectral`` between absorbing
+    edges, the assembly that the closed reach and the return block run
+    at s = 1.  A singular
     pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
     window.  The window is [-window, window] on a line, [0, window] on a
     half-line and the whole of a segment.  For i < j the polynomial route
     Q_j(1/s)^{-1} Q_i(1/s), ``first_passage_poly`` in the tests, agrees
     with it wherever both apply.
     """
-    elimination = _Elimination(model, j, i, _passage_window(model, i, j, window))
-    ss = np.reshape(s, (-1,))
-    s3, couplings = ss[:, None, None], elimination.couplings(s=ss)
-    if i == j:
-        acc = elimination.hold
-        for coupling in couplings:
-            acc = acc + s3 * coupling
-    else:
-        (acc,) = couplings
-    return (s3 * acc).reshape(np.shape(s) + acc.shape[-2:])
+    return _Elimination(model, j, i, _passage_window(model, i, j, window)).passage(s)
 
 
 @dataclass(frozen=True)
@@ -381,15 +374,9 @@ def reach_analysis(
         raise ValueError(f"sites {i}, {j} outside the {model.topology.kind} topology")
     if i == j:
         return PassageResult(i, j, 1.0, ((1.0, 1.0),), False, "closed", 0.0)
-    elimination = _Elimination(model, j, i)
-    try:
-        closed = elimination.closings_at_one()
-        if closed is not None:
-            closings, residual = closed
-            (block,) = elimination.couplings(closings, s=1.0)
-    except np.linalg.LinAlgError:
-        closed = None
+    closed = _Elimination(model, j, i).closed_passage()
     if closed is not None:
+        block, residual = closed
         prob = trace_action(model, block, rho_vec)
         samples, extrapolated, route = ((1.0, prob),), False, "closed"
     else:

@@ -209,6 +209,15 @@ def test_load_density_matrix_rejects_bad_matrices(tmp_path, matrix, match):
         load_density_matrix(path)
 
 
+@pytest.mark.parametrize("payload", [{"x": 1}, [1], None, "abc"],
+                         ids=["no-matrix-key", "list", "null", "string"])
+def test_load_density_matrix_rejects_files_without_a_matrix(tmp_path, payload):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="matrix"):
+        load_density_matrix(path)
+
+
 def test_model_json_roundtrip(tmp_path):
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
     data = model_to_dict(m)

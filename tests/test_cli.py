@@ -140,8 +140,30 @@ def test_spectrum_roundtrip_and_flag(files, capsys):
     assert len(w) == 4 and len(w[0]) == 4 and len(w[0][0]) == 2
 
 
+def test_spectrum_of_a_singular_up_block_is_semiorthogonal(tmp_path, capsys):
+    # A_0 is singular, so the symmetrizer's product pi[1] does not exist
+    # and the search raises; the spectrum is written with the label
+    deg = QmcModel(
+        topology=segment(3),
+        mode="abstract",
+        blocks={
+            "A": Block(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),
+            "B": Block(0.1 * np.eye(2, dtype=complex)),
+            "C": Block(0.5 * np.eye(2, dtype=complex)),
+        },
+        substochastic=True,
+    )
+    with pytest.raises(spectral.SpectralError, match="singular"):
+        spectral.find_symmetrizer(deg, 2)
+    path = tmp_path / "singular_up.json"
+    path.write_text(json.dumps(model_to_dict(deg)))
+    out = run_json(capsys, ["spectrum", str(path)])
+    assert out["semiorthogonal"] is True
+    assert sum(p["multiplicity"] for p in out["points"]) == 6
+
+
 def test_stieltjes_value_schema(files, capsys):
-    out = run_json(capsys, ["stieltjes", files["flip"], "--z", "1.5", "--method", "auto"])
+    out = run_json(capsys, ["stieltjes", files["flip"], "--z", "1.5"])
     assert out["method"] == "closed"
     assert out["residual"] < 1e-8
     assert out["z"] == [1.5, 0.0]
@@ -160,10 +182,6 @@ def test_stieltjes_on_a_line_takes_the_closed_route(files, capsys):
 
     want = FoldedTransformEvaluator(models.diagonal_coin_line_walk(), 0).evaluate(1.5).value
     assert np.abs(got - want).max() < 1e-10
-    # truncation needs a chain bounded from below
-    code, err = run_error(capsys, ["stieltjes", files["diagline"], "--z", "1.5",
-                                   "--method", "truncated"])
-    assert code == 3 and "bounded from below" in err
 
 
 @pytest.mark.parametrize("z", ["0.5,0.2", "-0.3,0.001"])
@@ -173,6 +191,13 @@ def test_stieltjes_overflowing_closure_exits_4(tmp_path, capsys, z):
     path.write_text(json.dumps(model_to_dict(models.tilted_shear_line())))
     code, err = run_error(capsys, ["stieltjes", str(path), f"--z={z}"])
     assert code == 4 and "error: stieltjes failed: homogeneous fixed point overflowed" in err
+
+
+@pytest.mark.parametrize("z", ["1.5,oops", "1,2,3"])
+def test_stieltjes_unparsable_z_is_schema_error(files, capsys, z):
+    code, err = run_error(capsys, ["stieltjes", files["flip"], f"--z={z}"])
+    assert code == 3 and err.startswith("error: cannot parse z value")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("z, residual", [("0,0.5", 14.2), ("0.2,0.01", 8.2e8)])
@@ -194,7 +219,6 @@ def test_stieltjes_uncertified_value_exits_4(files, capsys, z, residual):
 
 
 def test_recurrence_verdicts(files, capsys):
-    # the default method picks the evaluator from the model shape
     out = run_json(
         capsys,
         ["recurrence", files["flip"], "--site", "0", "--density", files["rho_sym"]],
@@ -206,17 +230,6 @@ def test_recurrence_verdicts(files, capsys):
         ["recurrence", files["flip_tp"], "--site", "0", "--density", files["rho_sym"]],
     )
     assert out["verdict"] == "recurrent"
-
-    # an explicit method walks the ladder; windows from 6400 sites resolve
-    # the square-root edge of the flip channel at z = 1
-    out = run_json(
-        capsys,
-        ["recurrence", files["flip"], "--site", "0", "--density", files["rho_sym"],
-         "--method", "truncated", "--window", "6400"],
-    )
-    assert out["verdict"] == "transient"
-    assert "limit" in out and out["limit"] < 10
-    assert len(out["evidence"]) == 7
 
     out = run_json(
         capsys,
@@ -241,14 +254,11 @@ def test_recurrence_reports_route_and_certificate(files, capsys):
     assert (out["verdict"], out["route"]) == ("recurrent", "renewal")
     assert out["recurrent_weight"] == pytest.approx(1.0, abs=1e-12) and "limit" not in out
 
-    # the coin line has no certified closure at 1, and an explicit
-    # evaluator has no return block: both walk the ladder
-    for argv in (["recurrence", files["diagline"], "--site", "0", "--density", files["rho10"]],
-                 ["recurrence", files["flip"], "--site", "0", "--density", files["rho_sym"],
-                  "--method", "truncated"]):
-        out = run_json(capsys, argv)
-        assert out["route"] == "ladder" and len(out["evidence"]) == 7
-        assert out["recurrent_weight"] is None and out["residual"] >= 0.0
+    # the coin line has no certified closure at 1: it walks the ladder
+    out = run_json(capsys, ["recurrence", files["diagline"], "--site", "0",
+                            "--density", files["rho10"]])
+    assert out["route"] == "ladder" and len(out["evidence"]) == 7
+    assert out["recurrent_weight"] is None and out["residual"] >= 0.0
 
 
 def test_first_passage_ladder(files, capsys):
@@ -353,9 +363,6 @@ def test_segment_recurrence_reports_segment_limit(files, capsys, tmp_path):
     rho = np.array([[0.3, 0.1], [0.1, 0.7]])
     want = site_prob_series(seg, 0, 0, rho, 4000).sum()
     assert out["limit"] == pytest.approx(want, abs=1e-9)
-    # the truncated route sweeps the whole segment at every rung
-    out = run_json(capsys, [*argv, "--method", "truncated"])
-    assert out["limit"] == pytest.approx(want, abs=1e-9)
 
 
 def test_exit_codes(files, capsys, tmp_path):
@@ -396,19 +403,41 @@ def test_exit_codes(files, capsys, tmp_path):
     assert run(["poly", str(degpath), "--x", "0.5", "--n", "2"]) == 4
     capsys.readouterr()
     # compact model with a complex density is a schema error
-    assert run(["recurrence", files["flip"], "--site", "0",
-                "--density", files["rho"], "--method", "truncated"]) == 3
+    assert run(["recurrence", files["flip"], "--site", "0", "--density", files["rho"]]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload", [{"x": 1}, [1], None, "abc"],
+                         ids=["no-matrix-key", "list", "null", "string"])
+def test_density_file_without_a_matrix_is_schema_error(files, capsys, tmp_path, payload):
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps(payload))
+    code, err = run_error(capsys, ["prob", files["shear"], "--from", "2", "--to", "0",
+                                   "--steps", "4", "--density", str(rho)])
+    assert code == 3 and err.startswith("error: bad density file: ")
+    assert "matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["stieltjes", "recurrence", "first-passage"])
+@pytest.mark.parametrize("flag", [["--method", "truncated"], ["--window", "800"]],
+                         ids=["method", "window"])
+def test_method_and_window_are_usage_errors(files, capsys, command, flag):
+    # the exact route is the only one: a method or a window is refused by
+    # the parser before a model is read
+    query = {"stieltjes": ["--z", "1.5"], "recurrence": ["--density", files["rho_sym"]],
+             "first-passage": ["--from", "3", "--to", "0", "--density", files["rho_sym"]]}
+    code, err = run_error(capsys, [command, files["hop"], *query[command], *flag])
+    assert code == 2 and "unrecognized arguments" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["stieltjes", "recurrence"])
 @pytest.mark.parametrize("method", ["homogeneous", "corner"])
 def test_methods_outside_the_two_routes_are_usage_errors(files, capsys, command, method):
-    # the transform has two routes, auto and truncated; anything else is
-    # refused by the parser before a model is read
+    # the transform takes the exact route only; a named method, whatever
+    # it is, is refused by the parser before a model is read
     query = {"stieltjes": ["--z", "1.5"], "recurrence": ["--density", files["rho_sym"]]}
     code, err = run_error(capsys, [command, files["flip"], *query[command], "--method", method])
-    assert code == 2 and "invalid choice" in err and "Traceback" not in err
+    assert code == 2 and "unrecognized arguments" in err and "Traceback" not in err
 
 
 def run_error(capsys, argv):
@@ -417,11 +446,16 @@ def run_error(capsys, argv):
     return code, captured.err
 
 
-@pytest.mark.parametrize("window", ["0", "-4"])
-def test_truncated_empty_window_is_schema_error(files, capsys, window):
-    code, err = run_error(capsys, ["stieltjes", files["flip"], "--z", "1.5",
-                                   "--method", "truncated", "--window", window])
-    assert code == 3 and "window must be at least 1" in err
+@pytest.mark.parametrize("window", [0, -4])
+def test_truncated_empty_window_is_schema_error(files, window):
+    # the truncated evaluator behind cli._evaluator refuses an empty
+    # window with a plain ValueError, which run maps to exit 3 (schema)
+    # rather than to the numerical exit 4
+    model = cli._load_model(files["flip"])
+    with pytest.raises(ValueError, match="window must be at least 1") as info:
+        cli._evaluator(model, "truncated", window)
+    assert not isinstance(info.value, (ArithmeticError, np.linalg.LinAlgError,
+                                       spectral.SpectralError))
 
 
 def test_first_passage_probability_above_one_is_numerical_failure(files, capsys, tmp_path):
@@ -440,8 +474,8 @@ def test_first_passage_probability_above_one_is_numerical_failure(files, capsys,
 
 
 def test_first_passage_past_the_window_answers_on_the_closed_route(files, capsys):
-    # --window bounds the fallback ladder only; the exact s = 1 solve
-    # reaches a source at any distance
+    # the library's window bounds the fallback ladder only; the exact
+    # s = 1 solve reaches a source at any distance
     out = run_json(
         capsys,
         ["first-passage", files["hop"], "--from", "100", "--to", "0",
@@ -498,32 +532,6 @@ def test_recurrence_on_a_line_at_any_site(files, capsys):
     )
     assert out["verdict"] == "transient"
     assert out["limit"] == pytest.approx(3.0, abs=1e-4)
-
-
-@pytest.mark.parametrize(
-    "model, site, method",
-    [
-        ("seg", "1", "truncated"),
-        ("hop", "1", "truncated"),
-        ("diagline", "0", "truncated"),
-        ("diagline", "2", "truncated"),
-    ],
-)
-def test_recurrence_explicit_method_is_never_ignored(files, capsys, tmp_path, model, site, method):
-    # an explicit method names a site-0 evaluator of a chain bounded below
-    if model == "seg":
-        seg = models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25)
-        path = str(tmp_path / "seg.json")
-        Path(path).write_text(json.dumps(model_to_dict(seg)))
-    else:
-        path = files[model]
-    code, err = run_error(
-        capsys,
-        ["recurrence", path, "--site", site, "--density", files["rho_sym"], "--method", method],
-    )
-    assert code == 3
-    assert err.startswith("error:")
-    assert "Traceback" not in err
 
 
 def test_simulate_branch_mass_above_one_is_numerical_failure(files, capsys, tmp_path):

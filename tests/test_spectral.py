@@ -788,3 +788,8 @@ def test_truncated_rejects_empty_window_and_no_doubling(kw, match):
     m = models.flip_channel_half_line(0.7, 0.8)
     with pytest.raises(ValueError, match=match):
         TruncatedStieltjes(m, **kw)
+
+
+def test_truncated_rejects_a_chain_unbounded_below():
+    with pytest.raises(ValueError, match="bounded from below"):
+        TruncatedStieltjes(models.diagonal_coin_line_walk())

@@ -436,9 +436,7 @@ def test_reach_of_a_recurrent_side_is_certain_at_any_distance(model, sign, expon
     # the plain power G^k loses about k roundings (2.4e-8 at k = 10^8 on the
     # line); split along the fixed functionals, t G^k = t to rounding
     source = sign * 10**exponent
-    elimination = _Elimination(model, 0, source)
-    closings, _ = elimination.closings_at_one()
-    (block,) = elimination.couplings(closings, s=1.0)
+    block, _ = _Elimination(model, 0, source).closed_passage()
     for rho in (np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0])):
         assert abs(trace_action(model, block, model.state_vec(rho)) - 1.0) <= 1e-14
         assert reach_analysis(model, source, 0, rho).route == "closed"
@@ -716,6 +714,44 @@ def test_explicit_evaluator_answers_site_zero_only():
     ev = HomogeneousStieltjes.from_model(m)
     with pytest.raises(ValueError, match="site 1"):
         classify_recurrence(m, 1, np.eye(2) / 2, ev)
+
+
+@pytest.mark.parametrize(
+    "model, site",
+    [
+        (models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25), 1),
+        (models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25), 1),
+        (models.diagonal_coin_line_walk(), 0),
+        (models.diagonal_coin_line_walk(), 2),
+    ],
+    ids=["seg-1", "hop-1", "diagline-0", "diagline-2"],
+)
+def test_explicit_truncated_evaluator_is_never_ignored(model, site):
+    # a truncated evaluator is a site-0 evaluator of a chain bounded below:
+    # elsewhere it is refused, never silently replaced by the exact route
+    with pytest.raises(ValueError, match="site 0|bounded from below"):
+        classify_recurrence(model, site, np.array([[0.3, 0.1], [0.1, 0.7]]),
+                            TruncatedStieltjes(model))
+
+
+def test_truncated_ladder_resolves_the_flip_channel_edge_from_6400_sites():
+    # windows from 6400 sites resolve the square-root edge of the flip
+    # channel at z = 1; the truncation has no return block, so the seven
+    # ladder samples decide
+    m = models.flip_channel_half_line(0.7, 0.8)
+    cls = classify_recurrence(m, 0, np.array([[0.3, 0.1], [0.1, 0.7]]),
+                              TruncatedStieltjes(m, window=6400))
+    assert (cls.verdict, cls.route, len(cls.evidence)) == ("transient", "ladder", 7)
+    assert cls.limit < 10 and cls.recurrent_weight is None
+
+
+def test_truncated_segment_limit_is_the_return_series():
+    # the truncated route sweeps the whole segment at every rung
+    seg = models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25)
+    rho = np.array([[0.3, 0.1], [0.1, 0.7]])
+    want = site_prob_series(seg, 0, 0, rho, 4000).sum()
+    cls = classify_recurrence(seg, 0, rho, TruncatedStieltjes(seg))
+    assert cls.limit == pytest.approx(want, abs=1e-9)
 
 
 def test_general_site_classification_truncated():
