@@ -66,6 +66,7 @@ from .folding import (
     km_on_line,
     minus_model,
     plus_model,
+    reflect,
     unfold_block,
 )
 from .nonsymmetric import (

@@ -362,14 +362,17 @@ def build_model(spec: dict) -> QmcModel:
 
 
 def _decode_entry(e) -> complex:
-    try:
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise ValueError("complex entries are [re, im] pairs")
-            return complex(e[0], e[1])
-        return complex(e)
-    except TypeError:
-        raise ValueError(f"an entry is a number or an [re, im] pair, got {e!r}") from None
+    pair = isinstance(e, (list, tuple))
+    if pair and len(e) != 2:
+        raise ValueError("complex entries are [re, im] pairs")
+    parts = e if pair else (e,)
+    # JSON true/false are bools, which complex() would read as 1 and 0
+    if not any(isinstance(p, bool) for p in parts):
+        try:
+            return complex(*parts)
+        except TypeError:
+            pass
+    raise ValueError(f"an entry is a number or an [re, im] pair, got {e!r}")
 
 
 def decode_matrix(rows) -> Array:
@@ -594,10 +597,7 @@ def total_trace(model: QmcModel, state: LatticeState) -> float:
 def site_prob(model: QmcModel, i: int, j: int, rho, n: int) -> float:
     """Probability of finding the walker at site j after n steps from a
     density concentrated at site i."""
-    if not model.topology.contains(i) or not model.topology.contains(j):
-        raise ValueError("site outside topology")
-    state = evolve(model, LatticeState.from_density(model, i, rho), n)
-    return model.trace_of(state.site_vector(j))
+    return float(site_prob_series(model, i, j, rho, n)[n])
 
 
 def site_prob_series(model: QmcModel, i: int, j: int, rho, n_max: int) -> Array:

@@ -4,7 +4,8 @@ Each subcommand maps one-to-one onto a library operation and emits
 machine-readable JSON (or CSV for ``simulate``) with 15 significant
 digits.  Exit codes: 0 success, 2 missing or unreadable file, 3 schema
 violation, 4 numerical failure.  The subcommands call the library
-directly; :func:`run` alone maps what it raises to an exit code.
+directly; :func:`run` alone maps what it raises to an exit code and
+writes each warning it raises as one ``warning:`` line.
 ``stieltjes``, ``recurrence`` and ``first-passage`` take the library's
 exact route and offer no method or window to choose.
 """
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -335,20 +337,25 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # the one mapping from exceptions to exit codes; LinAlgError is a
-    # ValueError, so the numerical clause must come first
-    try:
-        args.fn(args)
-    except CliError as exc:
-        code, message = exc.code, str(exc)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        code, message = EXIT_FILE, str(exc)
-    except (ArithmeticError, np.linalg.LinAlgError, spectral.SpectralError) as exc:
-        code, message = EXIT_NUMERIC, f"{args.command} failed: {exc}"
-    except ValueError as exc:
-        code, message = EXIT_SCHEMA, f"bad {args.command} query: {exc}"
-    else:
-        return 0
-    print(f"error: {message}", file=sys.stderr)
+    # ValueError, so the numerical clause must come first.  Warnings that
+    # the active filters let through are written as one line each; a
+    # filter that turns them into errors still raises
+    code = 0
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args.fn(args)
+        except CliError as exc:
+            code, message = exc.code, str(exc)
+        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+            code, message = EXIT_FILE, str(exc)
+        except (ArithmeticError, np.linalg.LinAlgError, spectral.SpectralError) as exc:
+            code, message = EXIT_NUMERIC, f"{args.command} failed: {exc}"
+        except ValueError as exc:
+            code, message = EXIT_SCHEMA, f"bad {args.command} query: {exc}"
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if code:
+        print(f"error: {message}", file=sys.stderr)
     return code
 
 

@@ -2,10 +2,12 @@
 
 Site n >= 0 of the folded chain carries the pair (n, -n-1) of original
 sites, so every half-line tool (truncation, symmetrizers, discrete
-weights, transforms) applies to line chains.  The module also derives the
-upward and downward half-chains and the two coupling blocks directly from
-the line model, and evaluates the spectral sum for n-step blocks on the
-line through the two-sided polynomial families.
+weights, transforms) applies to line chains.  The lower strand is always
+the line read from the other end, :func:`reflect`: the folded blocks pair
+the two strands, the downward half-chain is the upward half-chain of the
+reflection, and site -1 is site 0 of the reflection.  The module also
+evaluates the spectral sum for n-step blocks on the line through the
+two-sided polynomial families.
 
 Recurrence of a line site, any site, is classified on the exact
 ``SiteStieltjes`` route shared with every other topology.  The split
@@ -17,6 +19,8 @@ criterion X (I - A X C X)^{-1}.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -54,58 +58,60 @@ def _diag2(top: Array, bottom: Array) -> Array:
     return out
 
 
+def reflect(model: QmcModel) -> QmcModel:
+    """The line chain read from the other end: original site -n-1 sits at
+    n, and moving up is the original down-move, so A'_n = C_{-n-1},
+    B'_n = B_{-n-1} and C'_n = A_{-n-1}.  Its upward strand is the lower
+    strand of every line tool, and ``reflect(reflect(m))`` is ``m``."""
+    if model.topology.kind != LINE:
+        raise ValueError("needs a line model")
+    swap = {"A": "C", "B": "B", "C": "A"}
+    return dataclasses.replace(
+        model,
+        blocks={swap[role]: blk for role, blk in model.blocks.items()},
+        overrides={
+            -s - 1: {swap[role]: blk for role, blk in ov.items()}
+            for s, ov in model.overrides.items()
+        },
+    )
+
+
 def fold_model(model: QmcModel) -> QmcModel:
     """Fold a line chain at the origin: a half-line chain with 2d-dimensional
     blocks whose site n carries the pair (n, -n-1).
 
-    The folded hold block at 0 couples the two strands through the
-    original blocks A_{-1} (upper right) and C_0 (lower left); every other
-    folded block is the diagonal pair of the two strands' blocks.
+    Every folded block is the diagonal pair of the blocks of ``model`` and
+    of its :func:`reflect`, except the hold block at 0, which also couples
+    the two strands through the original blocks A_{-1} (upper right) and
+    C_0 (lower left).
     """
-    if model.topology.kind != LINE:
-        raise ValueError("folding needs a line model")
+    lower = reflect(model)
     d = model.block_dim
 
-    def m_block(n):  # up-move of the pair (n, -n-1): A_n and C_{-n-1}
-        return _diag2(model.block(n, "A"), model.block(-n - 1, "C"))
+    def pair(n, role):
+        return _diag2(model.block(n, role), lower.block(n, role))
 
-    def g_block(n):
-        return _diag2(model.block(n, "B"), model.block(-n - 1, "B"))
-
-    def n_block(n):  # down-move of the pair: C_n and A_{-n-1}
-        return _diag2(model.block(n, "C"), model.block(-n - 1, "A"))
-
-    g0 = np.zeros((2 * d, 2 * d), dtype=complex)
-    g0[:d, :d] = model.block(0, "B")
+    g0 = pair(0, "B")
     g0[:d, d:] = model.block(-1, "A")
     g0[d:, :d] = model.block(0, "C")
-    g0[d:, d:] = model.block(-1, "B")
-
     affected = {0}
-    for s in model.overrides:
-        f = s if s >= 0 else -s - 1
-        affected.update({max(0, f - 1), f, f + 1})
-
-    a, b, c = (_homogeneous_matrix(model, role) for role in "ABC")
-    blocks = {
-        "A": Block(_diag2(a, c)),
-        "B": Block(_diag2(b, b)),
-        "C": Block(_diag2(c, a)),
-    }
-    overrides = {}
-    for site in sorted(affected):
-        ov = {"A": Block(m_block(site)), "C": Block(n_block(site))}
-        ov["B"] = Block(g0) if site == 0 else Block(g_block(site))
-        overrides[site] = ov
-
-    trace_vec = np.concatenate([model.trace_vec, model.trace_vec])
+    for f in [*model.overrides, *lower.overrides]:
+        if f >= 0:
+            affected.update({max(0, f - 1), f, f + 1})
     return QmcModel(
         topology=half_line(),
         mode="abstract",
-        blocks=blocks,
-        overrides=overrides,
+        blocks={
+            role: Block(_diag2(_homogeneous_matrix(model, role), _homogeneous_matrix(lower, role)))
+            for role in "ABC"
+        },
+        overrides={
+            site: {"A": Block(pair(site, "A")), "C": Block(pair(site, "C")),
+                   "B": Block(g0 if site == 0 else pair(site, "B"))}
+            for site in sorted(affected)
+        },
         substochastic=model.substochastic,
-        trace_vec=trace_vec,
+        trace_vec=np.concatenate([model.trace_vec, model.trace_vec]),
     )
 
 
@@ -124,40 +130,24 @@ def unfold_block(block: Array, quadrant: tuple[int, int]) -> Array:
     return block[r * d : (r + 1) * d, c * d : (c + 1) * d]
 
 
-def _half_chain(model: QmcModel, blocks: dict, overrides: dict) -> QmcModel:
+def plus_model(model: QmcModel) -> QmcModel:
+    """The upward half-chain (sites 0, 1, 2, ... of a line model)."""
     if model.topology.kind != LINE:
         raise ValueError("needs a line model")
     return QmcModel(
         topology=half_line(),
         mode=model.mode,
-        blocks=blocks,
-        overrides=overrides,
+        blocks=dict(model.blocks),
+        overrides={s: dict(ov) for s, ov in model.overrides.items() if s >= 0},
         substochastic=True,
         trace_vec=model.trace_vec,
     )
 
 
-def plus_model(model: QmcModel) -> QmcModel:
-    """The upward half-chain (sites 0, 1, 2, ... of a line model)."""
-    overrides = {s: dict(ov) for s, ov in model.overrides.items() if s >= 0}
-    return _half_chain(model, dict(model.blocks), overrides)
-
-
 def minus_model(model: QmcModel) -> QmcModel:
-    """The downward half-chain, reindexed so original site -n-1 sits at n.
-
-    Moving outward on this chain is the original down-move, so the roles
-    of the up and down blocks swap: A'_n = C_{-n-1}, B'_n = B_{-n-1},
-    C'_n = A_{-n-1}.
-    """
-    swap = {"A": "C", "B": "B", "C": "A"}
-    overrides = {
-        -s - 1: {swap[role]: blk for role, blk in ov.items()}
-        for s, ov in model.overrides.items()
-        if s < 0
-    }
-    blocks = {swap[role]: blk for role, blk in model.blocks.items()}
-    return _half_chain(model, blocks, overrides)
+    """The downward half-chain, reindexed so original site -n-1 sits at n:
+    the upward half-chain of :func:`reflect`."""
+    return plus_model(reflect(model))
 
 
 def km_on_line(model: QmcModel, j: int, i: int, n: int) -> Array:
@@ -219,6 +209,8 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
     """Return-transform evaluator for site 0 or -1 of a line chain,
     assembled on demand from the two half-chain evaluators.
 
+    Site -1 is site 0 of :func:`reflect`, so there ``model`` is the
+    reflection and the two halves, injected ones included, trade places.
     By default each half takes the automatic route of
     :func:`~qmcspectra.spectral.transform_evaluator`, the exact
     :class:`~qmcspectra.spectral.SiteStieltjes` at its site 0 (original
@@ -231,26 +223,25 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
                  minus: StieltjesEvaluator | None = None):
         if site not in (0, -1):
             raise ValueError("folded transforms are anchored at sites 0 and -1")
+        if site == -1:
+            model, plus, minus = reflect(model), minus, plus
         self.model = model
-        self.site = site
         self.plus = plus or transform_evaluator(plus_model(model), "auto")
         self.minus = minus or transform_evaluator(minus_model(model), "auto")
 
     def evaluate(self, z: complex) -> EvalResult:
         """Split-identity value at z.  With Xp and Xm the values of the
         plus and minus evaluators, weight normalizations included, the
-        transform products at sites 0 and -1 are
+        transform product at site 0 is
 
             P11 = Xp (I - A_{-1} Xm C_0 Xp)^{-1}
-            P22 = Xm (I - C_0 Xp A_{-1} Xm)^{-1}
 
-        Operator order is load-bearing: P22 is P11 with the two halves,
-        and A_{-1} with C_0, exchanged."""
+        and at site -1, on the reflection, it reads
+        P22 = Xm (I - C_0 Xp A_{-1} Xm)^{-1} in the original blocks.
+        Operator order is load-bearing."""
         rp, rm = self.plus.evaluate(z), self.minus.evaluate(z)
         x, y = rp.value, rm.value
         a, c = self.model.block(-1, "A"), self.model.block(0, "C")
-        if self.site == -1:
-            x, y, a, c = y, x, c, a
         mid = np.eye(x.shape[0], dtype=complex) - a @ y @ c @ x
         try:
             value = np.linalg.solve(mid.T, x.T).T

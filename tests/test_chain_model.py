@@ -170,15 +170,29 @@ SEGMENT_SPEC = {
         ({"overrides": [5]}, "override is an object with a 'site', got 5"),
         ({"num_sites": "3"}, "num_sites must be an integer, got '3'"),
         ({"trace": 5}, "trace must be a list of entries, got 5"),
+        # complex(True) is 1, so a JSON true would load as the number 1
+        ({"homogeneous": {"B": {"matrix": [[True]]}}}, "an entry is a number .*, got True"),
+        ({"homogeneous": {"B": {"matrix": [[[0.5, False]]]}}}, r"got \[0.5, False\]"),
+        ({"trace": [True]}, "an entry is a number .*, got True"),
     ],
     ids=["override-without-site", "matrix-number", "override-number", "num-sites-string",
-         "trace-number"],
+         "trace-number", "entry-true", "entry-pair-false", "trace-entry-true"],
 )
 def test_build_model_raises_value_error_for_malformed_specs(change, match):
     # each of these raised KeyError or TypeError before; the library's
     # contract for malformed input is ValueError, which the CLI maps to exit 3
     with pytest.raises(ValueError, match=match):
         build_model({**SEGMENT_SPEC, **change})
+
+
+def test_hopping_spec_with_a_boolean_entry_is_rejected():
+    spec = json.loads(json.dumps(
+        model_to_dict(models.uniform_hopping_half_line(0.4, 0.5, 0.5, 0.35, 0.25))))
+    build_model(spec)
+    # the (0, 1) entry of the first up effect is 0, so false would pass as 0
+    spec["homogeneous"]["A"]["kraus"][0][0][1] = False
+    with pytest.raises(ValueError, match="got False"):
+        build_model(spec)
 
 
 def test_build_model_reads_trace_entries_like_matrix_entries():
@@ -198,9 +212,11 @@ def test_build_model_reads_trace_entries_like_matrix_entries():
         ([[2, 0], [0, 0]], "trace"),
         ([[1.5, 0], [0, -0.5]], "eigenvalue"),
         ([[0.5, 0.9], [0.1, 0.5]], "Hermitian"),
+        ([[True]], "an entry is a number .*, got True"),
+        ([[[1, False]]], r"got \[1, False\]"),
     ],
     ids=["nan", "inf-imaginary", "rectangular", "empty", "trace-two",
-         "negative-eigenvalue", "non-hermitian"],
+         "negative-eigenvalue", "non-hermitian", "true", "pair-false"],
 )
 def test_load_density_matrix_rejects_bad_matrices(tmp_path, matrix, match):
     path = tmp_path / "rho.json"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,38 @@ def test_density_file_without_a_matrix_is_schema_error(files, capsys, tmp_path, 
                                    "--steps", "4", "--density", str(rho)])
     assert code == 3 and err.startswith("error: bad density file: ")
     assert "matrix" in err and "Traceback" not in err
+
+
+def test_density_file_of_json_booleans_is_schema_error(files, capsys, tmp_path):
+    rho = tmp_path / "rho.json"
+    rho.write_text('{"matrix": [[true]]}')
+    code, err = run_error(capsys, ["prob", files["shear"], "--from", "2", "--to", "0",
+                                   "--steps", "4", "--density", str(rho)])
+    assert code == 3 and err.startswith("error: bad density file: ")
+    assert "got True" in err and "Traceback" not in err
+
+
+def test_library_warning_reaches_stderr_as_one_line(files, capsys):
+    # the coin line's reach falls back to its absorbing window, which the
+    # library reports as a UserWarning
+    code = run(["first-passage", files["diagline"], "--from", "3", "--to", "0",
+                "--density", files["rho_sym"]])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["route"] == "window"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: no certified passage closure from site 3 to 0")
+    assert "UserWarning" not in captured.err and ".py:" not in captured.err
+
+
+def test_warning_filters_still_apply_under_the_cli(files, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="no certified passage closure"):
+            run(["first-passage", files["diagline"], "--from", "3", "--to", "0",
+                 "--density", files["rho_sym"]])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["stieltjes", "recurrence", "first-passage"])

@@ -9,6 +9,7 @@ from qmcspectra.chain_model import (
     QmcModel,
     block_from_kraus,
     line,
+    model_to_dict,
     site_prob_series,
     truncate,
 )
@@ -20,6 +21,7 @@ from qmcspectra.folding import (
     km_on_line,
     minus_model,
     plus_model,
+    reflect,
     unfold_block,
 )
 from qmcspectra.spectral import (
@@ -424,3 +426,81 @@ def test_line_classification_matches_split_identities(make, rho, site):
     direct = SiteStieltjes(m, site).evaluate(z).value
     split = FoldedTransformEvaluator(m, site).evaluate(z).value
     assert np.abs(direct - split).max() < 1e-9
+
+
+def reflection_chains():
+    hop = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
+    rng = np.random.default_rng(11)
+    abstract = random_line_model(rng)
+    special = [Block(0.3 * random_complex(rng, (2, 2))) for _ in range(3)]
+    return {
+        "coin": models.diagonal_coin_line_walk(),
+        "tilted": models.tilted_shear_line(),
+        "hop": hop,
+        "hop-holds": dataclasses.replace(hop, overrides={2: {"B": HOLD0}, -3: {"B": HOLD0}}),
+        # overrides of every role on both strands, so the role swap shows
+        "abstract": dataclasses.replace(abstract, overrides={
+            -2: {"A": special[0], "B": special[1]}, 1: {"C": special[2]}, -1: {"C": special[0]},
+        }),
+    }
+
+
+REFLECTION_CHAINS = reflection_chains()
+
+
+def blocks_equal(left, right, sites=range(-6, 6)):
+    return all(
+        np.array_equal(left.block(n, role), right.block(n, role))
+        for n in sites
+        for role in "ABC"
+    )
+
+
+@pytest.mark.parametrize("name", REFLECTION_CHAINS)
+def test_reflect_twice_is_the_identity(name):
+    m = REFLECTION_CHAINS[name]
+    back = reflect(reflect(m))
+    assert back.blocks == m.blocks and back.overrides == m.overrides
+    assert blocks_equal(back, m)
+    r = reflect(m)
+    for n in range(-6, 6):
+        for role, mirror in (("A", "C"), ("B", "B"), ("C", "A")):
+            assert np.array_equal(r.block(n, role), m.block(-n - 1, mirror))
+
+
+@pytest.mark.parametrize("name", REFLECTION_CHAINS)
+def test_minus_model_is_plus_model_of_reflect(name):
+    m = REFLECTION_CHAINS[name]
+    assert model_to_dict(minus_model(m)) == model_to_dict(plus_model(reflect(m)))
+
+
+@pytest.mark.parametrize("name", REFLECTION_CHAINS)
+def test_fold_pairs_each_block_with_its_reflection(name):
+    m = REFLECTION_CHAINS[name]
+    fm, r, d = fold_model(m), reflect(m), m.block_dim
+    for n in range(8):
+        for role in "ABC":
+            # B_0 couples the strands, and C_0 leaves the half-line
+            if n == 0 and role != "A":
+                continue
+            want = np.zeros((2 * d, 2 * d), dtype=complex)
+            want[:d, :d], want[d:, d:] = m.block(n, role), r.block(n, role)
+            assert np.array_equal(fm.block(n, role), want)
+
+
+@pytest.mark.parametrize("name", REFLECTION_CHAINS)
+def test_site_minus_one_transform_is_site_zero_of_reflect(name):
+    m = REFLECTION_CHAINS[name]
+    at_minus_one = FoldedTransformEvaluator(m, -1)
+    at_zero = FoldedTransformEvaluator(reflect(m), 0)
+    for z in (1.25, 0.3 + 0.4j, 2.0):
+        got, want = at_minus_one.evaluate(z), at_zero.evaluate(z)
+        assert np.array_equal(got.value, want.value)
+        assert got.residual == want.residual
+
+
+def test_reflect_rejects_other_topologies():
+    with pytest.raises(ValueError, match="needs a line model"):
+        reflect(models.tilted_shear_half_line())
+    with pytest.raises(ValueError, match="needs a line model"):
+        reflect(models.shear_coin_segment())
