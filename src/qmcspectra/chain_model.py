@@ -366,8 +366,8 @@ def _decode_entry(e) -> complex:
     if pair and len(e) != 2:
         raise ValueError("complex entries are [re, im] pairs")
     parts = e if pair else (e,)
-    # JSON true/false are bools, which complex() would read as 1 and 0
-    if not any(isinstance(p, bool) for p in parts):
+    # complex() would read JSON true/false as 1 and 0 and parse "1+2j"
+    if not any(isinstance(p, (bool, str)) for p in parts):
         try:
             return complex(*parts)
         except TypeError:
@@ -479,21 +479,18 @@ def truncate(model: QmcModel, lo: int, hi: int) -> TruncatedOperator:
 
 
 def segment_window(model: QmcModel, lo: int, hi: int) -> QmcModel:
-    """A finite segment model equal to the window [lo, hi] with absorbing
-    boundary, sites relabeled to 0..hi-lo."""
-    trunc_blocks = {}
-    for k in range(lo, hi + 1):
-        ov = {}
-        for role in ROLES:
-            blk = model.block_object(k, role)
-            if blk is not None:
-                ov[role] = blk
-        trunc_blocks[k - lo] = ov
+    """The window [lo, hi] as a segment with sites relabeled to 0..hi-lo,
+    in the chain's sparse form: its homogeneous blocks and the overrides
+    inside the window.  The segment's own edges clip A at hi and C at lo,
+    the absorbing boundary.  An empty window, or one not inside the
+    topology, raises ``ValueError``."""
+    if hi < lo or model.topology.clip(lo, hi) != (lo, hi):
+        raise ValueError(f"window [{lo}, {hi}] not inside the topology")
     return QmcModel(
         topology=segment(hi - lo + 1),
         mode=model.mode,
-        blocks={},
-        overrides=trunc_blocks,
+        blocks=dict(model.blocks),
+        overrides={s - lo: ov for s, ov in model.overrides.items() if lo <= s <= hi},
         substochastic=True,
         trace_vec=model.trace_vec,
     )
@@ -551,43 +548,20 @@ def evolve(model: QmcModel, state: LatticeState, n: int) -> LatticeState:
 
 
 def step(model: QmcModel, state: LatticeState) -> LatticeState:
-    lo, hi = model.topology.clip(state.offset - 1, state.offset + state.data.shape[0])
-    S = hi - lo + 1
-    d = model.block_dim
-    new = np.zeros((S, d), dtype=complex)
-
-    old_lo = state.offset
-    olds = state.data
-    n_old = olds.shape[0]
-    # Homogeneous sweep; override sites are patched afterwards.  Mass sent
-    # past a bounded edge is dropped by the destination clip below, which
-    # is exactly the absorbing-boundary semantics.
-    hold = olds @ _homogeneous_matrix(model, "B").T
-    up = olds @ _homogeneous_matrix(model, "A").T
-    down = olds @ _homogeneous_matrix(model, "C").T
-    for site, ov in model.overrides.items():
-        k = site - old_lo
-        if 0 <= k < n_old:
-            if "B" in ov:
-                hold[k] = ov["B"].matrix @ olds[k]
-            if "A" in ov:
-                up[k] = ov["A"].matrix @ olds[k]
-            if "C" in ov:
-                down[k] = ov["C"].matrix @ olds[k]
-
-    def accumulate(contrib: Array, shift: int) -> None:
-        # contrib[k] lands at site old_lo + k + shift; clip to [lo, hi]
-        first = old_lo + shift
-        src0 = max(0, lo - first)
-        src1 = min(n_old, hi - first + 1)
-        if src0 < src1:
-            dst0 = first + src0 - lo
-            new[dst0 : dst0 + (src1 - src0)] += contrib[src0:src1]
-
-    accumulate(hold, 0)
-    accumulate(up, 1)
-    accumulate(down, -1)
-    return LatticeState(lo, new)
+    """One step of the block recursion.  The window grows by one site on
+    each side, clipped to the topology; mass sent past a bounded edge is
+    dropped, which is the absorbing boundary."""
+    first, olds, n = state.offset, state.data, len(state.data)
+    # row r holds site first - 1 + r; B holds mass, A moves it up, C down
+    new = np.zeros((n + 2, model.block_dim), dtype=complex)
+    for role, shift in (("B", 1), ("A", 2), ("C", 0)):
+        part = olds @ _homogeneous_matrix(model, role).T
+        for site, ov in model.overrides.items():
+            if role in ov and 0 <= site - first < n:
+                part[site - first] = ov[role].matrix @ olds[site - first]
+        new[shift : shift + n] += part
+    lo, hi = model.topology.clip(first - 1, first + n)
+    return LatticeState(lo, new[lo - first + 1 : hi - first + 2])
 
 
 def total_trace(model: QmcModel, state: LatticeState) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_model import LINE, QmcModel
+from .chain_model import DEFAULT_WINDOW, LINE, QmcModel
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
@@ -299,7 +299,7 @@ def first_passage_gf(
     i: int,
     s: complex | Array,
     *,
-    window: int = 64,
+    window: int = DEFAULT_WINDOW,
 ) -> Array:
     """First-passage generating-function block F_ji(s).
 
@@ -340,7 +340,7 @@ def reach_analysis(
     j: int,
     rho,
     *,
-    window: int = 64,
+    window: int = DEFAULT_WINDOW,
 ) -> PassageResult:
     """Probability of ever reaching site j from a density at site i.
 

@@ -10,6 +10,7 @@ from qmcspectra.chain_model import (
     QmcModel,
     Topology,
     _block_product,
+    block_from_kraus,
     block_table,
     build_model,
     corner_resolvent,
@@ -174,9 +175,13 @@ SEGMENT_SPEC = {
         ({"homogeneous": {"B": {"matrix": [[True]]}}}, "an entry is a number .*, got True"),
         ({"homogeneous": {"B": {"matrix": [[[0.5, False]]]}}}, r"got \[0.5, False\]"),
         ({"trace": [True]}, "an entry is a number .*, got True"),
+        # complex("0.5") parses, so a JSON string would load as a number
+        ({"homogeneous": {"B": {"matrix": [["0.5"]]}}}, "an entry is a number .*, got '0.5'"),
+        ({"trace": ["1"]}, "an entry is a number .*, got '1'"),
     ],
     ids=["override-without-site", "matrix-number", "override-number", "num-sites-string",
-         "trace-number", "entry-true", "entry-pair-false", "trace-entry-true"],
+         "trace-number", "entry-true", "entry-pair-false", "trace-entry-true",
+         "entry-string", "trace-entry-string"],
 )
 def test_build_model_raises_value_error_for_malformed_specs(change, match):
     # each of these raised KeyError or TypeError before; the library's
@@ -214,9 +219,13 @@ def test_build_model_reads_trace_entries_like_matrix_entries():
         ([[0.5, 0.9], [0.1, 0.5]], "Hermitian"),
         ([[True]], "an entry is a number .*, got True"),
         ([[[1, False]]], r"got \[1, False\]"),
+        # complex() parses strings, so these would load as numbers
+        ([["1"]], "an entry is a number .*, got '1'"),
+        ([["1+2j"]], "an entry is a number .*, got '1\\+2j'"),
     ],
     ids=["nan", "inf-imaginary", "rectangular", "empty", "trace-two",
-         "negative-eigenvalue", "non-hermitian", "true", "pair-false"],
+         "negative-eigenvalue", "non-hermitian", "true", "pair-false", "string",
+         "complex-string"],
 )
 def test_load_density_matrix_rejects_bad_matrices(tmp_path, matrix, match):
     path = tmp_path / "rho.json"
@@ -613,8 +622,8 @@ def test_evolve_matches_truncated_power(real_density2):
 
 
 def test_evolve_patches_every_overridden_role():
-    # every site of the random segment overrides A, B and C, so each of
-    # the three patches of ``step`` runs; the oracle is the dense power
+    # every site of the random segment overrides A, B and C, so ``step``
+    # patches every role; the oracle is the dense power
     m = models.random_symmetrizable_segment(np.random.default_rng(3), num_sites=4, block_dim=4)
     rng = np.random.default_rng(5)
     v0 = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -634,3 +643,70 @@ def test_step_handles_overrides_at_boundary(density2):
     out = step(m, st)
     # column 0 is trace preserving: B0 + A0 effects sum to identity
     assert total_trace(m, out) == pytest.approx(1.0, abs=1e-12)
+
+
+def _hopping_line_with_overrides():
+    """The hopping line with A, B and C overridden at -2 and B at 1."""
+    m = models.uniform_hopping_line(0.4, 0.5, 0.5, 0.3, 0.3)
+    overrides = {
+        -2: {"A": block_from_kraus([np.sqrt(0.2) * np.eye(2)]),
+             "B": block_from_kraus(models.exchange_hold_block(0.3, 0.6, 0.2)),
+             "C": block_from_kraus([np.sqrt(0.5) * np.eye(2)])},
+        1: {"B": block_from_kraus(models.exchange_hold_block(0.5, 0.1, 0.7))},
+    }
+    return QmcModel(topology=m.topology, mode=m.mode, blocks=m.blocks,
+                    overrides=overrides, substochastic=True)
+
+
+@pytest.mark.parametrize(
+    "make, lo, hi",
+    [
+        (_hopping_line_with_overrides, -2, 3),
+        (_hopping_line_with_overrides, -1, 1),
+        (_hopping_line_with_overrides, -4, 0),
+        (models.diagonal_coin_line_walk, -2, 3),
+        (lambda: models.flip_channel_half_line(0.7, 0.8, corner="up"), 0, 4),
+        (models.three_site_absorbing_oqw, 0, 2),
+        (models.three_site_absorbing_oqw, 1, 2),
+        (lambda: fold_model(models.diagonal_coin_line_walk()), 0, 4),
+    ],
+    ids=["line-overrides-both-sides", "line-override-cut", "line-lower-side",
+         "coin-line", "flip-up-corner", "three-site", "three-site-tail", "folded-coin"],
+)
+def test_segment_window_matches_the_dense_window(make, lo, hi):
+    m = make()
+    w = segment_window(m, lo, hi)
+    assert np.array_equal(truncate(w, 0, hi - lo).matrix, truncate(m, lo, hi).matrix)
+    # the window keeps the sparse form: homogeneous blocks plus the
+    # overrides inside [lo, hi], relabelled
+    assert w.blocks == m.blocks
+    assert w.overrides.keys() == {s - lo for s in m.overrides if lo <= s <= hi}
+
+
+@pytest.mark.parametrize(
+    "make, lo, hi",
+    [
+        (lambda: models.flip_channel_half_line(0.7, 0.8, corner="up"), -1, 3),
+        (models.three_site_absorbing_oqw, 1, 3),
+        (models.diagonal_coin_line_walk, 2, 1),
+    ],
+    ids=["below-half-line", "past-segment", "reversed"],
+)
+def test_segment_window_outside_the_topology_raises(make, lo, hi):
+    with pytest.raises(ValueError, match="window"):
+        segment_window(make(), lo, hi)
+
+
+def test_evolve_on_a_line_with_overrides_matches_the_dense_power(density2):
+    # overrides on both sides of the origin; after n steps from site 0 no
+    # mass lies outside [-n, n], so the dense window is exact there
+    m, n = _hopping_line_with_overrides(), 7
+    out = evolve(m, LatticeState.from_density(m, 0, density2), n)
+    t = truncate(m, -n, n)
+    v = np.zeros(t.matrix.shape[0], dtype=complex)
+    v[4 * n : 4 * n + 4] = m.state_vec(density2)
+    v = np.linalg.matrix_power(t.matrix, n) @ v
+    assert out.sites == range(-n, n + 1)
+    for site in out.sites:
+        k = site + n
+        assert np.abs(out.site_vector(site) - v[4 * k : 4 * k + 4]).max() < 1e-12

@@ -428,6 +428,16 @@ def test_density_file_of_json_booleans_is_schema_error(files, capsys, tmp_path):
     assert "got True" in err and "Traceback" not in err
 
 
+def test_density_file_of_json_strings_is_schema_error(files, capsys, tmp_path):
+    # complex("1") parses, so a string entry would load as the density 1
+    rho = tmp_path / "rho.json"
+    rho.write_text('{"matrix": [["1"]]}')
+    code, err = run_error(capsys, ["prob", files["shear"], "--from", "2", "--to", "0",
+                                   "--steps", "4", "--density", str(rho)])
+    assert code == 3 and err.startswith("error: bad density file: ")
+    assert "got '1'" in err and "Traceback" not in err
+
+
 def test_library_warning_reaches_stderr_as_one_line(files, capsys):
     # the coin line's reach falls back to its absorbing window, which the
     # library reports as a UserWarning
