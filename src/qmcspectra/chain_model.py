@@ -179,6 +179,8 @@ class QmcModel:
         tv = np.asarray(tv, dtype=complex).reshape(-1)
         if tv.shape[0] != self.block_dim:
             raise ValueError("trace vector has wrong length")
+        if not np.isfinite(tv).all():
+            raise ValueError("trace vector has non-finite entries")
         tv.setflags(write=False)
         object.__setattr__(self, "trace_vec", tv)
 
@@ -252,7 +254,8 @@ class QmcModel:
 
     def validate(self) -> dict[int, float]:
         report = self.tp_report()
-        bad = {s: d for s, d in report.items() if d > TOL_TP}
+        # a NaN defect (blocks whose sum overflows) is broken too
+        bad = {s: d for s, d in report.items() if not d <= TOL_TP}
         if bad and not self.substochastic:
             worst = max(bad.values())
             raise ValueError(

@@ -3,9 +3,10 @@
 Each subcommand maps one-to-one onto a library operation and emits
 machine-readable JSON (or CSV for ``simulate``) with 15 significant
 digits.  Exit codes: 0 success, 2 missing or unreadable file, 3 schema
-violation, 4 numerical failure.  The subcommands call the library
-directly; :func:`run` alone maps what it raises to an exit code and
-writes each warning it raises as one ``warning:`` line.
+violation, 4 numerical failure.  :func:`run` reads each subcommand's
+model and density, then maps what the subcommand raises to an exit code
+and writes each warning it raises as one ``warning:`` line; the
+subcommands call the library directly.
 ``stieltjes``, ``recurrence`` and ``first-passage`` take the library's
 exact route and offer no method or window to choose.
 """
@@ -49,9 +50,7 @@ def encode_value(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, np.ndarray):
-        if v.ndim == 1:
-            return [encode_value(complex(e)) for e in v]
-        return [[encode_value(complex(e)) for e in row] for row in v]
+        return encode_value(np.asarray(v, dtype=complex).tolist())
     if isinstance(v, (list, tuple)):
         return [encode_value(e) for e in v]
     if isinstance(v, dict):
@@ -101,8 +100,7 @@ def _evaluator(model: QmcModel, method: str, window: int):
     return spectral.transform_evaluator(model, method, window)
 
 
-def cmd_validate(args) -> None:
-    model = _load_model(args.model)
+def cmd_validate(args, model) -> None:
     report = model.tp_report()
     emit(
         {
@@ -116,19 +114,14 @@ def cmd_validate(args) -> None:
     )
 
 
-def cmd_evolve(args) -> None:
-    model = _load_model(args.model)
-    rho = _load_density(args.density)
+def cmd_evolve(args, model, rho) -> None:
     state = chain_model.LatticeState.from_density(model, args.site, rho)
     state = chain_model.evolve(model, state, args.steps)
-    sites = []
-    for k, v in state.items():
-        tr = model.trace_of(v)
-        if abs(tr) < 1e-300 and not np.any(v):
-            continue
-        sites.append(
-            {"site": k, "trace": tr, "matrix": model.state_matrix(v)}
-        )
+    sites = [
+        {"site": k, "trace": model.trace_of(v), "matrix": model.state_matrix(v)}
+        for k, v in state.items()
+        if np.any(v)
+    ]
     emit(
         {
             "steps": args.steps,
@@ -138,15 +131,12 @@ def cmd_evolve(args) -> None:
     )
 
 
-def cmd_prob(args) -> None:
-    model = _load_model(args.model)
-    rho = _load_density(args.density)
+def cmd_prob(args, model, rho) -> None:
     p = chain_model.site_prob(model, args.from_site, args.to_site, rho, args.steps)
     emit({"from": args.from_site, "to": args.to_site, "steps": args.steps, "probability": p})
 
 
-def cmd_spectrum(args) -> None:
-    model = _load_model(args.model)
+def cmd_spectrum(args, model) -> None:
     weights = spectral.finite_spectrum_weights(model)
     try:
         symmetrizable = spectral.find_symmetrizer(
@@ -168,8 +158,7 @@ def cmd_spectrum(args) -> None:
     emit(out)
 
 
-def cmd_stieltjes(args) -> None:
-    model = _load_model(args.model)
+def cmd_stieltjes(args, model) -> None:
     z = _parse_z(args.z)
     ev = spectral.transform_evaluator(model, "auto")
     res = ev.evaluate(z)
@@ -178,9 +167,7 @@ def cmd_stieltjes(args) -> None:
     ev.certify(z, res)
 
 
-def cmd_recurrence(args) -> None:
-    model = _load_model(args.model)
-    rho = _load_density(args.density)
+def cmd_recurrence(args, model, rho) -> None:
     cls = statistics.classify_recurrence(model, args.site, rho)
     out = {
         "site": args.site,
@@ -195,9 +182,7 @@ def cmd_recurrence(args) -> None:
     emit(out)
 
 
-def cmd_first_passage(args) -> None:
-    model = _load_model(args.model)
-    rho = _load_density(args.density)
+def cmd_first_passage(args, model, rho) -> None:
     result = statistics.reach_analysis(model, args.from_site, args.to_site, rho)
     emit(
         {
@@ -212,8 +197,7 @@ def cmd_first_passage(args) -> None:
     )
 
 
-def cmd_fold(args) -> None:
-    model = _load_model(args.model)
+def cmd_fold(args, model) -> None:
     folded = folding.fold_model(model)
     with open(args.output, "w") as fh:
         json.dump(encode_value(model_to_dict(folded)), fh, indent=1)
@@ -227,8 +211,7 @@ def cmd_fold(args) -> None:
     emit({"written": args.output, "block_dim": folded.block_dim})
 
 
-def cmd_poly(args) -> None:
-    model = _load_model(args.model)
+def cmd_poly(args, model) -> None:
     x = _parse_z(args.x)
     pf = PolyFamily(model)
     if args.family == "main":
@@ -247,9 +230,7 @@ def cmd_poly(args) -> None:
     emit(out)
 
 
-def cmd_simulate(args) -> None:
-    model = _load_model(args.model)
-    rho = _load_density(args.density)
+def cmd_simulate(args, model, rho) -> None:
     cfg = trajectories.TrajectoryConfig(
         model, args.site, rho, args.steps, args.trajectories, args.seed
     )
@@ -262,7 +243,7 @@ def cmd_simulate(args) -> None:
             if mval == 0.0:
                 continue
             out.write(
-                f"{step},{site},{f15(mval):.15g},{f15(est.stderr(step, site)):.15g}\n"
+                f"{step},{site},{mval:.15g},{est.stderr(step, site):.15g}\n"
             )
 
 
@@ -336,19 +317,24 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # the one mapping from exceptions to exit codes; LinAlgError is a
-    # ValueError, so the numerical clause must come first.  Warnings that
-    # the active filters let through are written as one line each; a
-    # filter that turns them into errors still raises
+    # the one reader of a subcommand's files, the model first, and the one
+    # mapping from exceptions to exit codes; LinAlgError is a ValueError,
+    # so the numerical clause must come first.  Warnings that the active
+    # filters let through are written as one line each; a filter that
+    # turns them into errors still raises
     code = 0
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args.fn(args)
+            inputs = [_load_model(args.model)]
+            if "density" in args:
+                inputs.append(_load_density(args.density))
+            args.fn(args, *inputs)
         except CliError as exc:
             code, message = exc.code, str(exc)
         except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             code, message = EXIT_FILE, str(exc)
-        except (ArithmeticError, np.linalg.LinAlgError, spectral.SpectralError) as exc:
+        except (ArithmeticError, MemoryError, np.linalg.LinAlgError,
+                spectral.SpectralError) as exc:
             code, message = EXIT_NUMERIC, f"{args.command} failed: {exc}"
         except ValueError as exc:
             code, message = EXIT_SCHEMA, f"bad {args.command} query: {exc}"

@@ -178,10 +178,13 @@ SEGMENT_SPEC = {
         # complex("0.5") parses, so a JSON string would load as a number
         ({"homogeneous": {"B": {"matrix": [["0.5"]]}}}, "an entry is a number .*, got '0.5'"),
         ({"trace": ["1"]}, "an entry is a number .*, got '1'"),
+        # json reads the literals NaN and Infinity as floats
+        ({"trace": [float("nan")]}, "trace vector has non-finite entries"),
+        ({"trace": [float("inf")]}, "trace vector has non-finite entries"),
     ],
     ids=["override-without-site", "matrix-number", "override-number", "num-sites-string",
          "trace-number", "entry-true", "entry-pair-false", "trace-entry-true",
-         "entry-string", "trace-entry-string"],
+         "entry-string", "trace-entry-string", "trace-nan", "trace-infinity"],
 )
 def test_build_model_raises_value_error_for_malformed_specs(change, match):
     # each of these raised KeyError or TypeError before; the library's
@@ -342,6 +345,23 @@ def _block(n):
 def test_model_rejects_blocks_its_mode_does_not_allow(mode, blocks, overrides, match):
     with pytest.raises(ValueError, match=match):
         QmcModel(topology=segment(3), mode=mode, blocks=blocks, overrides=overrides)
+
+
+def test_model_rejects_a_non_finite_trace_vector():
+    with pytest.raises(ValueError, match="trace vector has non-finite entries"):
+        QmcModel(topology=segment(3), mode="abstract", blocks={"B": _block(2)},
+                 trace_vec=[np.nan, 1])
+
+
+def test_validate_refuses_nan_defects():
+    # A + B + C overflows to inf, and 0 * inf puts NaN in every defect;
+    # NaN > TOL_TP is false, so a NaN defect must not read as preserving
+    huge = Block(1e308 * np.eye(4, dtype=complex))
+    m = QmcModel(topology=segment(3), mode="full", blocks={"A": huge, "B": huge, "C": huge})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(np.isnan(d) for d in m.tp_report().values())
+        with pytest.raises(ValueError, match="break trace preservation"):
+            m.validate()
 
 
 def test_model_takes_no_dimensions():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qmcspectra
-from qmcspectra import cli, models, spectral
+from qmcspectra import cli, folding, models, spectral
 from qmcspectra.chain_model import (
     Block,
     QmcModel,
@@ -693,21 +693,63 @@ def test_fuzzed_input_exits_3_without_traceback(files, capsys, tmp_path, argv):
         (ArithmeticError("no"), 4, "error: first-passage failed: no"),
         (spectral.SpectralError("no"), 4, "error: first-passage failed: no"),
         (spectral.ConvergenceError("no"), 4, "error: first-passage failed: no"),
+        (MemoryError("no"), 4, "error: first-passage failed: no"),
         (FileNotFoundError("no"), 2, "error: no"),
         (IsADirectoryError("no"), 2, "error: no"),
         (PermissionError("no"), 2, "error: no"),
     ],
     ids=["ValueError", "LinAlgError", "ArithmeticError", "SpectralError",
-         "ConvergenceError", "FileNotFoundError", "IsADirectoryError", "PermissionError"],
+         "ConvergenceError", "MemoryError", "FileNotFoundError", "IsADirectoryError",
+         "PermissionError"],
 )
-def test_run_maps_exceptions_to_exit_codes(capsys, monkeypatch, exc, code, prefix):
-    def fail(args):
+def test_run_maps_exceptions_to_exit_codes(files, capsys, monkeypatch, exc, code, prefix):
+    def fail(args, model, rho):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_first_passage", fail)
-    argv = ["first-passage", "m.json", "--from", "1", "--to", "0", "--density", "rho.json"]
+    argv = ["first-passage", files["shear"], "--from", "1", "--to", "0",
+            "--density", files["rho_sym"]]
     assert run(argv) == code
     assert capsys.readouterr().err == prefix + "\n"
+
+
+def test_run_reads_the_model_before_the_density(capsys, tmp_path):
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps({"topology": "segment"}))
+    bad_rho = tmp_path / "rho.json"
+    bad_rho.write_text(json.dumps({"x": 1}))
+    tail = ["--from", "1", "--to", "0", "--steps", "1", "--density"]
+    code, err = run_error(capsys, ["prob", str(bad_model), *tail, str(bad_rho)])
+    assert code == 3 and err.startswith("error: bad model spec: ")
+    missing = str(tmp_path / "missing.json")
+    code, err = run_error(capsys, ["prob", missing, *tail, str(tmp_path / "gone.json")])
+    assert (code, err) == (2, f"error: model file not found: {missing}\n")
+
+
+def test_non_finite_trace_is_a_bad_model_spec(files, capsys, tmp_path):
+    spec = model_to_dict(folding.fold_model(models.tilted_shear_line()))
+    spec["trace"][0] = float("nan")
+    path = tmp_path / "nan_trace.json"
+    path.write_text(json.dumps(spec))
+    assert "NaN" in path.read_text()
+    code, err = run_error(capsys, ["validate", str(path)])
+    assert code == 3, err
+    assert err == "error: bad model spec: trace vector has non-finite entries\n"
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1, 3)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_encode_value_writes_arrays_as_nested_pairs(shape, dtype):
+    a = np.arange(np.prod(shape), dtype=dtype).reshape(shape) / 3
+    if dtype is complex:
+        a = a - 1j * a[..., ::-1]
+    got = cli.encode_value(a)
+    assert np.asarray(got).shape == (*shape, 2)
+    want = [[cli.f15(x.real), cli.f15(x.imag)] for x in a.astype(complex).reshape(-1)]
+    assert np.reshape(got, (-1, 2)).tolist() == want
+    if a.ndim == 2:
+        # the rows-of-entries list of the former 2-D branch
+        assert got == [[cli.encode_value(complex(e)) for e in row] for row in a]
 
 
 def test_unknown_flag_rejected(files):
