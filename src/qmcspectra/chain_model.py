@@ -262,6 +262,10 @@ class QmcModel:
                 f"columns {sorted(bad)} break trace preservation "
                 f"(worst defect {worst:.3e}); set substochastic=true to allow"
             )
+        # substochastic allows a defect, but no non-finite one, which JSON cannot carry
+        broken = sorted(s for s, d in report.items() if not np.isfinite(d))
+        if broken:
+            raise ValueError(f"columns {broken} have non-finite defects")
         return report
 
     # -- convenience --------------------------------------------------
@@ -340,6 +344,11 @@ def build_model(spec: dict) -> QmcModel:
             raise ValueError(f"override site must be an integer, got {site!r}")
         if not topo.contains(site):
             raise ValueError(f"override site {site} outside topology")
+        if site in overrides:
+            raise ValueError(f"override site {site} appears twice")
+        unknown = [key for key in entry if key != "site" and key not in ROLES]
+        if unknown:
+            raise ValueError(f"unknown block role {unknown[0]!r} in the override of site {site}")
         overrides[site] = {
             role: parse_block(entry[role]) for role in ROLES if role in entry
         }

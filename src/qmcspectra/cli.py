@@ -97,7 +97,10 @@ def _parse_z(text: str) -> complex:
 
 # perfbench/wl_halfline.py calls this; the subcommands call the library
 def _evaluator(model: QmcModel, method: str, window: int):
-    return spectral.transform_evaluator(model, method, window)
+    # window is unused: the exact route reads no window
+    if method == "auto":
+        return spectral.SiteStieltjes(model)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_validate(args, model) -> None:
@@ -160,7 +163,7 @@ def cmd_spectrum(args, model) -> None:
 
 def cmd_stieltjes(args, model) -> None:
     z = _parse_z(args.z)
-    ev = spectral.transform_evaluator(model, "auto")
+    ev = spectral.SiteStieltjes(model)
     res = ev.evaluate(z)
     emit({"z": z, "value": res.value, "residual": res.residual, "method": res.method})
     # the answer is written either way; one without a certificate exits 4

@@ -38,12 +38,12 @@ from .spectral import (
     ConvergenceError,
     DiscreteWeight,
     EvalResult,
+    SiteStieltjes,
     StieltjesEvaluator,
     Symmetrizer,
     WeightPoint,
     find_symmetrizer,
     finite_spectrum_weights,
-    transform_evaluator,
 )
 from .statistics import Classification, classify_recurrence
 
@@ -211,8 +211,7 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
 
     Site -1 is site 0 of :func:`reflect`, so there ``model`` is the
     reflection and the two halves, injected ones included, trade places.
-    By default each half takes the automatic route of
-    :func:`~qmcspectra.spectral.transform_evaluator`, the exact
+    By default each half is the exact
     :class:`~qmcspectra.spectral.SiteStieltjes` at its site 0 (original
     site 0 or -1)."""
 
@@ -226,8 +225,8 @@ class FoldedTransformEvaluator(StieltjesEvaluator):
         if site == -1:
             model, plus, minus = reflect(model), minus, plus
         self.model = model
-        self.plus = plus or transform_evaluator(plus_model(model), "auto")
-        self.minus = minus or transform_evaluator(minus_model(model), "auto")
+        self.plus = plus or SiteStieltjes(plus_model(model))
+        self.minus = minus or SiteStieltjes(minus_model(model))
 
     def evaluate(self, z: complex) -> EvalResult:
         """Split-identity value at z.  With Xp and Xm the values of the

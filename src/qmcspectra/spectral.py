@@ -40,9 +40,7 @@ runs of 2^j sites, in O(log window) stacked solves instead of one per
 site.  Every ladder goes through :meth:`StieltjesEvaluator.ladder`,
 which the closed and truncated evaluators run stacked, their
 ``evaluate`` being the one-point ladder; no state passes from one point
-to the next.  :func:`transform_evaluator` holds the one route policy,
-``auto`` or ``truncated``; the CLI and the half-chains of a folded line
-chain both take their evaluators from it.
+to the next.
 
 Normalization: evaluators return corner resolvents ((z I - Phi)^{-1})_{00},
 which equal the transform with the weight normalization folded in (the
@@ -880,33 +878,29 @@ class _Elimination:
     site past every override and j, ``lift`` levels nearer; its
     :meth:`couplings` carry it there by G^lift (:func:`_passage_power`),
     G = C Y (A Y below) the passage one level toward j, so no sweep or
-    table grows with its distance.  A bounded side, and both sides of a
-    given absorbing ``window`` (lo, hi), end at an edge.  A source other
-    than j keeps only its own side.  One ``block_table`` serves every sweep; ``hold`` is B_j.
+    table grows with its distance.  A bounded side ends at its edge.  A
+    source other than j keeps only its own side.  One ``block_table``
+    serves every sweep; ``hold`` is B_j.
     :meth:`passage` is the one first-passage assembly, and
     :meth:`closed_passage` runs it at s = 1 from the closure of each side.
     """
 
-    def __init__(self, model: QmcModel, site: int, source: int | None = None,
-                 window: tuple[int, int] | None = None):
+    def __init__(self, model: QmcModel, site: int, source: int | None = None):
         topo = model.topology
         self.site = site
         self.source = None if source == site else source
         self.trace_vec = model.trace_vec
         self.lift = 0
-        if window is None:
-            marks = [*model.overrides, site]
-            above, below = max(marks) + 1, min(marks) - 1
-            if self.source is not None and topo.hi is None and self.source > above:
-                self.source, self.lift = above, self.source - above
-            elif self.source is not None and topo.lo is None and self.source < below:
-                self.source, self.lift = below, below - self.source
-            marks += [] if self.source is None else [self.source]
-            lo = min(marks) - 1 if topo.lo is None else topo.lo
-            hi = max(marks) + 1 if topo.hi is None else topo.hi
-            closed = (topo.hi is None, topo.lo is None)
-        else:
-            (lo, hi), closed = window, (False, False)
+        marks = [*model.overrides, site]
+        above, below = max(marks) + 1, min(marks) - 1
+        if self.source is not None and topo.hi is None and self.source > above:
+            self.source, self.lift = above, self.source - above
+        elif self.source is not None and topo.lo is None and self.source < below:
+            self.source, self.lift = below, below - self.source
+        marks += [] if self.source is None else [self.source]
+        lo = min(marks) - 1 if topo.lo is None else topo.lo
+        hi = max(marks) + 1 if topo.hi is None else topo.hi
+        closed = (topo.hi is None, topo.lo is None)
         free = self.source is None
         kept = (free or self.source > site, free or self.source < site)
         a, b, c = (_homogeneous_matrix(model, role) for role in ROLES)
@@ -1042,23 +1036,6 @@ class SiteStieltjes(StieltjesEvaluator):
         of its closures at z = 1 (0 on a segment): the
         :meth:`_Elimination.closed_passage` of its elimination."""
         return self.elimination.closed_passage()
-
-
-def transform_evaluator(model: QmcModel, method: str, window: int = 800) -> StieltjesEvaluator:
-    """The transform evaluator of a chain, the one route policy.
-
-    ``method="auto"`` gives :class:`SiteStieltjes` at site 0 for every
-    model; it is the route of ``qmc stieltjes``.  ``method="truncated"``
-    gives the window-doubled truncation starting at ``window``, a library
-    cross-check on chains bounded from below that the CLI does not offer.
-    Raises ``ValueError`` for any other method or a model the route does
-    not admit.
-    """
-    if method == "auto":
-        return SiteStieltjes(model)
-    if method == "truncated":
-        return TruncatedStieltjes(model, window=window)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def residue_probe(evaluator: StieltjesEvaluator, x0: complex) -> Array:

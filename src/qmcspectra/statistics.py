@@ -17,10 +17,10 @@ Either route reports its residual.
 
 Reach probabilities are solved once at s = 1 by the elimination toward
 the target of ``spectral`` (which :func:`first_passage_gf` runs on an
-absorbing window): the source side is closed by the homogeneous closure
-at z = 1, whose G = C Y is the first passage one level down.  The window
-ladder is a fallback, and says so when its answer is the absorbing
-window's rather than the chain's.
+absorbing window, solved as a segment): the source side is closed by the
+homogeneous closure at z = 1, whose G = C Y is the first passage one
+level down.  The window ladder is a fallback, and says so when its
+answer is the absorbing window's rather than the chain's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_model import DEFAULT_WINDOW, LINE, QmcModel
+from .chain_model import DEFAULT_WINDOW, LINE, QmcModel, segment_window
 from .polynomials import PolyFamily
 from .quantum_core import Array
 from .spectral import (
@@ -311,16 +311,21 @@ def first_passage_gf(
     that carries the source is eliminated by one block-Schur sweep toward
     j, with one stacked solve per site for all s, and
     F_ji = s (A_{j-1} x_{j-1} + B_j x_j + C_{j+1} x_{j+1}): the
-    ``passage`` of the elimination of ``spectral`` between absorbing
-    edges, the assembly that the closed reach and the return block run
-    at s = 1.  A singular
-    pivot raises ``np.linalg.LinAlgError`` naming the site, the s and the
-    window.  The window is [-window, window] on a line, [0, window] on a
-    half-line and the whole of a segment.  For i < j the polynomial route
-    Q_j(1/s)^{-1} Q_i(1/s), ``first_passage_poly`` in the tests, agrees
-    with it wherever both apply.
+    ``passage`` of the elimination of ``spectral``, the assembly that the
+    closed reach and the return block run at s = 1.  The window,
+    [-window, window] on a line, [0, window] on a half-line and the whole
+    of a segment, is solved as a segment (``segment_window``), whose own
+    edges absorb.  A singular pivot raises ``np.linalg.LinAlgError``
+    naming the s, and the site and window counted from the window's
+    first site.  For i < j the polynomial route Q_j(1/s)^{-1} Q_i(1/s),
+    ``first_passage_poly`` in the tests, agrees with it wherever both
+    apply.
     """
-    return _Elimination(model, j, i, _passage_window(model, i, j, window)).passage(s)
+    lo, hi = _passage_window(model, i, j, window)
+    try:
+        return _Elimination(segment_window(model, lo, hi), j - lo, i - lo).passage(s)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{exc}, counted from chain site {lo}") from None
 
 
 @dataclass(frozen=True)
@@ -419,17 +424,17 @@ def reach_analysis(
 def jump_at_one(evaluator: StieltjesEvaluator) -> Array:
     """Point mass of the attached measure at x = 1.
 
-    Estimates lim eps * B(1 + eps) down the ladder eps = 10^-2 .. 10^-8
+    Estimates lim eps * B(1 + eps) from eps = 10^-6, 10^-7 and 10^-8
     with entrywise geometric extrapolation, which kills both analytic
     backgrounds and the slowly decaying square-root tails of divergent
     atomless transforms.  A norm below ``TOL_ZERO`` means no jump.  Combined with an irreducibility
     flag supplied by the caller, a nonzero jump is the positive-recurrence
     criterion.
     """
-    eps_ladder = [10.0**-m for m in range(2, 9)]
+    eps_ladder = [10.0**-m for m in range(6, 9)]
     rungs = evaluator.ladder([1.0 + eps for eps in eps_ladder])
     samples = [eps * res.value for eps, (_, res) in zip(eps_ladder, rungs)]
-    (est,) = _aitken(samples[-3:])
+    (est,) = _aitken(samples)
     if float(np.linalg.norm(est, 2)) < TOL_ZERO:
         return np.zeros_like(est)
     return est

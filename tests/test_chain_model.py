@@ -181,10 +181,16 @@ SEGMENT_SPEC = {
         # json reads the literals NaN and Infinity as floats
         ({"trace": [float("nan")]}, "trace vector has non-finite entries"),
         ({"trace": [float("inf")]}, "trace vector has non-finite entries"),
+        # a misspelt role or a second entry for a site would drop a block
+        ({"overrides": [{"site": 0, "b": {"matrix": [[0.2]]}}]},
+         "unknown block role 'b' in the override of site 0"),
+        ({"overrides": [{"site": 0, "A": {"matrix": [[0.2]]}},
+                        {"site": 0, "B": {"matrix": [[0.2]]}}]}, "override site 0 appears twice"),
     ],
     ids=["override-without-site", "matrix-number", "override-number", "num-sites-string",
          "trace-number", "entry-true", "entry-pair-false", "trace-entry-true",
-         "entry-string", "trace-entry-string", "trace-nan", "trace-infinity"],
+         "entry-string", "trace-entry-string", "trace-nan", "trace-infinity",
+         "override-unknown-role", "override-site-twice"],
 )
 def test_build_model_raises_value_error_for_malformed_specs(change, match):
     # each of these raised KeyError or TypeError before; the library's
@@ -361,6 +367,18 @@ def test_validate_refuses_nan_defects():
     with np.errstate(over="ignore", invalid="ignore"):
         assert all(np.isnan(d) for d in m.tp_report().values())
         with pytest.raises(ValueError, match="break trace preservation"):
+            m.validate()
+
+
+def test_validate_refuses_non_finite_defects_when_substochastic():
+    # substochastic allows any finite defect, but A + B overflows to inf,
+    # and neither NaN nor inf is a defect
+    huge = Block(np.full((1, 1), 1e308, dtype=complex))
+    m = QmcModel(topology=segment(3), mode="abstract", blocks={"A": huge, "B": huge},
+                 substochastic=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not any(np.isfinite(d) for d in m.tp_report().values())
+        with pytest.raises(ValueError, match=r"columns \[0, 1, 2\] have non-finite defects"):
             m.validate()
 
 

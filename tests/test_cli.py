@@ -491,12 +491,12 @@ def run_error(capsys, argv):
 
 @pytest.mark.parametrize("window", [0, -4])
 def test_truncated_empty_window_is_schema_error(files, window):
-    # the truncated evaluator behind cli._evaluator refuses an empty
-    # window with a plain ValueError, which run maps to exit 3 (schema)
-    # rather than to the numerical exit 4
+    # the truncated evaluator refuses an empty window with a plain
+    # ValueError, which run maps to exit 3 (schema) rather than to the
+    # numerical exit 4
     model = cli._load_model(files["flip"])
     with pytest.raises(ValueError, match="window must be at least 1") as info:
-        cli._evaluator(model, "truncated", window)
+        spectral.TruncatedStieltjes(model, window)
     assert not isinstance(info.value, (ArithmeticError, np.linalg.LinAlgError,
                                        spectral.SpectralError))
 
@@ -735,6 +735,34 @@ def test_non_finite_trace_is_a_bad_model_spec(files, capsys, tmp_path):
     code, err = run_error(capsys, ["validate", str(path)])
     assert code == 3, err
     assert err == "error: bad model spec: trace vector has non-finite entries\n"
+
+
+def _overflowing_segment():
+    huge = {"matrix": [[1e308]]}
+    return {"topology": "segment", "num_sites": 3, "mode": "abstract",
+            "homogeneous": {"A": huge, "B": huge}, "substochastic": True}
+
+
+def _misspelt_hold():
+    spec = model_to_dict(models.corner_coin_oqw(0.3))
+    (entry,) = spec["overrides"]
+    entry["b"] = entry.pop("B")
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_overflowing_segment, "columns [0, 1, 2] have non-finite defects"),
+    (_misspelt_hold, "unknown block role 'b' in the override of site 0"),
+], ids=["overflowing-substochastic", "misspelt-role"])
+def test_models_that_would_lose_or_overflow_a_block_are_bad_specs(capsys, tmp_path, spec, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3, captured.err
+    assert captured.err == f"error: bad model spec: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1, 3)], ids=["1d", "2d", "3d"])

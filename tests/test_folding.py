@@ -28,7 +28,6 @@ from qmcspectra.spectral import (
     SiteStieltjes,
     TruncatedStieltjes,
     find_symmetrizer,
-    transform_evaluator,
 )
 from qmcspectra.polynomials import PolyFamily
 from qmcspectra.statistics import classify
@@ -308,8 +307,8 @@ def test_hopping_line_recurrent_iff_balanced():
 
 def test_folded_transform_evaluator_matches_split_identity():
     m = models.diagonal_coin_line_walk()
-    plus = transform_evaluator(plus_model(m), "auto")
-    minus = transform_evaluator(minus_model(m), "auto")
+    plus = SiteStieltjes(plus_model(m))
+    minus = SiteStieltjes(minus_model(m))
     z = 1.25
     xp, xm = plus.evaluate(z).value, minus.evaluate(z).value
     a, c = m.block(-1, "A"), m.block(0, "C")
@@ -335,10 +334,10 @@ def test_cli_and_half_chains_share_one_route_policy(site):
     full = models.uniform_hopping_line(0.5, 0.5, 0.5, 0.2, 0.3)
     if site is not None:
         half, full = with_hold_at(half, site), with_hold_at(full, site)
-    assert transform_evaluator(half, "auto", 800).method == "closed"
+    assert SiteStieltjes(half).method == "closed"
     assert cli._evaluator(half, "auto", 800).method == "closed"
     ev = FoldedTransformEvaluator(full, 0)
-    assert ev.plus.method == transform_evaluator(plus_model(full), "auto", 800).method == "closed"
+    assert ev.plus.method == SiteStieltjes(plus_model(full)).method == "closed"
     assert ev.minus.method == "closed"
     if site is not None:
         # the mirrored override lands on the minus half

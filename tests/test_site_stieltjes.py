@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmcspectra import models, spectral
+from qmcspectra import cli, models, spectral
 from qmcspectra.chain_model import (
     ROLES,
     Block,
@@ -32,7 +32,6 @@ from qmcspectra.spectral import (
     SiteStieltjes,
     StieltjesEvaluator,
     residue_probe,
-    transform_evaluator,
 )
 from qmcspectra.statistics import DEFAULT_LADDER, classify_recurrence, jump_at_one
 
@@ -108,12 +107,12 @@ def test_site_block_matches_dense_resolvent(model, z, site):
 def test_auto_route_on_segment_is_the_segment_resolvent():
     seg = models.uniform_hopping_segment(4, 0.5, 0.5, 0.5, 0.25, 0.25)
     z = 1.5 + 0.2j
-    got = transform_evaluator(seg, "auto").evaluate(z).value
+    got = SiteStieltjes(seg).evaluate(z).value
     assert np.abs(got - corner_resolvent(seg, z, 4)).max() < 1e-12
-    # auto and truncated are the only routes
-    for method in ("homogeneous", "corner"):
+    # auto is the only route
+    for method in ("truncated", "homogeneous", "corner"):
         with pytest.raises(ValueError, match="unknown method"):
-            transform_evaluator(seg, method)
+            cli._evaluator(seg, method, 800)
 
 
 CROSS_CHECK_POINTS = [1.5, 1.01, 0.8 + 0.3j, -0.5 + 0.2j, 1.2 + 0.05j]
@@ -137,7 +136,7 @@ def test_corner_identity_is_the_auto_route(model):
     # evaluates (z - B0 - C1 X A0)^{-1} around the same closure X
     assert set(model.overrides) == {0}
     ref = _corner_identity(model)
-    auto = transform_evaluator(model, "auto")
+    auto = SiteStieltjes(model)
     for z in CROSS_CHECK_POINTS:
         want, got = ref.evaluate(z), auto.evaluate(z)
         assert np.array_equal(got.value, want.value) and got.residual == want.residual
@@ -151,7 +150,7 @@ def test_corner_identity_is_the_auto_route(model):
 def test_homogeneous_transform_is_the_auto_route(model):
     assert not model.overrides
     ref = HomogeneousStieltjes.from_model(model)
-    auto = transform_evaluator(model, "auto")
+    auto = SiteStieltjes(model)
     for z in CROSS_CHECK_POINTS:
         want, got = ref.evaluate(z).value, auto.evaluate(z).value
         assert np.linalg.norm(got - want, 2) <= 1e-15 * np.linalg.norm(want, 2)
@@ -175,7 +174,7 @@ def test_hopping_site1_limit_matches_birth_death(r, t):
 def test_up_corner_flip_auto_rungs_are_certified():
     # acceptance 4d's chain: the auto route is exact down the whole ladder
     m = models.flip_channel_half_line(0.7, 0.8, corner="up")
-    rungs = list(transform_evaluator(m, "auto").ladder(DEFAULT_LADDER))
+    rungs = list(SiteStieltjes(m).ladder(DEFAULT_LADDER))
     assert len(rungs) == len(DEFAULT_LADDER)
     assert max(res.residual for _, res in rungs) <= 1e-12
 
@@ -333,7 +332,9 @@ def test_real_ladder_runs_one_reduction_per_side(monkeypatch, name, sides, consu
         assert route == "ladder" and points[0] == [1.0]
         points = points[1:]
     assert len(points) == sides
-    assert all(zs == list(DEFAULT_LADDER) for zs in points)
+    # jump_at_one reads only the last three rungs of the ladder
+    rungs = DEFAULT_LADDER if consumer == "classify_recurrence" else DEFAULT_LADDER[-3:]
+    assert all(zs == list(rungs) for zs in points)
 
 
 # the kernel in both orientations: (A, B, C) closes the side above a

@@ -450,7 +450,7 @@ def test_folded_decoupled_reduces_to_plus():
     # a zero C_0 cuts the move from site 0 to -1
     zero = Block(np.zeros((4, 4), dtype=complex))
     decoupled = dataclasses.replace(m, overrides={0: {"C": zero}}, substochastic=True)
-    plus = spectral.transform_evaluator(plus_model(m), "auto")
+    plus = spectral.SiteStieltjes(plus_model(m))
     z = 1.3
     p11 = FoldedTransformEvaluator(decoupled, 0).evaluate(z).value
     assert np.abs(p11 - plus(z)).max() < 1e-10

@@ -8,6 +8,7 @@ from qmcspectra import models, spectral, statistics
 from qmcspectra.chain_model import (
     Block,
     QmcModel,
+    line,
     resolvent_block,
     segment,
     site_prob_series,
@@ -239,6 +240,14 @@ def _dense_masked_gf(m, j, i, s, lo, hi):
     return s * (phi @ sol)[jj * d : (jj + 1) * d]
 
 
+def _held_line():
+    # the hopping line with another hold block at both edges of the
+    # window [-16, 16] and at 17, past it
+    m = models.uniform_hopping_line(0.3, 0.2, 0.6, 0.4, 0.3)
+    hold = models.uniform_hopping_line(0.1, 0.4, 0.3, 0.4, 0.3).blocks["B"]
+    return dataclasses.replace(m, overrides={k: {"B": hold} for k in (-16, 16, 17)})
+
+
 @pytest.mark.parametrize(
     "make, window, lo, hi, pairs",
     [
@@ -246,11 +255,12 @@ def _dense_masked_gf(m, j, i, s, lo, hi):
          [(3, 1), (1, 4), (2, 2), (0, 0), (32, 32), (0, 32)]),
         (lambda: models.uniform_hopping_line(0.3, 0.2, 0.6, 0.4, 0.3), 16, -16, 16,
          [(0, -3), (-2, 2), (1, 1), (-16, -13), (16, 16)]),
+        (_held_line, 16, -16, 16, [(16, -16), (-16, 16), (0, 16), (-16, -16), (16, 16)]),
         (lambda: models.uniform_hopping_segment(12, 0.3, 0.2, 0.6, 0.4, 0.3), 64, 0, 11,
          [(0, 11), (11, 0), (5, 5), (11, 11)]),
         (lambda: models.corner_coin_oqw(0.7), 20, 0, 20, [(1, 0), (0, 3), (0, 0), (2, 1)]),
     ],
-    ids=["half_line", "line", "segment", "corner_coin"],
+    ids=["half_line", "line", "held_line", "segment", "corner_coin"],
 )
 def test_first_passage_stack_matches_dense_masked_oracle(make, window, lo, hi, pairs):
     m = make()
@@ -279,6 +289,18 @@ def test_first_passage_singular_pivot_names_site_s_and_window():
     assert np.isfinite(first_passage_gf(m, 0, 1, 0.5)).all()
     # masking the hold site removes its pivot
     assert np.isfinite(first_passage_gf(m, 2, 1, 1.0)).all()
+
+
+def test_first_passage_singular_pivot_on_a_line_counts_from_the_window():
+    # the same hold site 2 on a line: the window [-2, 2] is solved as the
+    # segment 0..4, whose sites 2..4, chain sites 0..2, hold the source
+    hop = Block(np.eye(2, dtype=complex) / 2)
+    hold = {"B": Block(np.eye(2, dtype=complex)), "C": Block(np.zeros((2, 2), dtype=complex))}
+    m = QmcModel(topology=line(), mode="abstract",
+                 blocks={"A": hop, "C": hop}, overrides={2: hold}, substochastic=True)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"site 4 for s in \[1\.0\] on window \[2, 4\], counted from chain site -2"):
+        first_passage_gf(m, 0, 1, np.array([0.5, 1.0]), window=2)
 
 
 @pytest.mark.parametrize(
